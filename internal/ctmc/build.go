@@ -83,27 +83,32 @@ func BuildWith(rt *network.Runtime, goal expr.Expr, maxStates int, opts BuildOpt
 
 	b := &builder{
 		rt:        rt,
-		goal:      goal,
+		sc:        rt.NewScratch(0),
+		kinds:     slotKinds(rt),
+		cur:       rt.NewState(),
+		probe:     rt.NewState(),
+		goal:      expr.CompileBool(goal),
 		maxStates: maxStates,
 		canon:     opts.Canon,
 		index:     make(map[string]int),
 		resolved:  make(map[string][]weighted),
 		onPath:    make(map[string]bool),
+		rateAcc:   make(map[int]float64),
 	}
-	init, err := rt.InitialState()
-	if err != nil {
+	init := rt.NewState()
+	if err := b.sc.InitialStateInto(&init); err != nil {
 		return nil, err
 	}
 	if b.canon != nil {
 		b.canon(&init)
 	}
-	initDist, err := b.resolve(&init)
+	initDist, err := b.resolve(&init, 0)
 	if err != nil {
 		return nil, err
 	}
 	initial := make(map[int]float64)
 	for _, w := range initDist {
-		idx, err := b.tangible(w.st)
+		idx, err := b.tangible(w)
 		if err != nil {
 			return nil, err
 		}
@@ -137,49 +142,70 @@ func BuildWith(rt *network.Runtime, goal expr.Expr, maxStates int, opts BuildOpt
 	return &BuildResult{Chain: chain, Explored: b.explored, Vanishing: b.vanishing}, nil
 }
 
-// weighted is a probability-weighted tangible state.
+// weighted is a probability-weighted tangible state, by compact key.
 type weighted struct {
-	st *network.State
-	p  float64
+	key string
+	p   float64
 }
 
+// builder is the state of one exploration. All successor computation runs
+// through one builder-owned network.Scratch: moves come from its move
+// cache, guards and the goal are evaluated through its compiled programs,
+// and successors are written into per-depth scratch states. A state is
+// kept only as its compact key and decoded back into a scratch state when
+// it is expanded, so the only per-state allocations left are its key, its
+// resolved distribution and its edges.
 type builder struct {
 	rt        *network.Runtime
-	goal      expr.Expr
+	sc        *network.Scratch
+	kinds     []expr.Kind // declared kind per variable slot, for decodeStateKey
+	goal      expr.BoolCode
 	maxStates int
 	canon     func(*network.State)
 
-	states    []*network.State // tangible states by index
-	index     map[string]int   // state key -> tangible index
-	goalFlags []bool           // per tangible state
+	states    []string       // compact keys of the tangible states, by index
+	index     map[string]int // compact state key -> tangible index
+	goalFlags []bool         // per tangible state
 	edges     [][]Edge
-	resolved  map[string][]weighted // memoized vanishing resolution
-	keyBuf    []byte                // scratch for stateKey
+	resolved  map[string][]weighted // memoized resolution by compact key
+	keyBuf    []byte                // scratch for appendStateKey
 	onPath    map[string]bool       // immediate-cycle detection, reused across resolve calls
+	frames    []*frame              // successor scratch per resolve depth
+	cur       network.State         // the tangible state expand is expanding
+	probe     network.State         // a decoded state for goal evaluation and error text
 	rateAcc   map[int]float64       // per-expand edge merging scratch
 	targets   []int                 // sorted rateAcc keys scratch
 	explored  int
 	vanishing int
 }
 
-// stateKey renders st's canonical key into the builder's scratch buffer.
-// The returned slice is only valid until the next stateKey call; callers
-// probe maps with map[string(buf)] (no allocation) and materialize a string
-// only when inserting.
-func (b *builder) stateKey(st *network.State) []byte {
-	b.keyBuf = st.AppendKey(b.keyBuf[:0])
-	return b.keyBuf
+// frame is the scratch of one recursion depth: the successor state being
+// resolved below it and the enabled guarded moves being fired from it.
+// Frame 0 serves expand and the top-level resolve; a resolve at depth d
+// writes its successors into frame d and recurses at depth d+1.
+type frame struct {
+	succ    network.State
+	enabled []int // indices into the state's CachedMoves.Guarded
 }
 
-// tangible interns a tangible state and returns its index.
-func (b *builder) tangible(st *network.State) (int, error) {
-	buf := b.stateKey(st)
-	if idx, ok := b.index[string(buf)]; ok {
+// frame returns the scratch of depth d, allocating it on first use.
+func (b *builder) frame(d int) *frame {
+	for len(b.frames) <= d {
+		b.frames = append(b.frames, &frame{succ: b.rt.NewState()})
+	}
+	return b.frames[d]
+}
+
+// tangible interns the tangible state of w and returns its index.
+func (b *builder) tangible(w weighted) (int, error) {
+	if idx, ok := b.index[w.key]; ok {
 		return idx, nil
 	}
-	key := string(buf)
+	if err := decodeStateKey(&b.probe, w.key, b.kinds); err != nil {
+		return 0, err
+	}
 	if len(b.states) >= b.maxStates {
-		prefix := key
+		prefix := b.probe.Key()
 		if len(prefix) > 48 {
 			prefix = prefix[:48]
 		}
@@ -191,11 +217,10 @@ func (b *builder) tangible(st *network.State) (int, error) {
 		}
 	}
 	idx := len(b.states)
-	cp := st.Clone()
-	b.states = append(b.states, &cp)
-	b.index[key] = idx
+	b.states = append(b.states, w.key)
+	b.index[w.key] = idx
 	b.edges = append(b.edges, nil)
-	g, err := expr.EvalBool(b.goal, b.rt.Env(&cp))
+	g, err := b.goal(b.sc.Env(&b.probe))
 	if err != nil {
 		return 0, fmt.Errorf("ctmc: evaluating goal: %w", err)
 	}
@@ -203,50 +228,41 @@ func (b *builder) tangible(st *network.State) (int, error) {
 	return idx, nil
 }
 
-// immediateMoves returns the guarded moves enabled right now, or nil.
-func (b *builder) immediateMoves(st *network.State) ([]network.Move, []network.Move, error) {
-	moves := b.rt.Moves(st)
-	var immediate, markovian []network.Move
-	for i := range moves {
-		if moves[i].Markovian() {
-			markovian = append(markovian, moves[i])
-			continue
-		}
-		ok, err := b.rt.EnabledAt(st, &moves[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok {
-			immediate = append(immediate, moves[i])
-		}
-	}
-	return immediate, markovian, nil
-}
-
 // resolve eliminates vanishing states: starting from st, follow immediate
 // transitions (uniformly probable, maximal progress) until tangible states
-// are reached. st must already be canonical when a Canon hook is set. The
-// builder-owned onPath set detects cycles of immediate transitions; each
-// recursion removes its key on unwind, so the set is empty again after
-// every top-level call and never reallocated.
-func (b *builder) resolve(st *network.State) ([]weighted, error) {
-	buf := b.stateKey(st)
-	if cached, ok := b.resolved[string(buf)]; ok {
+// are reached, which it returns in the order they are first reached. st
+// must already be canonical when a Canon hook is set; depth is the frame
+// its successors are written into. The builder-owned onPath set detects
+// cycles of immediate transitions; each recursion removes its key on
+// unwind, so the set is empty again after every top-level call and never
+// reallocated.
+func (b *builder) resolve(st *network.State, depth int) ([]weighted, error) {
+	b.keyBuf = appendStateKey(b.keyBuf[:0], st)
+	if cached, ok := b.resolved[string(b.keyBuf)]; ok {
 		return cached, nil
 	}
-	if b.onPath[string(buf)] {
-		return nil, fmt.Errorf("ctmc: cycle of immediate transitions through state %s", string(buf))
+	if b.onPath[string(b.keyBuf)] {
+		return nil, fmt.Errorf("ctmc: cycle of immediate transitions through state %s", st.Key())
 	}
 	// Materialize the key once: it outlives the recursive calls below,
-	// which clobber the scratch buffer.
-	key := string(buf)
+	// which clobber the scratch buffer, and it is the key the state is
+	// interned under if it is tangible.
+	key := string(b.keyBuf)
 	b.explored++
-	immediate, _, err := b.immediateMoves(st)
-	if err != nil {
-		return nil, err
+	cm := b.sc.Moves(st)
+	f := b.frame(depth)
+	f.enabled = f.enabled[:0]
+	for i := range cm.Guarded {
+		ok, err := b.sc.EnabledAt(st, &cm.Guarded[i])
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			f.enabled = append(f.enabled, i)
+		}
 	}
-	if len(immediate) == 0 {
-		out := []weighted{{st: st, p: 1}}
+	if len(f.enabled) == 0 {
+		out := []weighted{{key: key, p: 1}}
 		b.resolved[key] = out
 		return out, nil
 	}
@@ -254,32 +270,29 @@ func (b *builder) resolve(st *network.State) ([]weighted, error) {
 	b.onPath[key] = true
 	defer delete(b.onPath, key)
 
-	acc := make(map[string]*weighted)
-	share := 1 / float64(len(immediate))
-	for i := range immediate {
-		succ, err := b.rt.Apply(st, &immediate[i])
-		if err != nil {
+	var out []weighted
+	share := 1 / float64(len(f.enabled))
+	for _, i := range f.enabled {
+		if err := b.sc.ApplyInto(&f.succ, st, &cm.Guarded[i]); err != nil {
 			return nil, err
 		}
 		if b.canon != nil {
-			b.canon(&succ)
+			b.canon(&f.succ)
 		}
-		sub, err := b.resolve(&succ)
+		sub, err := b.resolve(&f.succ, depth+1)
 		if err != nil {
 			return nil, err
 		}
+	merge:
 		for _, w := range sub {
-			kb := b.stateKey(w.st)
-			if entry, ok := acc[string(kb)]; ok {
-				entry.p += share * w.p
-			} else {
-				acc[string(kb)] = &weighted{st: w.st, p: share * w.p}
+			for j := range out {
+				if out[j].key == w.key {
+					out[j].p += share * w.p
+					continue merge
+				}
 			}
+			out = append(out, weighted{key: w.key, p: share * w.p})
 		}
-	}
-	out := make([]weighted, 0, len(acc))
-	for _, w := range acc {
-		out = append(out, *w)
 	}
 	b.resolved[key] = out
 	return out, nil
@@ -289,34 +302,33 @@ func (b *builder) resolve(st *network.State) ([]weighted, error) {
 // successors. Parallel edges into the same target are merged (rates add in
 // a CTMC race); under a Canon hook this merging is what produces the
 // counter-abstraction's scaled rates — k interchangeable replicas firing
-// the same transition collapse into one edge of k times the rate.
+// the same transition collapse into one edge of k times the rate. The
+// state's guards need no second look: resolve found none enabled.
 func (b *builder) expand(idx int) error {
-	st := b.states[idx]
-	_, markovian, err := b.immediateMoves(st)
-	if err != nil {
+	st := &b.cur
+	if err := decodeStateKey(st, b.states[idx], b.kinds); err != nil {
 		return err
 	}
-	if b.rateAcc == nil {
-		b.rateAcc = make(map[int]float64)
-	}
-	for i := range markovian {
-		succ, err := b.rt.Apply(st, &markovian[i])
-		if err != nil {
+	cm := b.sc.Moves(st)
+	f := b.frame(0)
+	for i := range cm.Markovian {
+		m := &cm.Markovian[i]
+		if err := b.sc.ApplyInto(&f.succ, st, m); err != nil {
 			return err
 		}
 		if b.canon != nil {
-			b.canon(&succ)
+			b.canon(&f.succ)
 		}
-		dist, err := b.resolve(&succ)
+		dist, err := b.resolve(&f.succ, 1)
 		if err != nil {
 			return err
 		}
 		for _, w := range dist {
-			tIdx, err := b.tangible(w.st)
+			tIdx, err := b.tangible(w)
 			if err != nil {
 				return err
 			}
-			b.rateAcc[tIdx] += markovian[i].Rate * w.p
+			b.rateAcc[tIdx] += m.Rate * w.p
 		}
 	}
 	b.targets = b.targets[:0]
@@ -324,6 +336,7 @@ func (b *builder) expand(idx int) error {
 		b.targets = append(b.targets, t)
 	}
 	sort.Ints(b.targets)
+	b.edges[idx] = make([]Edge, 0, len(b.targets))
 	for _, t := range b.targets {
 		b.edges[idx] = append(b.edges[idx], Edge{To: t, Rate: b.rateAcc[t]})
 		delete(b.rateAcc, t)

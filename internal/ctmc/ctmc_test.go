@@ -1,7 +1,9 @@
 package ctmc
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -218,8 +220,10 @@ func TestBuildRejectsImmediateCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(rt, expr.Var("f", flip), 0); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Errorf("expected immediate-cycle error, got %v", err)
+	// The error names the state by its text key (location a, f false),
+	// not by the builder's compact key.
+	if _, err := Build(rt, expr.Var("f", flip), 0); err == nil || !strings.Contains(err.Error(), "cycle of immediate transitions through state 0|f") {
+		t.Errorf("expected immediate-cycle error at state 0|f, got %v", err)
 	}
 }
 
@@ -227,5 +231,82 @@ func TestBuildStateLimit(t *testing.T) {
 	rt := buildNet(t, 1, 1)
 	if _, err := Build(rt, expr.Var("alarm", 1), 1); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("expected state-limit error, got %v", err)
+	}
+}
+
+// TestOverflowKeyPrefixIsTextKey: with room for the initial state only,
+// the first failure resolves (through the monitor's immediate hop) to the
+// tangible state with both processes in location 1 and both flags set,
+// and the overflow reports that state by its text key.
+func TestOverflowKeyPrefixIsTextKey(t *testing.T) {
+	rt := buildNet(t, 1, 1)
+	_, err := Build(rt, expr.Var("alarm", 1), 1)
+	var of *OverflowError
+	if !errors.As(err, &of) {
+		t.Fatalf("expected *OverflowError, got %v", err)
+	}
+	if of.KeyPrefix != "1,1|t,t" {
+		t.Errorf("KeyPrefix = %q, want the text key \"1,1|t,t\"", of.KeyPrefix)
+	}
+	if of.Limit != 1 || of.Explored != 3 || of.Vanishing != 1 {
+		t.Errorf("overflow counters = limit %d, explored %d, vanishing %d; want 1, 3, 1", of.Limit, of.Explored, of.Vanishing)
+	}
+	if !strings.Contains(of.Error(), "overflowed at state 1,1|t,t...") {
+		t.Errorf("error text %q does not print the text key", of.Error())
+	}
+}
+
+// fanOutNet is one process whose Markovian step from s enters a hub
+// location with four always-enabled immediate branches, each leading to a
+// different tangible location that returns to s at its own rate. The hub
+// therefore resolves to four tangible outcomes at once.
+func fanOutNet(t *testing.T) *network.Runtime {
+	t.Helper()
+	locs := []sta.Location{{Name: "s"}, {Name: "hub"}}
+	trans := []sta.Transition{{From: 0, To: 1, Action: sta.Tau, Rate: 1}}
+	for i := 0; i < 4; i++ {
+		to := sta.LocID(len(locs))
+		locs = append(locs, sta.Location{Name: "branch" + string(rune('a'+i))})
+		trans = append(trans,
+			sta.Transition{From: 1, To: to, Action: sta.Tau, Guard: expr.True()},
+			sta.Transition{From: to, To: 0, Action: sta.Tau, Rate: float64(i + 1)})
+	}
+	p := &sta.Process{Name: "fan", Locations: locs, Initial: 0, Transitions: trans}
+	rt, err := network.New(&sta.Network{Processes: []*sta.Process{p}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// TestBuildDeterministicNumbering: a vanishing state with several
+// tangible outcomes hands them back in first-reach order, so state
+// numbering and edges are a pure function of the model. Fifty rebuilds
+// must give identical chains.
+func TestBuildDeterministicNumbering(t *testing.T) {
+	rt := fanOutNet(t)
+	first, err := Build(rt, expr.False(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := first.Chain.NumStates(); n != 5 {
+		t.Fatalf("chain has %d states, want 5", n)
+	}
+	// First-reach order: s, then the branches in transition order, so
+	// branch i (state i+1) returns to s at rate i+1.
+	for i := 0; i < 4; i++ {
+		want := []Edge{{To: 0, Rate: float64(i + 1)}}
+		if got := first.Chain.Edges[i+1]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("edges of state %d = %+v, want %+v", i+1, got, want)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		again, err := Build(rt, expr.False(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first.Chain, again.Chain) {
+			t.Fatalf("rebuild %d differs:\n%+v\nvs\n%+v", i, first.Chain, again.Chain)
+		}
 	}
 }

@@ -68,7 +68,7 @@ func BenchmarkMoves(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if cm := sc.Moves(&st); len(cm.All) == 0 {
+		if cm := sc.Moves(&st); len(cm.Guarded)+len(cm.Markovian) == 0 {
 			b.Fatal("no moves")
 		}
 	}
@@ -133,8 +133,9 @@ func TestAdvanceApplyAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendKeyAllocs gates the CTMC exploration key path: rendering into a
-// reused buffer must not allocate once the buffer has warmed up.
+// TestAppendKeyAllocs gates the text key behind State.Key (zone unfolding
+// and the CTMC builder's error messages): rendering into a reused buffer
+// must not allocate once the buffer has warmed up.
 func TestAppendKeyAllocs(t *testing.T) {
 	_, st := benchNet(t)
 	buf := st.AppendKey(nil)

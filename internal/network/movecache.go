@@ -6,18 +6,46 @@ package network
 // enumeration, its guarded/Markovian split and the rendered labels can all
 // be computed once per location vector and reused for every visit.
 //
-// All fields are shared cache state: callers must treat them as immutable.
+// The exported fields are shared cache state: callers must treat them as
+// immutable. The trace labels are rendered on first use (see Labels), so
+// callers that never read them, such as the CTMC builder, never pay for
+// them.
 type CachedMoves struct {
-	// All is the full enumeration, in Runtime.Moves order.
-	All []Move
-	// Guarded and Markovian split All preserving its order; Guarded holds
-	// the non-Markovian candidates the strategy chooses among.
+	// Guarded and Markovian split the Runtime.Moves enumeration, each
+	// keeping its order; Guarded holds the non-Markovian candidates the
+	// strategy chooses among.
 	Guarded   []Move
 	Markovian []Move
-	// Labels and MarkLabels hold the rendered trace labels of Guarded and
-	// Markovian respectively.
-	Labels     []string
-	MarkLabels []string
+
+	rt                 *Runtime
+	labels, markLabels []string
+}
+
+// Labels returns the rendered trace labels of Guarded, rendering them on
+// the first call. Like the cache that owns it, a CachedMoves is confined
+// to one goroutine, so the lazy fill needs no synchronization.
+func (cm *CachedMoves) Labels() []string {
+	if cm.labels == nil && len(cm.Guarded) > 0 {
+		cm.labels = renderLabels(cm.rt, cm.Guarded)
+	}
+	return cm.labels
+}
+
+// MarkLabels returns the rendered trace labels of Markovian, rendering them
+// on the first call (see Labels).
+func (cm *CachedMoves) MarkLabels() []string {
+	if cm.markLabels == nil && len(cm.Markovian) > 0 {
+		cm.markLabels = renderLabels(cm.rt, cm.Markovian)
+	}
+	return cm.markLabels
+}
+
+func renderLabels(rt *Runtime, moves []Move) []string {
+	out := make([]string, len(moves))
+	for i := range moves {
+		out[i] = moves[i].Label(rt)
+	}
+	return out
 }
 
 // cacheEntry pairs a memoized move set with its last-use stamp.
@@ -102,18 +130,21 @@ func (c *MoveCache) evict() {
 	}
 }
 
-// movesFor enumerates and splits the moves of st, rendering labels once.
+// movesFor enumerates the moves of st and splits them stably into one
+// backing array, guarded moves first.
 func (rt *Runtime) movesFor(st *State) CachedMoves {
-	cm := CachedMoves{All: rt.Moves(st)}
-	for i := range cm.All {
-		m := &cm.All[i]
-		if m.Markovian() {
-			cm.Markovian = append(cm.Markovian, *m)
-			cm.MarkLabels = append(cm.MarkLabels, m.Label(rt))
-		} else {
-			cm.Guarded = append(cm.Guarded, *m)
-			cm.Labels = append(cm.Labels, m.Label(rt))
+	all := rt.Moves(st)
+	split := make([]Move, 0, len(all))
+	for i := range all {
+		if !all[i].Markovian() {
+			split = append(split, all[i])
 		}
 	}
-	return cm
+	guarded := len(split)
+	for i := range all {
+		if all[i].Markovian() {
+			split = append(split, all[i])
+		}
+	}
+	return CachedMoves{Guarded: split[:guarded:guarded], Markovian: split[guarded:], rt: rt}
 }

@@ -42,8 +42,8 @@ func ringNet(t *testing.T, n int) (*Runtime, State) {
 // runtime would enumerate fresh: exactly transition loc of process 0.
 func checkEntry(t *testing.T, cm *CachedMoves, loc int) {
 	t.Helper()
-	if len(cm.All) != 1 || len(cm.Guarded) != 1 {
-		t.Fatalf("loc %d: %d moves (%d guarded), want 1", loc, len(cm.All), len(cm.Guarded))
+	if len(cm.Guarded) != 1 || len(cm.Markovian) != 0 {
+		t.Fatalf("loc %d: %d guarded and %d Markovian moves, want 1 guarded", loc, len(cm.Guarded), len(cm.Markovian))
 	}
 	if got := cm.Guarded[0].Parts[0].Trans; got != loc {
 		t.Fatalf("loc %d: cached move fires transition %d", loc, got)
@@ -196,5 +196,37 @@ func TestMoveCacheLargeStamps(t *testing.T) {
 		if len(c.entries) > capacity {
 			t.Fatalf("%d entries exceed capacity %d", len(c.entries), capacity)
 		}
+	}
+}
+
+// TestMoveCacheLabelsOnFirstUse: a miss renders no trace labels; Labels
+// and MarkLabels render them on first use, equal to Move.Label, and later
+// calls return the stored rendering without allocating.
+func TestMoveCacheLabelsOnFirstUse(t *testing.T) {
+	rt, st := benchNet(t)
+	var c MoveCache
+	c.init(rt, 0)
+	cm := c.lookup(&st)
+	if len(cm.Guarded) == 0 || len(cm.Markovian) == 0 {
+		t.Fatalf("reference state has %d guarded and %d Markovian moves, want both", len(cm.Guarded), len(cm.Markovian))
+	}
+	if cm.labels != nil || cm.markLabels != nil {
+		t.Fatal("a cache miss rendered labels before any caller asked for them")
+	}
+	for _, side := range []struct {
+		moves  []Move
+		labels []string
+	}{{cm.Guarded, cm.Labels()}, {cm.Markovian, cm.MarkLabels()}} {
+		if len(side.labels) != len(side.moves) {
+			t.Fatalf("%d labels for %d moves", len(side.labels), len(side.moves))
+		}
+		for i := range side.moves {
+			if want := side.moves[i].Label(rt); side.labels[i] != want {
+				t.Errorf("label %d = %q, want %q", i, side.labels[i], want)
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { cm.Labels(); cm.MarkLabels() }); avg != 0 {
+		t.Errorf("rendered labels re-read with %.1f allocations, want 0", avg)
 	}
 }

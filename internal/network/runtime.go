@@ -14,10 +14,11 @@ import (
 // construction and safe for concurrent use; all mutable simulation state
 // lives in State values.
 type Runtime struct {
-	net       *sta.Network
-	flowOrder []expr.VarID     // topological evaluation order of flow vars
-	actions   map[string][]int // action -> indices of participating processes
-	contRates map[expr.VarID]*contRate
+	net         *sta.Network
+	flowOrder   []expr.VarID     // topological evaluation order of flow vars
+	actions     map[string][]int // action -> indices of participating processes
+	actionNames []string         // keys of actions, sorted: Moves' enumeration order
+	contRates   map[expr.VarID]*contRate
 
 	// Compiled evaluation programs (see compiled.go): flows in flowOrder,
 	// per-VarID flow rate codes, per-process invariant/guard/effect codes
@@ -82,7 +83,9 @@ func New(net *sta.Network) (*Runtime, error) {
 	}
 	for a := range rt.actions {
 		sort.Ints(rt.actions[a])
+		rt.actionNames = append(rt.actionNames, a)
 	}
+	sort.Strings(rt.actionNames)
 	order, err := flowOrder(net)
 	if err != nil {
 		return nil, err
@@ -352,64 +355,79 @@ func (m *Move) Label(rt *Runtime) string {
 // Guard truth is evaluated separately (at a delay) via EnabledAt or
 // Windows, so candidates here are purely structural.
 func (rt *Runtime) Moves(st *State) []Move {
-	var moves []Move
-	// Internal and Markovian moves.
+	// Internal and Markovian moves, counted first so they fill exactly
+	// sized arrays.
+	tau := 0
+	for pi, p := range rt.net.Processes {
+		for _, ti := range p.Outgoing(st.Locs[pi]) {
+			if p.Transitions[ti].Action == sta.Tau && !rt.isPruned(pi, ti) {
+				tau++
+			}
+		}
+	}
+	moves := make([]Move, 0, tau)
+	// parts backs the Parts of every move. Each move keeps a
+	// capacity-capped window of it, so later appends never write into a
+	// window, and a reallocation leaves the earlier windows where they are.
+	parts := make([]Part, 0, tau)
 	for pi, p := range rt.net.Processes {
 		for _, ti := range p.Outgoing(st.Locs[pi]) {
 			tr := &p.Transitions[ti]
 			if tr.Action != sta.Tau || rt.isPruned(pi, ti) {
 				continue
 			}
-			moves = append(moves, Move{
-				Action: sta.Tau,
-				Parts:  []Part{{Proc: pi, Trans: ti}},
-				Rate:   tr.Rate,
-			})
+			parts = append(parts, Part{Proc: pi, Trans: ti})
+			n := len(parts)
+			moves = append(moves, Move{Action: sta.Tau, Parts: parts[n-1 : n : n], Rate: tr.Rate})
 		}
 	}
 	// Synchronized moves: for each action, the cross product of each
-	// participating process's candidate transitions.
-	actions := make([]string, 0, len(rt.actions))
-	for a := range rt.actions {
-		actions = append(actions, a)
-	}
-	sort.Strings(actions)
-	for _, a := range actions {
+	// participating process's candidate transitions, the first process
+	// varying slowest. cands holds the candidates of all participants
+	// back to back, participant j's run ending at ends[j]; pos is the
+	// odometer over the runs.
+	var cands, ends, pos []int
+	for _, a := range rt.actionNames {
 		procs := rt.actions[a]
-		perProc := make([][]int, len(procs))
+		cands, ends, pos = cands[:0], ends[:0], pos[:0]
 		feasible := true
-		for i, pi := range procs {
+		for _, pi := range procs {
 			p := rt.net.Processes[pi]
+			pos = append(pos, len(cands))
 			for _, ti := range p.Outgoing(st.Locs[pi]) {
 				if p.Transitions[ti].Action == a && !rt.isPruned(pi, ti) {
-					perProc[i] = append(perProc[i], ti)
+					cands = append(cands, ti)
 				}
 			}
-			if len(perProc[i]) == 0 {
+			if len(cands) == pos[len(pos)-1] {
 				feasible = false
 				break
 			}
+			ends = append(ends, len(cands))
 		}
 		if !feasible {
 			continue
 		}
-		combo := make([]int, len(procs))
-		var emit func(i int)
-		emit = func(i int) {
-			if i == len(procs) {
-				parts := make([]Part, len(procs))
-				for j, pi := range procs {
-					parts[j] = Part{Proc: pi, Trans: combo[j]}
-				}
-				moves = append(moves, Move{Action: a, Parts: parts})
-				return
+		for {
+			base := len(parts)
+			for j, pi := range procs {
+				parts = append(parts, Part{Proc: pi, Trans: cands[pos[j]]})
 			}
-			for _, ti := range perProc[i] {
-				combo[i] = ti
-				emit(i + 1)
+			n := len(parts)
+			moves = append(moves, Move{Action: a, Parts: parts[base:n:n]})
+			j := len(procs) - 1
+			for ; j >= 0; j-- {
+				if pos[j]++; pos[j] < ends[j] {
+					break
+				}
+				if j > 0 {
+					pos[j] = ends[j-1]
+				}
+			}
+			if j < 0 {
+				break
 			}
 		}
-		emit(0)
 	}
 	return moves
 }

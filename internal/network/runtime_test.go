@@ -589,3 +589,70 @@ func TestUrgentNow(t *testing.T) {
 		t.Error("target location is urgent")
 	}
 }
+
+// TestMovesEnumerationOrder pins Moves' order on a net with τ moves and
+// two synchronized actions of several candidates per participant: τ moves
+// by process and transition, then actions in sorted name order, each
+// action's cross product with the first participant varying slowest.
+func TestMovesEnumerationOrder(t *testing.T) {
+	proc := func(name string, actions ...string) *sta.Process {
+		p := &sta.Process{
+			Name:      name,
+			Locations: []sta.Location{{Name: "s"}, {Name: "t"}},
+			Alphabet:  map[string]struct{}{},
+		}
+		for _, a := range actions {
+			p.Transitions = append(p.Transitions, sta.Transition{From: 0, To: 1, Action: a})
+			if a != sta.Tau {
+				p.Alphabet[a] = struct{}{}
+			}
+		}
+		return p
+	}
+	net := &sta.Network{Processes: []*sta.Process{
+		proc("p", "x", "go", sta.Tau, "go"),
+		proc("q", "go", "x", "go", "go"),
+		proc("r", sta.Tau, "x", "x"),
+	}}
+	rt, err := New(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := rt.InitialState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Move
+	want = append(want,
+		Move{Action: sta.Tau, Parts: []Part{{Proc: 0, Trans: 2}}},
+		Move{Action: sta.Tau, Parts: []Part{{Proc: 2, Trans: 0}}})
+	for _, p := range []int{1, 3} {
+		for _, q := range []int{0, 2, 3} {
+			want = append(want, Move{Action: "go", Parts: []Part{{Proc: 0, Trans: p}, {Proc: 1, Trans: q}}})
+		}
+	}
+	for _, p := range []int{0} {
+		for _, q := range []int{1} {
+			for _, r := range []int{1, 2} {
+				want = append(want, Move{Action: "x", Parts: []Part{{Proc: 0, Trans: p}, {Proc: 1, Trans: q}, {Proc: 2, Trans: r}}})
+			}
+		}
+	}
+	got := rt.Moves(&st)
+	if len(got) != len(want) {
+		t.Fatalf("%d moves, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i].Action != want[i].Action || len(got[i].Parts) != len(want[i].Parts) {
+			t.Fatalf("move %d = %+v, want %+v", i, got[i], want[i])
+		}
+		for j := range want[i].Parts {
+			if got[i].Parts[j] != want[i].Parts[j] {
+				t.Fatalf("move %d = %+v, want %+v", i, got[i], want[i])
+			}
+		}
+		if cap(got[i].Parts) != len(got[i].Parts) {
+			t.Fatalf("move %d: Parts has spare capacity %d, so an append could overwrite its neighbour", i, cap(got[i].Parts))
+		}
+	}
+}

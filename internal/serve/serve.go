@@ -357,7 +357,8 @@ type Server struct {
 	mu        sync.Mutex
 	queue     chan *job
 	jobs      map[string]*job
-	finished  []string // completed-job eviction order
+	busyKeys  map[string]chan struct{} // result keys held by a job (see claim); closed on release
+	finished  []string                 // completed-job eviction order
 	seq       int
 	draining  bool
 	submitted int64
@@ -375,12 +376,13 @@ const maxFinishedJobs = 256
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		models:  newLRU(cfg.ModelCache),
-		results: newLRU(cfg.ResultCache),
-		queue:   make(chan *job, cfg.Queue),
-		jobs:    make(map[string]*job),
-		started: time.Now(),
+		cfg:      cfg,
+		models:   newLRU(cfg.ModelCache),
+		results:  newLRU(cfg.ResultCache),
+		queue:    make(chan *job, cfg.Queue),
+		jobs:     make(map[string]*job),
+		busyKeys: make(map[string]chan struct{}),
+		started:  time.Now(),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
@@ -543,8 +545,34 @@ func (s *Server) compiled(req *Request) (*slimsim.CompiledModel, bool, error) {
 	return cm, false, nil
 }
 
+// claim waits until no other job holds result key, takes it, and returns
+// the function that releases it. The holder memoizes its report before it
+// releases, so the next holder of the key finds it in the memo.
+func (s *Server) claim(key string) (release func()) {
+	for {
+		s.mu.Lock()
+		busy, ok := s.busyKeys[key]
+		if !ok {
+			done := make(chan struct{})
+			s.busyKeys[key] = done
+			s.mu.Unlock()
+			return func() {
+				s.mu.Lock()
+				delete(s.busyKeys, key)
+				s.mu.Unlock()
+				close(done)
+			}
+		}
+		s.mu.Unlock()
+		<-busy
+	}
+}
+
 // runJob executes one job end to end: compiled-model cache → result memo →
-// session run → memoization.
+// session run → memoization. Jobs with the same result key run one at a
+// time, so a request arriving while an identical one samples waits for it
+// and replays its stored bytes instead of sampling a second report that
+// would differ in its timing section.
 func (s *Server) runJob(j *job) {
 	j.setState("running")
 	cm, cacheHit, err := s.compiled(&j.req)
@@ -553,6 +581,7 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	key := j.req.resultKey(cm.Hash())
+	defer s.claim(key)()
 	if v, ok := s.results.get(key); ok {
 		m := v.(*memoResult)
 		j.finish(&Response{

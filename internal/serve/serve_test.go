@@ -378,11 +378,14 @@ func TestQueueFullRejects(t *testing.T) {
 
 // TestConcurrentIdenticalRequests hammers one server with identical and
 // distinct requests from many goroutines; every identical pair must agree
-// byte-for-byte regardless of which one populated the memo.
+// byte-for-byte regardless of which one populated the memo, because each
+// request identity is sampled exactly once and every other request for it
+// replays the memo.
 func TestConcurrentIdenticalRequests(t *testing.T) {
 	_, url := newTestServer(t, Config{Jobs: 4, Queue: 64})
 	const n = 8
 	reports := make([][]byte, n)
+	sampled := make([]bool, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -396,9 +399,21 @@ func TestConcurrentIdenticalRequests(t *testing.T) {
 				return
 			}
 			reports[i] = resp.Report
+			sampled[i] = !resp.ResultCacheHit
 		}(i)
 	}
 	wg.Wait()
+	for id := 0; id < 2; id++ {
+		runs := 0
+		for i := id; i < n; i += 2 {
+			if sampled[i] {
+				runs++
+			}
+		}
+		if runs != 1 {
+			t.Errorf("request identity %d was sampled %d times, want once", id, runs)
+		}
+	}
 	for i := 0; i < n; i++ {
 		for k := i + 2; k < n; k += 2 {
 			if !bytes.Equal(reports[i], reports[k]) {

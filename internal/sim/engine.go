@@ -363,7 +363,7 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 	ps.ctx.MaxAttained = attained
 	ps.ctx.Horizon = horizonLeft
 	ps.ctx.Windows = windows
-	ps.ctx.Labels = cm.Labels
+	ps.ctx.Labels = cm.Labels()
 	ps.ctx.Rng = src
 	choice, err := e.cfg.Strategy.Choose(&ps.ctx)
 	if err != nil {
@@ -488,13 +488,13 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 	switch {
 	case fireExp:
 		fired = &markovian[expWinner]
-		firedLabel = cm.MarkLabels[expWinner]
+		firedLabel = cm.MarkLabels()[expWinner]
 	case len(choice.Enabled) > 0:
 		// Equiprobability among the moves enabled at the chosen
 		// instant.
 		pick := choice.Enabled[src.Choose(len(choice.Enabled))]
 		fired = &guarded[pick]
-		firedLabel = cm.Labels[pick]
+		firedLabel = cm.Labels()[pick]
 	}
 	newCur := nxt
 	if fired != nil {

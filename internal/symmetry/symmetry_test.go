@@ -16,7 +16,7 @@ import (
 )
 
 // load instantiates SLIM source into a runtime plus compiled goal.
-func load(t *testing.T, src, goalSrc string) (*network.Runtime, expr.Expr) {
+func load(t testing.TB, src, goalSrc string) (*network.Runtime, expr.Expr) {
 	t.Helper()
 	parsed, err := slim.Parse(src)
 	if err != nil {
@@ -37,7 +37,7 @@ func load(t *testing.T, src, goalSrc string) (*network.Runtime, expr.Expr) {
 	return rt, goal
 }
 
-func sensorFilter(t *testing.T, n int) (*network.Runtime, expr.Expr) {
+func sensorFilter(t testing.TB, n int) (*network.Runtime, expr.Expr) {
 	t.Helper()
 	src, err := casestudy.SensorFilter(casestudy.DefaultSensorFilter(n))
 	if err != nil {
