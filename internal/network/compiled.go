@@ -225,6 +225,22 @@ func (s *Scratch) CacheStats() (hits, misses uint64) {
 	return s.cache.hits, s.cache.misses
 }
 
+// RenderedLabels counts the trace labels rendered so far across the move
+// cache's live entries. Labels are rendered only for callers that read them
+// (see CachedMoves.Label), so a sampling run without an observer leaves the
+// count at zero.
+func (s *Scratch) RenderedLabels() int {
+	n := 0
+	for _, e := range s.cache.entries {
+		for _, l := range e.cm.labels {
+			if l != "" {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // maxDelayEnv is MaxDelay evaluated through a caller-owned environment.
 func (rt *Runtime) maxDelayEnv(e *env) (d float64, attained, nowOK bool, err error) {
 	bound := math.Inf(1)

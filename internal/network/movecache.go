@@ -7,9 +7,9 @@ package network
 // be computed once per location vector and reused for every visit.
 //
 // The exported fields are shared cache state: callers must treat them as
-// immutable. The trace labels are rendered on first use (see Labels), so
-// callers that never read them, such as the CTMC builder, never pay for
-// them.
+// immutable. Trace labels are rendered one move at a time on first use
+// (see Label), so callers that never read them, such as the CTMC builder
+// or a sampling run without an observer, never pay for them.
 type CachedMoves struct {
 	// Guarded and Markovian split the Runtime.Moves enumeration, each
 	// keeping its order; Guarded holds the non-Markovian candidates the
@@ -17,35 +17,34 @@ type CachedMoves struct {
 	Guarded   []Move
 	Markovian []Move
 
-	rt                 *Runtime
-	labels, markLabels []string
+	rt *Runtime
+	// labels is parallel to the split array (Guarded, then Markovian);
+	// it is allocated on the first Label or MarkLabel call and filled
+	// slot by slot, "" marking a label not yet rendered.
+	labels []string
 }
 
-// Labels returns the rendered trace labels of Guarded, rendering them on
-// the first call. Like the cache that owns it, a CachedMoves is confined
-// to one goroutine, so the lazy fill needs no synchronization.
-func (cm *CachedMoves) Labels() []string {
-	if cm.labels == nil && len(cm.Guarded) > 0 {
-		cm.labels = renderLabels(cm.rt, cm.Guarded)
-	}
-	return cm.labels
+// Label returns the rendered trace label of Guarded[i], rendering it on the
+// first call. Like the cache that owns it, a CachedMoves is confined to one
+// goroutine, so the lazy fill needs no synchronization.
+func (cm *CachedMoves) Label(i int) string {
+	return cm.label(i, &cm.Guarded[i])
 }
 
-// MarkLabels returns the rendered trace labels of Markovian, rendering them
-// on the first call (see Labels).
-func (cm *CachedMoves) MarkLabels() []string {
-	if cm.markLabels == nil && len(cm.Markovian) > 0 {
-		cm.markLabels = renderLabels(cm.rt, cm.Markovian)
-	}
-	return cm.markLabels
+// MarkLabel returns the rendered trace label of Markovian[i], rendering it
+// on the first call (see Label).
+func (cm *CachedMoves) MarkLabel(i int) string {
+	return cm.label(len(cm.Guarded)+i, &cm.Markovian[i])
 }
 
-func renderLabels(rt *Runtime, moves []Move) []string {
-	out := make([]string, len(moves))
-	for i := range moves {
-		out[i] = moves[i].Label(rt)
+func (cm *CachedMoves) label(slot int, m *Move) string {
+	if cm.labels == nil {
+		cm.labels = make([]string, len(cm.Guarded)+len(cm.Markovian))
 	}
-	return out
+	if cm.labels[slot] == "" {
+		cm.labels[slot] = m.Label(cm.rt)
+	}
+	return cm.labels[slot]
 }
 
 // cacheEntry pairs a memoized move set with its last-use stamp.

@@ -199,9 +199,10 @@ func TestMoveCacheLargeStamps(t *testing.T) {
 	}
 }
 
-// TestMoveCacheLabelsOnFirstUse: a miss renders no trace labels; Labels
-// and MarkLabels render them on first use, equal to Move.Label, and later
-// calls return the stored rendering without allocating.
+// TestMoveCacheLabelsOnFirstUse: a miss renders no trace labels; Label and
+// MarkLabel render one move's label on first use, equal to Move.Label,
+// leave the other moves unrendered, and later calls return the stored
+// rendering without allocating.
 func TestMoveCacheLabelsOnFirstUse(t *testing.T) {
 	rt, st := benchNet(t)
 	var c MoveCache
@@ -210,23 +211,39 @@ func TestMoveCacheLabelsOnFirstUse(t *testing.T) {
 	if len(cm.Guarded) == 0 || len(cm.Markovian) == 0 {
 		t.Fatalf("reference state has %d guarded and %d Markovian moves, want both", len(cm.Guarded), len(cm.Markovian))
 	}
-	if cm.labels != nil || cm.markLabels != nil {
-		t.Fatal("a cache miss rendered labels before any caller asked for them")
-	}
-	for _, side := range []struct {
-		moves  []Move
-		labels []string
-	}{{cm.Guarded, cm.Labels()}, {cm.Markovian, cm.MarkLabels()}} {
-		if len(side.labels) != len(side.moves) {
-			t.Fatalf("%d labels for %d moves", len(side.labels), len(side.moves))
-		}
-		for i := range side.moves {
-			if want := side.moves[i].Label(rt); side.labels[i] != want {
-				t.Errorf("label %d = %q, want %q", i, side.labels[i], want)
+	rendered := func() int {
+		n := 0
+		for _, l := range cm.labels {
+			if l != "" {
+				n++
 			}
 		}
+		return n
 	}
-	if avg := testing.AllocsPerRun(100, func() { cm.Labels(); cm.MarkLabels() }); avg != 0 {
+	if cm.labels != nil {
+		t.Fatal("a cache miss rendered labels before any caller asked for them")
+	}
+	if got, want := cm.MarkLabel(0), cm.Markovian[0].Label(rt); got != want {
+		t.Errorf("MarkLabel(0) = %q, want %q", got, want)
+	}
+	if n := rendered(); n != 1 {
+		t.Fatalf("one MarkLabel call rendered %d labels, want 1", n)
+	}
+	for i := range cm.Guarded {
+		if got, want := cm.Label(i), cm.Guarded[i].Label(rt); got != want {
+			t.Errorf("Label(%d) = %q, want %q", i, got, want)
+		}
+	}
+	for i := range cm.Markovian {
+		if got, want := cm.MarkLabel(i), cm.Markovian[i].Label(rt); got != want {
+			t.Errorf("MarkLabel(%d) = %q, want %q", i, got, want)
+		}
+	}
+	if n, want := rendered(), len(cm.Guarded)+len(cm.Markovian); n != want {
+		t.Errorf("%d labels rendered after reading all, want %d", n, want)
+	}
+	last := len(cm.Markovian) - 1
+	if avg := testing.AllocsPerRun(100, func() { cm.Label(0); cm.MarkLabel(last) }); avg != 0 {
 		t.Errorf("rendered labels re-read with %.1f allocations, want 0", avg)
 	}
 }

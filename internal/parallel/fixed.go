@@ -8,6 +8,8 @@
 // consumes one result per worker per round, in worker order — exactly
 // ascending global index — so consumers observe a deterministic sequence
 // and the result slice is ordered by index regardless of scheduling.
+// Workers may run up to runAhead results ahead of the collector, as in Run;
+// with a fixed n nothing is ever overdrawn.
 package parallel
 
 import (
@@ -69,7 +71,7 @@ func RunFixed[T any](n int, sample func(index int) (T, error), opts FixedOptions
 	var wg sync.WaitGroup
 	chans := make([]chan fixedResult[T], k)
 	for w := 0; w < k; w++ {
-		chans[w] = make(chan fixedResult[T], 1)
+		chans[w] = make(chan fixedResult[T], runAhead)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()

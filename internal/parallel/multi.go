@@ -20,8 +20,8 @@ import (
 type VectorSampler func(worker, iteration int, out []bool) error
 
 // vecSample is one worker result; out aliases one of the worker's
-// rotating buffers and is only valid until the next receive from the same
-// worker (the collector copies it out immediately).
+// rotating buffers and stays valid only until the collector's next receive
+// from the same worker.
 type vecSample struct {
 	out       []bool
 	err       error
@@ -42,8 +42,9 @@ type MultiOptions struct {
 
 // RunMulti draws outcome vectors with k workers and feeds them into me in
 // fair rounds until me.Done() (every cell converged). The first sampler
-// error aborts the run. All buffers are allocated up front: the
-// steady-state fan-out performs zero per-path heap allocations.
+// error aborts the run. Workers run ahead of the collector exactly as in
+// Run. All buffers are allocated up front: the steady-state fan-out
+// performs zero per-path heap allocations.
 func RunMulti(me *stats.MultiEstimator, sampler VectorSampler, opts MultiOptions) error {
 	k := opts.Workers
 	if k < 1 {
@@ -72,17 +73,20 @@ func RunMulti(me *stats.MultiEstimator, sampler VectorSampler, opts MultiOptions
 	var wg sync.WaitGroup
 	chans := make([]chan vecSample, k)
 	for w := 0; w < k; w++ {
-		chans[w] = make(chan vecSample, 1)
+		chans[w] = make(chan vecSample, runAhead)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Three rotating buffers make reuse safe without a return
-			// channel: with a capacity-1 channel the worker reaches
-			// iteration i+3 (reusing buffer i%3) only after the send of
-			// i+2 completed, which requires the collector to have
-			// received i+1 — and the collector copies vector i out
-			// before that receive.
-			var bufs [3][]bool
+			// runAhead+2 rotating buffers make reuse safe without a
+			// return channel. With capacity C = runAhead, the
+			// collector's receive of vector j happens before the send of
+			// j+C completes (Go memory model, buffered channels). The
+			// worker reuses the buffer of iteration i at iteration
+			// i+C+2, after its send of i+C+1 completed, so after the
+			// collector received i+1 — and the collector is done with
+			// vector i (Add and OnSample) before it receives i+1 from
+			// the same worker.
+			bufs := make([][]bool, runAhead+2)
 			for b := range bufs {
 				bufs[b] = make([]bool, cells)
 			}
@@ -92,7 +96,7 @@ func RunMulti(me *stats.MultiEstimator, sampler VectorSampler, opts MultiOptions
 					return
 				default:
 				}
-				buf := bufs[i%3]
+				buf := bufs[i%len(bufs)]
 				err := sampler(w, i, buf)
 				select {
 				case chans[w] <- vecSample{out: buf, err: err, iteration: i}:
@@ -106,32 +110,21 @@ func RunMulti(me *stats.MultiEstimator, sampler VectorSampler, opts MultiOptions
 		}(w)
 	}
 
+	// Consumption as in Run: one vector per worker per round, in worker
+	// order, each used on receipt straight from the worker's buffer.
 	var runErr error
-	round := make([]vecSample, k)
-	for w := range round {
-		round[w].out = make([]bool, cells)
-	}
-collect:
-	for !me.Done() {
-		// One vector from every worker, in worker order, copied into the
-		// collector's own round storage on receipt.
-		for w := 0; w < k; w++ {
-			s := <-chans[w]
-			if s.err != nil {
-				runErr = fmt.Errorf("parallel: worker %d iteration %d: %w", w, s.iteration, s.err)
-				break collect
-			}
-			copy(round[w].out, s.out)
-			round[w].iteration = s.iteration
+	for w := 0; !me.Done(); w = (w + 1) % k {
+		s := <-chans[w]
+		if s.err != nil {
+			runErr = fmt.Errorf("parallel: worker %d iteration %d: %w", w, s.iteration, s.err)
+			break
 		}
-		for w := 0; w < k && !me.Done(); w++ {
-			if err := me.Add(round[w].out); err != nil {
-				runErr = err
-				break collect
-			}
-			if opts.OnSample != nil {
-				opts.OnSample(w, round[w].iteration, round[w].out)
-			}
+		if err := me.Add(s.out); err != nil {
+			runErr = err
+			break
+		}
+		if opts.OnSample != nil {
+			opts.OnSample(w, s.iteration, s.out)
 		}
 	}
 	close(stop)

@@ -11,6 +11,12 @@
 // worker timing. For the a-priori Chernoff–Hoeffding bound this caution is
 // not strictly needed, but it keeps the engine sound for the sequential
 // Chow–Robbins and Gauss generators.
+//
+// Buffering is what lets the workers overlap: each worker may run up to
+// runAhead samples ahead of the collector, so a worker that drew a short
+// path goes on sampling while the collector waits for another worker's
+// long one. The buffers change when samples are produced, never the order
+// in which they are consumed.
 package parallel
 
 import (
@@ -19,6 +25,19 @@ import (
 
 	"slimsim/internal/stats"
 )
+
+// runAhead is the capacity of each worker's result channel: how many
+// finished samples a worker may hold beyond the one the collector is
+// receiving before it blocks. Chosen by measurement on the Table I
+// simulator benchmark (perfbench table1-sim: sensor filter N=3/5/7,
+// workers=2, paths differing in length by an order of magnitude; two
+// 30 s runs per value on a 2-vCPU Intel Xeon host): p90 latency was
+// 116–126 ms at capacity 1, 116–122 ms at 8, 115–152 ms at 16,
+// 105–108 ms at 32 and 110–111 ms at 64. The cost is overdraw: when the
+// generator stops, each of the k workers may have produced up to
+// runAhead+1 samples that are never consumed, so a run draws at most
+// k·(runAhead+1) paths more than it uses.
+const runAhead = 32
 
 // Sampler produces one Bernoulli outcome. worker identifies the calling
 // worker (for deriving independent RNG streams) and iteration counts the
@@ -76,7 +95,7 @@ func Run(gen stats.Generator, sampler Sampler, opts Options) (stats.Estimate, er
 	var wg sync.WaitGroup
 	chans := make([]chan sample, k)
 	for w := 0; w < k; w++ {
-		chans[w] = make(chan sample, 1)
+		chans[w] = make(chan sample, runAhead)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -99,28 +118,26 @@ func Run(gen stats.Generator, sampler Sampler, opts Options) (stats.Estimate, er
 		}(w)
 	}
 
+	// One sample from every worker per round, in worker order, each
+	// consumed as soon as it is received: the collector never holds a
+	// received sample it does not use, and an error counts only when its
+	// sample's turn comes, exactly as in the sequential reference.
 	var runErr error
-	round := make([]sample, k)
-collect:
-	for !gen.Done() {
-		// One sample from every worker, in worker order.
-		for w := 0; w < k; w++ {
-			round[w] = <-chans[w]
-			if round[w].err != nil {
-				runErr = fmt.Errorf("parallel: worker %d iteration %d: %w", w, round[w].iteration, round[w].err)
-				break collect
-			}
+	for w := 0; !gen.Done(); w = (w + 1) % k {
+		s := <-chans[w]
+		if s.err != nil {
+			runErr = fmt.Errorf("parallel: worker %d iteration %d: %w", w, s.iteration, s.err)
+			break
 		}
-		for w := 0; w < k && !gen.Done(); w++ {
-			gen.Add(round[w].ok)
-			if opts.OnSample != nil {
-				opts.OnSample(w, round[w].iteration, round[w].ok)
-			}
+		gen.Add(s.ok)
+		if opts.OnSample != nil {
+			opts.OnSample(w, s.iteration, s.ok)
 		}
 	}
 	close(stop)
 	// Workers blocked on a full buffer observe the closed stop channel in
-	// their send select and exit; no draining is required.
+	// their send select and exit; samples left in the buffers are dropped
+	// unconsumed, and no draining is required.
 	wg.Wait()
 	return gen.Estimate(), runErr
 }

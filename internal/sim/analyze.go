@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"slimsim/internal/network"
@@ -47,12 +48,15 @@ type Report struct {
 	Probability float64
 	// Paths is the number of simulated paths.
 	Paths int
-	// Deadlocks and Timelocks count paths that ended in a lock.
+	// Deadlocks and Timelocks count consumed paths that ended in a lock.
 	Deadlocks, Timelocks int
-	// TotalSteps is the number of simulation steps over all paths.
+	// TotalSteps is the number of simulation steps over the consumed
+	// paths. Like the estimate, these counts leave out paths workers
+	// overdrew past the stopping point.
 	TotalSteps int64
 	// CacheHits and CacheMisses are the engine's move-cache counters
-	// summed over all workers (including overdrawn paths).
+	// summed over all workers (including overdrawn paths, so they vary
+	// with worker timing).
 	CacheHits, CacheMisses uint64
 	// Elapsed is the wall-clock duration of the sampling phase.
 	Elapsed time.Duration
@@ -63,36 +67,71 @@ type Report struct {
 
 // workerState is the per-worker sampling state, created eagerly so the
 // sampling hot loop is lock-free: each worker owns its RNG stream, engine
-// view, recorder and counters, touched only from its own goroutine until
-// the parallel run returns.
+// view, path arena and recorder, touched only from its own goroutine until
+// the parallel run returns. The one shared part is the queue of
+// finished-path tallies, handed from the worker to the collector under a
+// lock taken once per path.
 type workerState struct {
 	src *rng.Source
 	eng *Engine
+	// ps is the worker's own arena, held for the whole run rather than
+	// drawn from the engine's pool per path: its move cache stays warm
+	// across the worker's paths, and it becomes garbage with the run
+	// instead of lingering in a pool of a finished engine.
+	ps  *pathScratch
 	rec *telemetry.PathRecorder
 
-	deadlocks, timelocks int
-	steps                int64
+	mu sync.Mutex
+	// finished holds, in iteration order, the tallies of this worker's
+	// paths from finished[head] on that the collector has not consumed
+	// yet. Paths overdrawn past the stopping point stay here and are
+	// never counted.
+	finished []pathTally
+	head     int
 }
 
-// samplePath draws one path through the worker's engine view, maintaining
-// the worker's counters and the pending-path telemetry.
+// pathTally is what the run summary counts of one path.
+type pathTally struct {
+	steps int64
+	term  Termination
+}
+
+// push queues the tally of the worker's latest path. The queue is
+// compacted in place once its backing array is full, so it stops
+// allocating when it has grown to the collector's run-ahead window.
+func (ws *workerState) push(t pathTally) {
+	ws.mu.Lock()
+	if len(ws.finished) == cap(ws.finished) && ws.head > 0 {
+		n := copy(ws.finished, ws.finished[ws.head:])
+		ws.finished = ws.finished[:n]
+		ws.head = 0
+	}
+	ws.finished = append(ws.finished, t)
+	ws.mu.Unlock()
+}
+
+// pop returns the tally of the worker's oldest unconsumed path. The
+// collector consumes each worker's paths in iteration order, so it is the
+// path whose outcome was just consumed.
+func (ws *workerState) pop() pathTally {
+	ws.mu.Lock()
+	t := ws.finished[ws.head]
+	ws.head++
+	ws.mu.Unlock()
+	return t
+}
+
+// samplePath draws one path through the worker's engine view, queueing its
+// tally and the pending-path telemetry for the collector.
 func (ws *workerState) samplePath(tel *telemetry.Collector, worker, iteration int) (PathResult, error) {
 	if ws.rec != nil {
 		ws.rec.Begin()
 	}
-	// Each worker owns its state; SamplePath uses it sequentially within
-	// the worker goroutine.
-	res, err := ws.eng.SamplePath(ws.src)
+	res, err := ws.eng.samplePath(ws.ps, ws.src)
 	if err != nil {
 		return PathResult{}, err
 	}
-	ws.steps += int64(res.Steps)
-	switch res.Termination {
-	case TermDeadlock:
-		ws.deadlocks++
-	case TermTimelock:
-		ws.timelocks++
-	}
+	ws.push(pathTally{steps: int64(res.Steps), term: res.Termination})
 	if ws.rec != nil {
 		tel.RecordPath(worker, iteration,
 			ws.rec.Finish(res.Steps, res.EndTime, res.Termination.String(), res.Satisfied))
@@ -109,7 +148,7 @@ func newWorkerStates(engine *Engine, cfg AnalysisConfig, workers int) []*workerS
 	root := rng.New(cfg.Seed)
 	tel := cfg.Telemetry
 	for w := range states {
-		ws := &workerState{src: root.Split(uint64(w)), eng: engine}
+		ws := &workerState{src: root.Split(uint64(w)), eng: engine, ps: engine.newScratch()}
 		if tel != nil {
 			ws.rec = tel.Recorder(w)
 			var obs Observer = ws.rec
@@ -123,14 +162,22 @@ func newWorkerStates(engine *Engine, cfg AnalysisConfig, workers int) []*workerS
 	return states
 }
 
-// tally sums the per-worker lock and step counters.
-func tally(states []*workerState) (deadlocks, timelocks int, steps int64) {
-	for _, ws := range states {
-		deadlocks += ws.deadlocks
-		timelocks += ws.timelocks
-		steps += ws.steps
+// runTally is the run summary over consumed paths: like the estimate, a
+// pure function of (model, property, seed, workers).
+type runTally struct {
+	deadlocks, timelocks int
+	steps                int64
+}
+
+// add counts the path whose outcome the collector just consumed.
+func (s *runTally) add(t pathTally) {
+	s.steps += t.steps
+	switch t.term {
+	case TermDeadlock:
+		s.deadlocks++
+	case TermTimelock:
+		s.timelocks++
 	}
-	return deadlocks, timelocks, steps
 }
 
 // Analyze estimates the probability of the configured property using Monte
@@ -171,7 +218,10 @@ func Analyze(rt *network.Runtime, cfg AnalysisConfig) (Report, error) {
 		return res.Satisfied, nil
 	}
 
-	popts := parallel.Options{Workers: cfg.Workers}
+	var sum runTally
+	popts := parallel.Options{Workers: cfg.Workers, OnSample: func(worker, _ int, _ bool) {
+		sum.add(states[worker].pop())
+	}}
 	if tel != nil {
 		tel.SetRun(telemetry.RunInfo{
 			Strategy: cfg.Strategy.Name(),
@@ -183,13 +233,15 @@ func Analyze(rt *network.Runtime, cfg AnalysisConfig) (Report, error) {
 			Bound:    cfg.Property.Bound,
 		})
 		tel.Begin(gen.Planned())
-		popts.OnSample = tel.Commit
+		popts.OnSample = func(worker, iteration int, ok bool) {
+			sum.add(states[worker].pop())
+			tel.Commit(worker, iteration, ok)
+		}
 	}
 
 	start := time.Now()
 	est, err := parallel.Run(gen, sampler, popts)
 	elapsed := time.Since(start)
-	deadlocks, timelocks, totalSteps := tally(states)
 	engineSteps, cacheHits, cacheMisses := engine.Stats()
 	if tel != nil {
 		tel.SetEngineStats(engineSteps, cacheHits, cacheMisses)
@@ -202,9 +254,9 @@ func Analyze(rt *network.Runtime, cfg AnalysisConfig) (Report, error) {
 		Estimate:    est,
 		Probability: est.Mean(),
 		Paths:       est.Trials,
-		Deadlocks:   deadlocks,
-		Timelocks:   timelocks,
-		TotalSteps:  totalSteps,
+		Deadlocks:   sum.deadlocks,
+		Timelocks:   sum.timelocks,
+		TotalSteps:  sum.steps,
 		CacheHits:   cacheHits,
 		CacheMisses: cacheMisses,
 		Elapsed:     elapsed,

@@ -1,13 +1,18 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
+	"slimsim/internal/casestudy"
 	"slimsim/internal/expr"
+	"slimsim/internal/model"
 	"slimsim/internal/network"
 	"slimsim/internal/prop"
 	"slimsim/internal/rng"
+	"slimsim/internal/slim"
 	"slimsim/internal/sta"
+	"slimsim/internal/stats"
 	"slimsim/internal/strategy"
 )
 
@@ -155,5 +160,120 @@ func TestStepAllocs(t *testing.T) {
 	})
 	if avg > stepAllocBudget {
 		t.Errorf("engine step allocates %.1f objects per step, budget %d", avg, stepAllocBudget)
+	}
+}
+
+// sensorFilterBound is the time bound of the committed Table I.
+const sensorFilterBound = 150
+
+// sensorFilterConfig compiles the Table I sensor filter at redundancy n and
+// returns its runtime with the Table I property: P(goal within
+// sensorFilterBound) under ASAP. Its location-vector space grows with n, so
+// a fresh engine misses the move cache often — the regime where per-miss
+// work such as label rendering shows.
+func sensorFilterConfig(tb testing.TB, n int) (*network.Runtime, Config) {
+	tb.Helper()
+	src, err := casestudy.SensorFilter(casestudy.DefaultSensorFilter(n))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := slim.Parse(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := model.Instantiate(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rt, err := network.New(b.Net)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	goal, err := b.CompileExpr(casestudy.SensorFilterGoal)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rt, Config{Strategy: strategy.ASAP{}, Property: prop.Reach(sensorFilterBound, goal)}
+}
+
+// BenchmarkAnalyzeSensorFilter measures one Table I simulator query (N=5,
+// ε=0.04, δ=0.05) end to end through Analyze, with 1 and 2 workers. Every
+// op builds a fresh engine, so the cold-cache misses of a real query are
+// included.
+func BenchmarkAnalyzeSensorFilter(b *testing.B) {
+	rt, cfg := sensorFilterConfig(b, 5)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Analyze(rt, AnalysisConfig{
+					Config:  cfg,
+					Params:  stats.Params{Delta: 0.05, Epsilon: 0.04},
+					Workers: workers,
+					Seed:    uint64(i + 1),
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// coldPathAllocBudget gates the allocations of 64 sensor-filter (N=5)
+// paths drawn from a cold arena: a fresh move cache, so many location
+// vectors miss. Measured 2441 (Go 1.24, linux/amd64); the budget leaves
+// ~30% headroom. What remains is per miss — the move enumeration and the
+// cache entry — since no label is rendered without an observer.
+const coldPathAllocBudget = 3200
+
+func TestColdPathAllocs(t *testing.T) {
+	rt, cfg := sensorFilterConfig(t, 5)
+	eng, err := NewEngine(rt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(5, func() {
+		ps := eng.newScratch()
+		src := rng.New(1)
+		for i := 0; i < 64; i++ {
+			if _, err := eng.samplePath(ps, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if avg > coldPathAllocBudget {
+		t.Errorf("64 cold-cache sensor-filter paths allocate %.0f objects, budget %d", avg, coldPathAllocBudget)
+	}
+}
+
+// TestNoObserverRendersNoLabels: trace labels exist for observers and the
+// interactive prompt only, so sampling without an observer must leave
+// every move-cache entry unrendered; the same paths with an observer do
+// render them (the check can fail).
+func TestNoObserverRendersNoLabels(t *testing.T) {
+	rt, cfg := sensorFilterConfig(t, 5)
+	for _, obs := range []Observer{nil, &orderObserver{}} {
+		cfg.Observer = obs
+		eng, err := NewEngine(rt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := eng.newScratch()
+		src := rng.New(3)
+		for i := 0; i < 200; i++ {
+			if _, err := eng.samplePath(ps, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, misses := ps.net.CacheStats(); misses == 0 {
+			t.Fatal("no move-cache misses: the check below would be vacuous")
+		}
+		n := ps.net.RenderedLabels()
+		switch {
+		case obs == nil && n != 0:
+			t.Errorf("sampling without an observer rendered %d labels, want 0", n)
+		case obs != nil && n == 0:
+			t.Error("sampling with an observer rendered no labels")
+		}
 	}
 }

@@ -187,14 +187,17 @@ func NewEngine(rt *network.Runtime, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{rt: rt, cfg: c, ev: c.Property, eval: prop.NewEvaluator(c.Property), stats: &engineStats{}}
-	e.scratch = &sync.Pool{New: func() any {
-		return &pathScratch{
-			net: rt.NewScratch(0),
-			stA: rt.NewState(),
-			stB: rt.NewState(),
-		}
-	}}
+	e.scratch = &sync.Pool{New: func() any { return e.newScratch() }}
 	return e, nil
+}
+
+// newScratch returns a fresh path arena, with a cold move cache.
+func (e *Engine) newScratch() *pathScratch {
+	return &pathScratch{
+		net: e.rt.NewScratch(0),
+		stA: e.rt.NewState(),
+		stB: e.rt.NewState(),
+	}
 }
 
 // Stats returns the engine's cumulative hot-path counters: simulation steps
@@ -239,6 +242,12 @@ func (t TeeObserver) OnVerdict(now float64, label string) {
 // SamplePath generates one path and returns its outcome.
 func (e *Engine) SamplePath(src *rng.Source) (PathResult, error) {
 	ps := e.scratch.Get().(*pathScratch)
+	defer e.scratch.Put(ps)
+	return e.samplePath(ps, src)
+}
+
+// samplePath generates one path in the arena ps.
+func (e *Engine) samplePath(ps *pathScratch, src *rng.Source) (PathResult, error) {
 	res := PathResult{}
 	hits0, misses0 := ps.net.CacheStats()
 	defer func() {
@@ -246,7 +255,6 @@ func (e *Engine) SamplePath(src *rng.Source) (PathResult, error) {
 		e.stats.steps.Add(int64(res.Steps))
 		e.stats.cacheHits.Add(hits1 - hits0)
 		e.stats.cacheMisses.Add(misses1 - misses0)
-		e.scratch.Put(ps)
 	}()
 
 	// The step loop ping-pongs between the two pooled states: each step
@@ -302,7 +310,7 @@ func (e *Engine) advance(ps *pathScratch, out, src *network.State, d float64) er
 }
 
 // apply wraps Scratch.ApplyInto with the observer hook. label is the move's
-// cached trace label.
+// cached trace label, rendered only when an observer is attached.
 func (e *Engine) apply(ps *pathScratch, out, src *network.State, m *network.Move, label string) error {
 	if err := ps.net.ApplyInto(out, src, m); err != nil {
 		return err
@@ -329,6 +337,8 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 
 	// Memoized enumeration: the guarded/Markovian split and the labels
 	// depend only on the location vector and come from the move cache.
+	// Labels are rendered only when read: by an interactive strategy
+	// through the context, or for the fired move when an observer listens.
 	cm := ps.net.Moves(cur)
 	guarded, markovian := cm.Guarded, cm.Markovian
 
@@ -363,7 +373,7 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 	ps.ctx.MaxAttained = attained
 	ps.ctx.Horizon = horizonLeft
 	ps.ctx.Windows = windows
-	ps.ctx.Labels = cm.Labels()
+	ps.ctx.Labels = cm
 	ps.ctx.Rng = src
 	choice, err := e.cfg.Strategy.Choose(&ps.ctx)
 	if err != nil {
@@ -488,13 +498,17 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 	switch {
 	case fireExp:
 		fired = &markovian[expWinner]
-		firedLabel = cm.MarkLabels()[expWinner]
+		if e.cfg.Observer != nil {
+			firedLabel = cm.MarkLabel(expWinner)
+		}
 	case len(choice.Enabled) > 0:
 		// Equiprobability among the moves enabled at the chosen
 		// instant.
 		pick := choice.Enabled[src.Choose(len(choice.Enabled))]
 		fired = &guarded[pick]
-		firedLabel = cm.Labels()[pick]
+		if e.cfg.Observer != nil {
+			firedLabel = cm.Label(pick)
+		}
 	}
 	newCur := nxt
 	if fired != nil {

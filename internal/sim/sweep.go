@@ -45,10 +45,10 @@ type SweepReport struct {
 	// Paths is the number of paths consumed by the shared stream — the
 	// per-cell maximum, driven by the slowest-converging cell.
 	Paths int
-	// Deadlocks and Timelocks count paths that ended in a lock.
+	// Deadlocks, Timelocks and TotalSteps count the consumed paths, as
+	// in Report.
 	Deadlocks, Timelocks int
-	// TotalSteps is the number of simulation steps over all paths.
-	TotalSteps int64
+	TotalSteps           int64
 	// CacheHits and CacheMisses are the engine's move-cache counters
 	// summed over all workers (including overdrawn paths).
 	CacheHits, CacheMisses uint64
@@ -105,7 +105,10 @@ func AnalyzeSweep(rt *network.Runtime, cfg AnalysisConfig, bounds []float64) (Sw
 	// reads exactly like a single-bound run at the horizon.
 	last := sweep.Cells() - 1
 	var stream stats.Estimate
-	popts := parallel.MultiOptions{Workers: cfg.Workers}
+	var sum runTally
+	popts := parallel.MultiOptions{Workers: cfg.Workers, OnSample: func(worker, _ int, _ []bool) {
+		sum.add(states[worker].pop())
+	}}
 	if tel != nil {
 		tel.SetRun(telemetry.RunInfo{
 			Strategy: cfg.Strategy.Name(),
@@ -118,6 +121,7 @@ func AnalyzeSweep(rt *network.Runtime, cfg AnalysisConfig, bounds []float64) (Sw
 		})
 		tel.Begin(me.Planned())
 		popts.OnSample = func(worker, iteration int, outcomes []bool) {
+			sum.add(states[worker].pop())
 			stream.Add(outcomes[last])
 			tel.Commit(worker, iteration, outcomes[last])
 		}
@@ -126,7 +130,6 @@ func AnalyzeSweep(rt *network.Runtime, cfg AnalysisConfig, bounds []float64) (Sw
 	start := time.Now()
 	runErr := parallel.RunMulti(me, sampler, popts)
 	elapsed := time.Since(start)
-	deadlocks, timelocks, totalSteps := tally(states)
 	engineSteps, cacheHits, cacheMisses := engine.Stats()
 	if tel != nil {
 		tel.SetEngineStats(engineSteps, cacheHits, cacheMisses)
@@ -167,9 +170,9 @@ func AnalyzeSweep(rt *network.Runtime, cfg AnalysisConfig, bounds []float64) (Sw
 	return SweepReport{
 		Cells:       cells,
 		Paths:       me.Paths(),
-		Deadlocks:   deadlocks,
-		Timelocks:   timelocks,
-		TotalSteps:  totalSteps,
+		Deadlocks:   sum.deadlocks,
+		Timelocks:   sum.timelocks,
+		TotalSteps:  sum.steps,
 		CacheHits:   cacheHits,
 		CacheMisses: cacheMisses,
 		Elapsed:     elapsed,

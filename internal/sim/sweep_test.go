@@ -2,10 +2,13 @@ package sim
 
 import (
 	"math"
-	"slimsim/internal/expr"
+	"reflect"
 	"testing"
 
+	"slimsim/internal/expr"
+	"slimsim/internal/network"
 	"slimsim/internal/prop"
+	"slimsim/internal/sta"
 	"slimsim/internal/stats"
 	"slimsim/internal/strategy"
 )
@@ -154,5 +157,97 @@ func TestSweepFanoutAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("sweep fan-out allocates %.2f objects per path, want 0", avg)
+	}
+}
+
+// lockNet builds a model whose paths differ in length and end two ways: a
+// Markovian chain ok → worn → failed (rate 0.3 per stage) reaches the goal
+// "failed", racing a guard window x ∈ [20, 30] that the invariant x ≤ 5
+// never lets open — so a path that has not failed by time 5 timelocks.
+func lockNet(t testing.TB) *network.Runtime {
+	t.Helper()
+	failedID, xID := expr.VarID(0), expr.VarID(1)
+	x := func() expr.Expr { return expr.Var("x", xID) }
+	wear := &sta.Process{
+		Name:      "wear",
+		Locations: []sta.Location{{Name: "ok"}, {Name: "worn"}, {Name: "failed"}},
+		Initial:   0,
+		Transitions: []sta.Transition{
+			{From: 0, To: 1, Action: sta.Tau, Rate: 0.3},
+			{From: 1, To: 2, Action: sta.Tau, Rate: 0.3,
+				Effects: []sta.Assignment{{Var: failedID, Name: "failed", Expr: expr.True()}}},
+		},
+		Vars: []expr.VarID{failedID},
+	}
+	lock := &sta.Process{
+		Name: "lock",
+		Locations: []sta.Location{
+			{Name: "wait", Invariant: expr.Bin(expr.OpLe, x(), expr.Literal(expr.RealVal(5)))},
+			{Name: "done"},
+		},
+		Initial: 0,
+		Transitions: []sta.Transition{
+			{From: 0, To: 1, Action: sta.Tau, Guard: expr.And(
+				expr.Bin(expr.OpGe, x(), expr.Literal(expr.RealVal(20))),
+				expr.Bin(expr.OpLe, x(), expr.Literal(expr.RealVal(30))),
+			)},
+		},
+		Vars: []expr.VarID{xID},
+	}
+	rt, err := network.New(&sta.Network{
+		Processes: []*sta.Process{wear, lock},
+		Vars: []sta.VarDecl{
+			{Name: "failed", Type: expr.BoolType(), Init: expr.BoolVal(false)},
+			{Name: "x", Type: expr.ClockType(), Init: expr.RealVal(0)},
+		},
+	})
+	if err != nil {
+		t.Fatalf("network.New: %v", err)
+	}
+	return rt
+}
+
+// TestRunSummaryDeterministic pins that the whole run summary, not just
+// the estimate, is a pure function of (model, property, seed, workers):
+// lock and step counts cover the consumed paths only, never the paths
+// workers overdrew past the stopping point. Only the wall clock and the
+// engine's cache counters may differ between identical runs.
+func TestRunSummaryDeterministic(t *testing.T) {
+	rt := lockNet(t)
+	cfg := sweepCfg(strategy.ASAP{}, prop.Reach(10, failedRef()), 0.05, 2)
+	cfg.Seed = 5
+	var first Report
+	for i := 0; i < 20; i++ {
+		rep, err := Analyze(rt, cfg)
+		if err != nil {
+			t.Fatalf("Analyze: %v", err)
+		}
+		rep.Elapsed, rep.CacheHits, rep.CacheMisses = 0, 0, 0
+		if i == 0 {
+			first = rep
+			if rep.Timelocks == 0 || rep.Timelocks == rep.Paths {
+				t.Fatalf("%d timelocks in %d paths, want some but not all", rep.Timelocks, rep.Paths)
+			}
+			continue
+		}
+		if rep != first {
+			t.Fatalf("run %d report differs:\n%+v\nfirst:\n%+v", i, rep, first)
+		}
+	}
+
+	var firstSweep SweepReport
+	for i := 0; i < 20; i++ {
+		rep, err := AnalyzeSweep(rt, cfg, []float64{2, 5, 10})
+		if err != nil {
+			t.Fatalf("AnalyzeSweep: %v", err)
+		}
+		rep.Elapsed, rep.CacheHits, rep.CacheMisses = 0, 0, 0
+		if i == 0 {
+			firstSweep = rep
+			continue
+		}
+		if !reflect.DeepEqual(rep, firstSweep) {
+			t.Fatalf("sweep run %d report differs:\n%+v\nfirst:\n%+v", i, rep, firstSweep)
+		}
 	}
 }

@@ -28,6 +28,15 @@ import (
 	"slimsim/internal/rng"
 )
 
+// Labeler renders the label of a candidate move on demand, so a strategy
+// that never displays labels never pays for rendering them. The engine
+// passes its memoized move set (*network.CachedMoves).
+type Labeler interface {
+	// Label returns the label of candidate move i, indexed like
+	// Context.Windows.
+	Label(i int) string
+}
+
 // Context presents one scheduling decision to a strategy. All windows are
 // pre-intersected with the invariant-allowed delay range [0, MaxDelay].
 type Context struct {
@@ -41,9 +50,9 @@ type Context struct {
 	// Windows holds, per candidate guarded move, the delay set at which
 	// the move is enabled.
 	Windows []intervals.Set
-	// Labels describes each candidate move for interactive display;
-	// it is parallel to Windows and may be nil for automated strategies.
-	Labels []string
+	// Labels describes each candidate move for interactive display,
+	// indexed like Windows and rendered only when asked. It may be nil.
+	Labels Labeler
 	// Rng drives the strategy's random choices.
 	Rng *rng.Source
 	// EnabledBuf is an optional reusable backing array for

@@ -736,11 +736,7 @@ func (m *Model) SimulateInteractive(opts Options, ask func(Prompt) (Decision, er
 	input := strategy.Input{Ask: func(ctx *strategy.Context) (float64, int, error) {
 		pr := Prompt{Now: -1, MaxDelay: ctx.MaxDelay}
 		for i, w := range ctx.Windows {
-			label := fmt.Sprintf("move %d", i)
-			if i < len(ctx.Labels) {
-				label = ctx.Labels[i]
-			}
-			pr.Moves = append(pr.Moves, PromptMove{Label: label, Window: w.String()})
+			pr.Moves = append(pr.Moves, PromptMove{Label: ctx.Labels.Label(i), Window: w.String()})
 		}
 		d, err := ask(pr)
 		if err != nil {

@@ -229,6 +229,9 @@ root T.Imp;
 		if !strings.Contains(p.Moves[0].Window, "2") {
 			t.Errorf("window %q should mention the guard bound 2", p.Moves[0].Window)
 		}
+		if got, want := p.Moves[0].Label, "root: wait -> fin"; got != want {
+			t.Errorf("prompt label = %q, want %q", got, want)
+		}
 		return Decision{Delay: 3, Move: 0}, nil
 	})
 	if err != nil {
@@ -239,6 +242,10 @@ root T.Imp;
 	}
 	if !tr.Satisfied || tr.EndTime != 3 {
 		t.Errorf("trace = %+v, want satisfied at t=3", tr)
+	}
+	// The fired move carries the same label as the prompt offered.
+	if want := "fire  root: wait -> fin"; len(tr.Events) != 3 || !strings.HasSuffix(tr.Events[1], want) {
+		t.Errorf("events = %q, want the move fired as %q", tr.Events, want)
 	}
 	if _, err := m.SimulateInteractive(Options{Goal: "done", Bound: 1}, nil); err == nil {
 		t.Error("nil callback should be rejected")
