@@ -50,9 +50,10 @@ lint: build
 
 # race re-runs the scheduler- and worker-pool-heavy packages under the
 # race detector, plus the daemon package whose caches share compiled
-# models across request-handling goroutines.
+# models across request-handling goroutines, and the runtime and exact
+# back ends whose immutable network.Runtime every worker shares.
 race:
-	$(GO) test -race ./internal/parallel/ ./internal/sim/ ./internal/serve/
+	$(GO) test -race ./internal/parallel/ ./internal/sim/ ./internal/serve/ ./internal/network/ ./internal/ctmc/ ./internal/symmetry/
 
 # serve-smoke boots the slimserve daemon on an ephemeral port, POSTs the
 # same model twice and asserts the second response reports a
@@ -109,10 +110,11 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count=1 $(BENCH_PKGS)
 
 # bench-smoke is the CI form: a short pass over every benchmark (so they
-# cannot rot) plus the allocation regression gates under the race detector.
+# cannot rot) plus the allocation regression gates (allocs and bytes) under
+# the race detector.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 10x -count=1 $(BENCH_PKGS)
-	$(GO) test -race -run Allocs -count=1 $(BENCH_PKGS)
+	$(GO) test -race -run 'Allocs|Bytes' -count=1 $(BENCH_PKGS)
 
 # bench-compare measures old-vs-new: "make bench-compare BASE=<git-ref>"
 # checks out the base ref into a worktree, runs the benchmarks there and

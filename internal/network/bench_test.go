@@ -1,9 +1,13 @@
 package network
 
 import (
+	"runtime"
 	"testing"
 
+	"slimsim/internal/casestudy"
 	"slimsim/internal/expr"
+	"slimsim/internal/model"
+	"slimsim/internal/slim"
 	"slimsim/internal/sta"
 )
 
@@ -145,4 +149,80 @@ func TestAppendKeyAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("AppendKey into warm buffer allocates %.1f objects, want 0", avg)
 	}
+}
+
+// loadSource instantiates SLIM source into a runtime.
+func loadSource(tb testing.TB, src string) *Runtime {
+	tb.Helper()
+	parsed, err := slim.Parse(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	built, err := model.Instantiate(parsed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rt, err := New(built.Net)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rt
+}
+
+// BenchmarkApplySensorFilter measures one discrete successor on the Table I
+// sensor filter at N=12 (84 flows): it cycles through the initial state's
+// Markovian moves, each one replica's failure, whose effects feed two or
+// three flows.
+func BenchmarkApplySensorFilter(b *testing.B) {
+	src, err := casestudy.SensorFilter(casestudy.DefaultSensorFilter(12))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt := loadSource(b, src)
+	sc := rt.NewScratch(0)
+	init, out := rt.NewState(), rt.NewState()
+	if err := sc.InitialStateInto(&init); err != nil {
+		b.Fatal(err)
+	}
+	moves := sc.Moves(&init).Markovian
+	if len(moves) == 0 {
+		b.Fatal("no Markovian moves")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sc.ApplyInto(&out, &init, &moves[i%len(moves)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestNewScratchBytes gates the memory a fresh scratch costs before its
+// first lookup. The move cache's capacity is an eviction bound, not a
+// preallocation: on the launcher it is the 65 536-vector maximum, which
+// presized would be a multi-megabyte table per scratch.
+func TestNewScratchBytes(t *testing.T) {
+	src, err := casestudy.Launcher(casestudy.DefaultLauncher(casestudy.FaultsPermanent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := loadSource(t, src)
+	if got := autoCacheCap(rt); got != MaxMoveCacheCap {
+		t.Fatalf("launcher cache capacity %d, want the %d maximum the gate is about", got, MaxMoveCacheCap)
+	}
+	const runs = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if rt.NewScratch(0) == nil {
+			t.Fatal("nil scratch")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 64 << 10
+	perScratch := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perScratch > budget {
+		t.Errorf("NewScratch(0) allocates %d bytes, want at most %d", perScratch, budget)
+	}
+	t.Logf("NewScratch(0) allocates %d bytes (budget %d)", perScratch, budget)
 }

@@ -9,6 +9,7 @@ package network
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"slimsim/internal/expr"
 	"slimsim/internal/intervals"
@@ -29,6 +30,21 @@ type transProg struct {
 	// effects holds one compiled right-hand side per effect, parallel to
 	// the transition's Effects.
 	effects []expr.Code
+	// dirty holds the flows downstream of the variables the effects
+	// write: the only flows firing the transition can change.
+	dirty flowSet
+}
+
+// flowSet is a bitset over flowProgs indices. Iterating its set bits in
+// ascending order visits flows in topological order.
+type flowSet []uint64
+
+func (s flowSet) add(i int) { s[i>>6] |= 1 << (i & 63) }
+
+func (s flowSet) union(o flowSet) {
+	for w := range s {
+		s[w] |= o[w]
+	}
 }
 
 // procProg holds the compiled programs of one process.
@@ -101,6 +117,83 @@ func (rt *Runtime) buildPrograms() {
 		}
 		rt.timedVars = append(rt.timedVars, tv)
 	}
+	rt.buildDirtySets()
+}
+
+// buildDirtySets gives every transition the set of flows downstream of the
+// variables its effects write, and the runtime the set of flows downstream
+// of its timed variables. Downstream means reading the variable directly or
+// through other flows.
+//
+// applyInto and advanceInto re-evaluate only these sets. That is sound
+// because flows read variables only (the Ref nodes of their expressions,
+// never locations or time), effects never assign flows (checkStatic rejects
+// it), and every state the runtime hands out has consistent flows: initial
+// states are fully propagated, and each successor of a consistent state
+// recomputes every flow whose inputs changed. A flow none of whose inputs
+// was written therefore keeps its value and its earlier successful type
+// check. States rebuilt outside the runtime keep this as long as they copy
+// a consistent state exactly: a decoded CTMC key or a certified replica
+// permutation.
+func (rt *Runtime) buildDirtySets() {
+	words := (len(rt.flowProgs) + 63) / 64
+	ntrans := 0
+	for _, p := range rt.net.Processes {
+		ntrans += len(p.Transitions)
+	}
+	// Every set of the runtime, and the scratch closures below, share one
+	// backing array.
+	backing := make([]uint64, words*(len(rt.flowProgs)+ntrans+1))
+	next := func() flowSet {
+		s := flowSet(backing[:words:words])
+		backing = backing[words:]
+		return s
+	}
+	// readers[v] lists the flows whose defining expression reads v, each
+	// once: flow i's references are walked together, so a repeat of v is
+	// always the last entry.
+	readers := make([][]int, len(rt.net.Vars))
+	i := 0
+	collect := func(n expr.Expr) {
+		if r, ok := n.(*expr.Ref); ok && r.ID != expr.NoVar {
+			if rs := readers[r.ID]; len(rs) == 0 || rs[len(rs)-1] != i {
+				readers[r.ID] = append(rs, i)
+			}
+		}
+	}
+	for i = range rt.flowProgs {
+		expr.Walk(rt.net.Vars[rt.flowProgs[i].id].FlowExpr, collect)
+	}
+	// down[i] is flow i with everything downstream of it. A reader of flow
+	// i comes after i in topological order, so a reverse pass sees every
+	// reader's closure before it needs it.
+	down := make([]flowSet, len(rt.flowProgs))
+	for i := len(rt.flowProgs) - 1; i >= 0; i-- {
+		down[i] = next()
+		down[i].add(i)
+		for _, j := range readers[rt.flowProgs[i].id] {
+			down[i].union(down[j])
+		}
+	}
+	dirtyOf := func(set flowSet, v expr.VarID) {
+		for _, j := range readers[v] {
+			set.union(down[j])
+		}
+	}
+	for pi := range rt.net.Processes {
+		p := rt.net.Processes[pi]
+		for ti := range p.Transitions {
+			tp := &rt.procProgs[pi].trans[ti]
+			tp.dirty = next()
+			for ai := range p.Transitions[ti].Effects {
+				dirtyOf(tp.dirty, p.Transitions[ti].Effects[ai].Var)
+			}
+		}
+	}
+	rt.timedFlows = next()
+	for i := range rt.timedVars {
+		dirtyOf(rt.timedFlows, rt.timedVars[i].id)
+	}
 }
 
 // Scratch is a reusable per-worker evaluation arena: it owns one expression
@@ -170,8 +263,8 @@ func (s *Scratch) Env(st *State) expr.RateEnv {
 }
 
 // InitialStateInto resets st to the network's initial configuration with
-// flow variables propagated. st must have been created by NewState (or have
-// matching backing array lengths).
+// every flow variable propagated. st must have been created by NewState (or
+// have matching backing array lengths).
 func (s *Scratch) InitialStateInto(st *State) error {
 	for i := range s.rt.net.Processes {
 		st.Locs[i] = s.rt.net.Processes[i].Initial
@@ -203,13 +296,14 @@ func (s *Scratch) EnabledAt(st *State, m *Move) (bool, error) {
 }
 
 // AdvanceInto writes the state after letting d time units pass from src
-// into out, which must not alias src. See Runtime.Advance.
+// into out, which must not alias src. src must come from the runtime (see
+// Runtime.Advance).
 func (s *Scratch) AdvanceInto(out, src *State, d float64) error {
 	return s.rt.advanceInto(out, src, &s.env, d)
 }
 
 // ApplyInto writes the successor of firing m from src into out, which must
-// not alias src. See Runtime.Apply.
+// not alias src. src must come from the runtime (see Runtime.Apply).
 func (s *Scratch) ApplyInto(out, src *State, m *Move) error {
 	return s.rt.applyInto(out, src, m, &s.env)
 }
@@ -341,7 +435,15 @@ func (rt *Runtime) advanceInto(out, src *State, e *env, d float64) error {
 	}
 	out.Time += d
 	e.st = out
-	return rt.propagateFlowsEnv(e)
+	for w, word := range rt.timedFlows {
+		if err := rt.evalFlows(e, w, word); err != nil {
+			return err
+		}
+	}
+	if rt.stepHook != nil {
+		return rt.stepHook(out)
+	}
+	return nil
 }
 
 // applyInto implements Apply writing into a caller-owned destination. out
@@ -371,27 +473,64 @@ func (rt *Runtime) applyInto(out, src *State, m *Move, e *env) error {
 		}
 		out.Locs[part.Proc] = tr.To
 	}
-	return rt.propagateFlowsEnv(e)
+	// Recompute the union of the parts' dirty sets, one word at a time.
+	for w := 0; w < rt.flowWords(); w++ {
+		var word uint64
+		for _, part := range m.Parts {
+			word |= rt.procProgs[part.Proc].trans[part.Trans].dirty[w]
+		}
+		if err := rt.evalFlows(e, w, word); err != nil {
+			return err
+		}
+	}
+	if rt.stepHook != nil {
+		return rt.stepHook(out)
+	}
+	return nil
 }
+
+// flowWords is the length of every flowSet of the runtime.
+func (rt *Runtime) flowWords() int { return len(rt.timedFlows) }
 
 // propagateFlowsEnv recomputes every flow variable of e.st in dependency
 // order through the compiled flow programs.
 func (rt *Runtime) propagateFlowsEnv(e *env) error {
 	for i := range rt.flowProgs {
-		fp := &rt.flowProgs[i]
-		decl := &rt.net.Vars[fp.id]
-		val, err := fp.code(e)
-		if err != nil {
-			return Internal(fmt.Errorf("network: evaluating flow %s: %w", decl.Name, err))
+		if err := rt.evalFlow(e, i); err != nil {
+			return err
 		}
-		if decl.Type.Kind == expr.KindReal && val.Kind() == expr.KindInt {
-			val = expr.RealVal(val.AsFloat())
-		}
-		if !decl.Type.Admits(val) {
-			return Internal(fmt.Errorf("network: flow %s value %s violates type %s",
-				decl.Name, val, decl.Type))
-		}
-		e.st.Vals[fp.id] = val
 	}
+	return nil
+}
+
+// evalFlows recomputes the flows whose bits are set in word, the w-th word
+// of a flowSet, in ascending (topological) order.
+func (rt *Runtime) evalFlows(e *env, w int, word uint64) error {
+	for word != 0 {
+		if err := rt.evalFlow(e, w<<6|bits.TrailingZeros64(word)); err != nil {
+			return err
+		}
+		word &= word - 1
+	}
+	return nil
+}
+
+// evalFlow recomputes flow i of flowProgs in e.st, coercing an integer
+// result of a real flow and checking it against the declared type.
+func (rt *Runtime) evalFlow(e *env, i int) error {
+	fp := &rt.flowProgs[i]
+	decl := &rt.net.Vars[fp.id]
+	val, err := fp.code(e)
+	if err != nil {
+		return Internal(fmt.Errorf("network: evaluating flow %s: %w", decl.Name, err))
+	}
+	if decl.Type.Kind == expr.KindReal && val.Kind() == expr.KindInt {
+		val = expr.RealVal(val.AsFloat())
+	}
+	if !decl.Type.Admits(val) {
+		return Internal(fmt.Errorf("network: flow %s value %s violates type %s",
+			decl.Name, val, decl.Type))
+	}
+	e.st.Vals[fp.id] = val
 	return nil
 }

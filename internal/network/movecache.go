@@ -73,7 +73,9 @@ func (c *MoveCache) init(rt *Runtime, capacity int) {
 	}
 	c.rt = rt
 	c.cap = capacity
-	c.entries = make(map[string]*cacheEntry, capacity)
+	// The map grows on use: capacity is the eviction bound, not a size
+	// hint, so a scratch that sees few location vectors stays small.
+	c.entries = make(map[string]*cacheEntry)
 }
 
 // lookup returns the cached move set for st's location vector, computing

@@ -22,16 +22,23 @@ type Runtime struct {
 
 	// Compiled evaluation programs (see compiled.go): flows in flowOrder,
 	// per-VarID flow rate codes, per-process invariant/guard/effect codes
-	// and the precomputed non-flow timed variables for Advance.
-	flowProgs []flowProg
-	flowRate  []expr.AffineCode
-	procProgs []procProg
-	timedVars []timedVar
+	// and the precomputed non-flow timed variables for Advance, with the
+	// flows downstream of them (the only flows a delay can change).
+	flowProgs  []flowProg
+	flowRate   []expr.AffineCode
+	procProgs  []procProg
+	timedVars  []timedVar
+	timedFlows flowSet
 
 	// pruned, when non-nil, marks transitions statically proven unable to
 	// ever fire (or to ever be enumerated); Moves skips them. Set once by
 	// Prune before simulation starts.
 	pruned [][]bool
+
+	// stepHook, when non-nil, sees every successor applyInto and
+	// advanceInto write, and its error fails the step. Only tests set it,
+	// to hold dirty-flow propagation against full propagation.
+	stepHook func(*State) error
 }
 
 // New validates the network and prepares the runtime: flow variables are
@@ -248,8 +255,8 @@ func (rt *Runtime) checkStatic() error {
 	return nil
 }
 
-// InitialState builds the network's initial configuration with flow
-// variables propagated.
+// InitialState builds the network's initial configuration with every flow
+// variable propagated.
 func (rt *Runtime) InitialState() (State, error) {
 	st := State{
 		Locs: make([]sta.LocID, len(rt.net.Processes)),
@@ -448,9 +455,11 @@ func (rt *Runtime) EnabledAt(st *State, m *Move) (bool, error) {
 }
 
 // Advance returns the state after letting d time units pass: timed
-// variables move along their trajectories, flows are re-propagated, and
-// Time increases. It does not check invariants; callers bound d by
-// MaxDelay.
+// variables move along their trajectories, the flows downstream of them are
+// recomputed, and Time increases. It does not check invariants; callers
+// bound d by MaxDelay. st must come from the runtime (InitialState, Advance,
+// Apply or their Scratch forms) or be an exact copy of such a state, so its
+// flows are consistent: flows that read no timed variable keep st's values.
 func (rt *Runtime) Advance(st *State, d float64) (State, error) {
 	out := rt.NewState()
 	e := env{rt: rt}
@@ -462,7 +471,9 @@ func (rt *Runtime) Advance(st *State, d float64) (State, error) {
 
 // Apply fires the move from st (whose guards are assumed enabled) and
 // returns the successor. Effects of the participating processes apply
-// sequentially in ascending process order; flows re-propagate afterwards.
+// sequentially in ascending process order; afterwards the flows downstream
+// of the written variables are recomputed. Like Advance, it requires st to
+// come from the runtime: every other flow keeps st's value.
 func (rt *Runtime) Apply(st *State, m *Move) (State, error) {
 	out := rt.NewState()
 	e := env{rt: rt}

@@ -514,34 +514,52 @@ func (s *Server) retire(j *job) {
 	}
 }
 
+// cachedModel is one entry of the compiled-model cache: the compiled model
+// together with its lint verdict, computed once on the compiling miss, so
+// that a model first compiled under noLint still fails every later
+// lint-gated request for the same bytes.
+type cachedModel struct {
+	cm *slimsim.CompiledModel
+	// lintErrs counts the source's error-severity diagnostics;
+	// lintFirst renders the first of them.
+	lintErrs  int
+	lintFirst string
+}
+
 // compiled resolves the request's model through the compiled-model cache:
-// on a miss the source is linted (unless noLint) and compiled, then shared
-// with every later request for the same bytes.
+// on a miss the source is linted and compiled, then shared with every later
+// request for the same bytes. Unless the request sets noLint, a model with
+// lint errors is refused, whether it was cached or not.
 func (s *Server) compiled(req *Request) (*slimsim.CompiledModel, bool, error) {
 	hash := slimsim.ContentHash(req.Model)
-	if v, ok := s.models.get(hash); ok {
-		return v.(*slimsim.CompiledModel), true, nil
-	}
-	if !req.NoLint {
-		errs := 0
-		var first string
+	v, hit := s.models.get(hash)
+	var entry *cachedModel
+	if hit {
+		entry = v.(*cachedModel)
+	} else {
+		entry = &cachedModel{}
 		for _, d := range slimsim.Lint(req.Model) {
 			if d.Severity == slimsim.SeverityError {
-				if errs == 0 {
-					first = d.Render("model")
+				if entry.lintErrs == 0 {
+					entry.lintFirst = d.Render("model")
 				}
-				errs++
+				entry.lintErrs++
 			}
 		}
-		if errs > 0 {
-			return nil, false, fmt.Errorf("model has %d lint error(s), first: %s (set noLint to override)", errs, first)
-		}
+	}
+	if !req.NoLint && entry.lintErrs > 0 {
+		return nil, false, fmt.Errorf("model has %d lint error(s), first: %s (set noLint to override)",
+			entry.lintErrs, entry.lintFirst)
+	}
+	if hit {
+		return entry.cm, true, nil
 	}
 	cm, err := slimsim.Compile(req.Model)
 	if err != nil {
 		return nil, false, err
 	}
-	s.models.add(hash, cm)
+	entry.cm = cm
+	s.models.add(hash, entry)
 	return cm, false, nil
 }
 

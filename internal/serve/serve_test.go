@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -222,19 +223,50 @@ func TestValidationRejects(t *testing.T) {
 	}
 }
 
+// lintFailRequest posts the SL301 lint fixture (an "in modes" clause naming
+// a mode that does not exist): it compiles, but lint reports an error.
+func lintFailRequest(t *testing.T) Request {
+	t.Helper()
+	src, err := os.ReadFile("../lint/testdata/sl301.slim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Request{Model: string(src), Goal: "true", Bound: 1, Delta: 0.1, Epsilon: 0.1, Seed: 1}
+}
+
 // TestLintGate: a model whose lint pass reports errors is rejected with
 // 422 unless noLint is set.
 func TestLintGate(t *testing.T) {
 	_, url := newTestServer(t, Config{})
-	req := quickRequest()
-	req.Goal = "not u.no_such_port"
-	resp, code, raw := analyze(t, url, req)
-	_ = resp
-	if code == http.StatusOK {
-		t.Skip("lint pass does not flag unknown goal ports; gate exercised elsewhere")
+	req := lintFailRequest(t)
+	if _, code, raw := analyze(t, url, req); code != http.StatusUnprocessableEntity || !strings.Contains(raw, "SL301") {
+		t.Errorf("lint-failing model: want 422 naming SL301, got %d %s", code, raw)
 	}
-	if code != http.StatusUnprocessableEntity && code != http.StatusBadRequest {
-		t.Errorf("want 422/400 for defective model, got %d %s", code, raw)
+	req.NoLint = true
+	if _, code, raw := analyze(t, url, req); code != http.StatusOK {
+		t.Errorf("lint-failing model with noLint: want 200, got %d %s", code, raw)
+	}
+}
+
+// TestLintGateNotBypassedByCache: the lint verdict is part of the cached
+// model, so a noLint request that compiles and caches a lint-failing model
+// does not let later lint-gated requests for the same bytes through.
+func TestLintGateNotBypassedByCache(t *testing.T) {
+	_, url := newTestServer(t, Config{})
+	gated := lintFailRequest(t)
+	override := gated
+	override.NoLint = true
+	if _, code, raw := analyze(t, url, gated); code != http.StatusUnprocessableEntity {
+		t.Fatalf("first gated request: want 422, got %d %s", code, raw)
+	}
+	if resp, code, raw := analyze(t, url, override); code != http.StatusOK || resp.CompiledCacheHit {
+		t.Fatalf("noLint request: want 200 from a fresh compile, got %d %s", code, raw)
+	}
+	if _, code, raw := analyze(t, url, gated); code != http.StatusUnprocessableEntity || !strings.Contains(raw, "SL301") {
+		t.Errorf("gated request after the model was cached: want 422 naming SL301, got %d %s", code, raw)
+	}
+	if resp, code, raw := analyze(t, url, override); code != http.StatusOK || !resp.CompiledCacheHit {
+		t.Errorf("second noLint request: want 200 from the model cache, got %d %s", code, raw)
 	}
 }
 

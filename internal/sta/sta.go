@@ -212,8 +212,8 @@ type VarDecl struct {
 	// Init is the initial value.
 	Init expr.Value
 	// Flow marks a variable whose value is recomputed from FlowExpr
-	// after every change (a data-port output). Flow variables cannot be
-	// assigned by effects.
+	// when a variable it reads changes (a data-port output). Flow
+	// variables cannot be assigned by effects.
 	Flow bool
 	// FlowExpr is the defining expression for flow variables.
 	FlowExpr expr.Expr

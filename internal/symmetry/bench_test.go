@@ -3,6 +3,7 @@ package symmetry_test
 import (
 	"testing"
 
+	"slimsim/internal/network"
 	"slimsim/internal/symmetry"
 )
 
@@ -27,7 +28,7 @@ func BenchmarkBuildQuotient(b *testing.B) {
 // on the sensor filter at N=6. The build runs on the CTMC builder's
 // scratch, so what is left per state is its compact key, its resolved
 // distribution and the move-cache entry of a new location vector; the
-// budget has ~30% headroom over the measured count (≈2.7k).
+// budget has ~30% headroom over the measured count (≈1.35k).
 func TestBuildQuotientAllocs(t *testing.T) {
 	rt, goal := sensorFilter(t, 6)
 	red := symmetry.Detect(rt)
@@ -39,9 +40,60 @@ func TestBuildQuotientAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 3600
+	const budget = 1750
 	if avg > budget {
 		t.Errorf("allocs per BuildQuotient: %.0f, want at most %d", avg, budget)
 	}
 	t.Logf("allocs per BuildQuotient: %.0f (budget %d)", avg, budget)
+}
+
+// TestCanonAllocs gates the canonicalizer, which the quotient build calls
+// for every discovered state: once its scratch buffers have warmed up,
+// canonicalizing must not allocate, including on states whose replicas it
+// reorders.
+func TestCanonAllocs(t *testing.T) {
+	rt, _ := sensorFilter(t, 12)
+	red := symmetry.Detect(rt)
+	if red == nil {
+		t.Fatal("no symmetry detected")
+	}
+	init, err := rt.InitialState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The initial state and its successors: each fails one replica, which
+	// Canon moves to the front or back of the group.
+	states := []network.State{init}
+	for _, m := range rt.Moves(&init) {
+		if !m.Markovian() {
+			continue
+		}
+		succ, err := rt.Apply(&init, &m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, succ)
+	}
+	c := red.NewCanonicalizer()
+	tmp := rt.NewState()
+	reordered := 0
+	for i := range states {
+		tmp.CopyFrom(&states[i])
+		c.Canon(&tmp)
+		if tmp.Key() != states[i].Key() {
+			reordered++
+		}
+	}
+	if reordered == 0 {
+		t.Fatal("no state was reordered: the gate would not cover the permuting path")
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		for i := range states {
+			tmp.CopyFrom(&states[i])
+			c.Canon(&tmp)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("Canon allocates %.1f objects per %d states, want 0", avg, len(states))
+	}
 }

@@ -2,7 +2,6 @@ package symmetry
 
 import (
 	"bytes"
-	"sort"
 
 	"slimsim/internal/expr"
 	"slimsim/internal/network"
@@ -61,18 +60,19 @@ func (c *Canonicalizer) Canon(st *network.State) {
 			}
 			c.keys[ui] = buf
 		}
+		// Stable insertion sort of the unit indices by key: groups are
+		// small, and unlike sort.SliceStable it allocates nothing.
 		c.order = c.order[:0]
-		for i := 0; i < n; i++ {
-			c.order = append(c.order, i)
-		}
-		sort.SliceStable(c.order, func(i, j int) bool {
-			return bytes.Compare(c.keys[c.order[i]], c.keys[c.order[j]]) < 0
-		})
 		identity := true
-		for i, o := range c.order {
-			if o != i {
+		for i := 0; i < n; i++ {
+			j := len(c.order)
+			c.order = append(c.order, i)
+			for ; j > 0 && bytes.Compare(c.keys[i], c.keys[c.order[j-1]]) < 0; j-- {
+				c.order[j] = c.order[j-1]
+			}
+			if j != i {
+				c.order[j] = i
 				identity = false
-				break
 			}
 		}
 		if identity {
