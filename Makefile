@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet nopanic staticcheck vulncheck fmtcheck lint race verify ci serve-smoke bench bench-smoke bench-compare bench-json bench-table1 bench-table1-smoke bench-fig5 bench-fig5-smoke bench-rare bench-rare-smoke difftest soundness fuzz-smoke fuzz-long
+.PHONY: build test vet nopanic staticcheck vulncheck fmtcheck lint race verify ci serve-smoke bench bench-smoke bench-json bench-table1 bench-table1-smoke bench-fig5 bench-fig5-smoke bench-rare bench-rare-smoke difftest soundness fuzz-smoke fuzz-long
 
 build:
 	$(GO) build ./...
@@ -49,11 +49,13 @@ lint: build
 	$(GO) run ./cmd/slimlint internal/lint/testdata/clean.slim
 
 # race re-runs the scheduler- and worker-pool-heavy packages under the
-# race detector, plus the daemon package whose caches share compiled
-# models across request-handling goroutines, and the runtime and exact
-# back ends whose immutable network.Runtime every worker shares.
+# race detector (the fair-round collector, and the sampling and splitting
+# pipelines and estimators it feeds), plus the daemon package whose caches
+# share compiled models across request-handling goroutines, and the
+# runtime and exact back ends whose immutable network.Runtime every worker
+# shares.
 race:
-	$(GO) test -race ./internal/parallel/ ./internal/sim/ ./internal/serve/ ./internal/network/ ./internal/ctmc/ ./internal/symmetry/
+	$(GO) test -race ./internal/parallel/ ./internal/sim/ ./internal/splitting/ ./internal/stats/ ./internal/serve/ ./internal/network/ ./internal/ctmc/ ./internal/symmetry/
 
 # serve-smoke boots the slimserve daemon on an ephemeral port, POSTs the
 # same model twice and asserts the second response reports a
@@ -115,26 +117,6 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 10x -count=1 $(BENCH_PKGS)
 	$(GO) test -race -run 'Allocs|Bytes' -count=1 $(BENCH_PKGS)
-
-# bench-compare measures old-vs-new: "make bench-compare BASE=<git-ref>"
-# checks out the base ref into a worktree, runs the benchmarks there and
-# here, and diffs with benchstat when installed (falls back to printing the
-# raw profiles side by side; nothing is installed on demand).
-BASE ?= HEAD~1
-bench-compare:
-	@tmp=$$(mktemp -d) && trap 'git worktree remove --force '"$$tmp"'; rm -rf '"$$tmp" EXIT && \
-	git worktree add --detach $$tmp $(BASE) >/dev/null && \
-	echo "benchmarking base $(BASE)..." && \
-	(cd $$tmp && $(GO) test -run '^$$' -bench . -benchmem -count 6 $(BENCH_PKGS) >$$tmp/old.txt 2>&1 || true) && \
-	echo "benchmarking working tree..." && \
-	$(GO) test -run '^$$' -bench . -benchmem -count 6 $(BENCH_PKGS) >/tmp/bench-new.txt && \
-	if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $$tmp/old.txt /tmp/bench-new.txt; \
-	else \
-		echo "benchstat not installed; raw results:"; \
-		echo "--- old ($(BASE)) ---"; grep Benchmark $$tmp/old.txt || true; \
-		echo "--- new ---"; grep Benchmark /tmp/bench-new.txt; \
-	fi
 
 # bench-json regenerates the machine-readable perf trajectory: one
 # BENCH_<experiment>.json per case-study experiment, in the report schema

@@ -47,7 +47,7 @@ func run(args []string) error {
 		delta       = fs.Float64("delta", 0.05, "statistical risk δ (confidence is 1-δ)")
 		eps         = fs.Float64("eps", 0.01, "error bound ε")
 		method      = fs.String("method", "chernoff", "sample-count generator: chernoff, gauss or chow-robbins")
-		relErr      = fs.Float64("rel", 0, "relative-error stopping rule: sample until the CLT half-width is at most rel·p̂ (0 disables; for rare-event runs)")
+		relErr      = fs.Float64("rel", 0, "relative-error stopping rule: sample until the CLT half-width is at most rel·p̂ (0 disables; for rare-event runs; with -bounds every bound stops by its own rule)")
 		useSplit    = fs.Bool("splitting", false, "use importance splitting (fixed effort) instead of plain Monte Carlo")
 		levels      = fs.Int("levels", 0, "number of splitting levels (0 = derive automatically from the property)")
 		effort      = fs.Int("effort", 0, "branches per splitting stage (0 = default)")
@@ -91,14 +91,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Sweeps share one path stream across bounds; neither the splitting
-	// estimator nor the data-dependent relative-error rule composes with
-	// that sharing, so the combinations are usage errors.
+	// Sweeps share one Monte Carlo path stream across bounds; the
+	// splitting estimator does not compose with that sharing, so the
+	// combination is a usage error.
 	if *useSplit && len(sweepBounds) > 0 {
 		return fmt.Errorf("-splitting cannot be combined with -bounds")
-	}
-	if *relErr != 0 && len(sweepBounds) > 0 {
-		return fmt.Errorf("-rel cannot be combined with -bounds")
 	}
 
 	if !*noLint {

@@ -108,6 +108,27 @@ func TestRunSweep(t *testing.T) {
 	}
 }
 
+// TestRunRelativeSweep: the relative-error rule composes with -bounds,
+// each bound stopping by its own rule on the shared stream.
+func TestRunRelativeSweep(t *testing.T) {
+	path := writeModel(t)
+	report := filepath.Join(t.TempDir(), "report.json")
+	err := run([]string{
+		"-model", path, "-goal", "not u.alive", "-bounds", "5,10",
+		"-rel", "0.2", "-workers", "2", "-q", "-report", report,
+	})
+	if err != nil {
+		t.Fatalf("run -rel -bounds: %v", err)
+	}
+	data, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatalf("relative sweep wrote no report: %v", err)
+	}
+	if !strings.Contains(string(data), `"method": "rel"`) || !strings.Contains(string(data), `"sweep"`) {
+		t.Errorf("relative sweep report lacks method rel or a sweep section:\n%s", data)
+	}
+}
+
 // TestRunSweepStatic checks that a statically decided property short-
 // circuits a -bounds run too: the verdict is bound-independent, so the
 // sweep is answered without sampling.

@@ -77,8 +77,8 @@ func UntilWithin(bound float64, constraint, goal expr.Expr) Property {
 
 // Validate checks structural sanity and types against decls.
 func (p Property) Validate(decls expr.Decls) error {
-	if p.Bound < 0 || math.IsNaN(p.Bound) {
-		return fmt.Errorf("prop: negative or NaN time bound %g", p.Bound)
+	if err := checkBound(p.Bound); err != nil {
+		return err
 	}
 	if p.Goal == nil {
 		return fmt.Errorf("prop: missing goal expression")
@@ -106,6 +106,15 @@ func (p Property) Validate(decls expr.Decls) error {
 		}
 	default:
 		return fmt.Errorf("prop: invalid kind %d", p.Kind)
+	}
+	return nil
+}
+
+// checkBound is the range rule for time bounds: non-negative and not NaN.
+// +Inf is a valid bound (unbounded reachability).
+func checkBound(u float64) error {
+	if u < 0 || math.IsNaN(u) {
+		return fmt.Errorf("prop: negative or NaN time bound %g", u)
 	}
 	return nil
 }

@@ -19,10 +19,7 @@
 // stays hit (anti-monotone for invariance) — which the sweep tests pin.
 package prop
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Sweep maps one path's decisive event to the Bernoulli outcome of every
 // (property, bound) cell of a multi-bound analysis. A Sweep is immutable
@@ -34,15 +31,16 @@ type Sweep struct {
 }
 
 // NewSweep returns the sweep of p over the given time bounds. The bounds
-// must be finite, non-negative and strictly ascending; the largest bound
-// is the sweep horizon the path property must be (re-)bounded at.
+// must be strictly ascending and each obey Property.Validate's range rule
+// (non-negative, not NaN; +Inf is allowed); the largest bound is the sweep
+// horizon the path property must be (re-)bounded at.
 func NewSweep(p Property, bounds []float64) (*Sweep, error) {
 	if len(bounds) == 0 {
 		return nil, fmt.Errorf("prop: sweep needs at least one bound")
 	}
 	for i, u := range bounds {
-		if math.IsNaN(u) || math.IsInf(u, 0) || u < 0 {
-			return nil, fmt.Errorf("prop: sweep bound %g is not a finite non-negative time", u)
+		if err := checkBound(u); err != nil {
+			return nil, err
 		}
 		if i > 0 && u <= bounds[i-1] {
 			return nil, fmt.Errorf("prop: sweep bounds must be strictly ascending, got %g after %g",

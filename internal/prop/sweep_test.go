@@ -23,8 +23,9 @@ func TestNewSweepValidation(t *testing.T) {
 		nil,
 		{},
 		{math.NaN()},
-		{math.Inf(1)},
+		{math.Inf(-1)},
 		{-1},
+		{1, math.Inf(1), math.Inf(1)},
 		{1, 1},
 		{2, 1},
 		{0, 1, 1.5, 1.5},
@@ -37,8 +38,11 @@ func TestNewSweepValidation(t *testing.T) {
 	if _, err := NewSweep(Property{Kind: Kind(99), Goal: expr.True()}, []float64{1}); err == nil {
 		t.Errorf("NewSweep with invalid kind accepted")
 	}
-	if _, err := NewSweep(p, []float64{0, 0.5, 1, 3600}); err != nil {
-		t.Errorf("NewSweep(ascending) = %v, want nil", err)
+	// The same range rule as Property.Validate: +Inf is a valid bound.
+	for _, bs := range [][]float64{{0, 0.5, 1, 3600}, {0}, {math.Inf(1)}, {1, math.Inf(1)}} {
+		if _, err := NewSweep(p, bs); err != nil {
+			t.Errorf("NewSweep(%v) = %v, want nil", bs, err)
+		}
 	}
 }
 

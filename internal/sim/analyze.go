@@ -7,6 +7,7 @@ import (
 
 	"slimsim/internal/network"
 	"slimsim/internal/parallel"
+	"slimsim/internal/prop"
 	"slimsim/internal/rng"
 	"slimsim/internal/stats"
 	"slimsim/internal/telemetry"
@@ -16,17 +17,14 @@ import (
 type AnalysisConfig struct {
 	// Config is the per-path configuration.
 	Config
-	// Params are the accuracy knobs (δ, ε).
+	// Params are the accuracy knobs (δ, ε, and the relative error of
+	// stats.MethodRelative).
 	Params stats.Params
 	// Method selects the sample-count generator (default
-	// Chernoff–Hoeffding).
+	// Chernoff–Hoeffding). stats.MethodRelative is the stopping rule for
+	// rare-event runs, where any fixed absolute ε is either hopeless or
+	// meaningless.
 	Method stats.Method
-	// RelErr, when positive, replaces the absolute-error generator with
-	// the relative-error sequential rule (stats.NewRelative): sampling
-	// continues until the CLT half-width is at most RelErr·p̂. This is the
-	// stopping rule for rare-event runs, where any fixed absolute ε is
-	// either hopeless or meaningless.
-	RelErr float64
 	// Workers is the number of parallel samplers (default 1).
 	Workers int
 	// Seed makes the run reproducible; runs with equal seeds and worker
@@ -42,11 +40,13 @@ type AnalysisConfig struct {
 // Report is the outcome of a statistical analysis.
 type Report struct {
 	// Estimate is the final Bernoulli estimator state; Estimate.Mean()
-	// is the reported probability.
+	// is the reported probability. In a sweep it is the horizon cell's.
 	Estimate stats.Estimate
 	// Probability is the estimated probability that the property holds.
 	Probability float64
-	// Paths is the number of simulated paths.
+	// Paths is the number of simulated paths. In a sweep it is the
+	// number of shared paths: the per-cell maximum, driven by the
+	// slowest-converging cell.
 	Paths int
 	// Deadlocks and Timelocks count consumed paths that ended in a lock.
 	Deadlocks, Timelocks int
@@ -63,6 +63,33 @@ type Report struct {
 	// Strategy and Method echo the configuration.
 	Strategy string
 	Method   stats.Method
+}
+
+// CellReport is the result of one (property, bound) cell of a sweep.
+type CellReport struct {
+	// Bound is the cell's time bound u.
+	Bound float64
+	// Estimate is the cell's estimator state, frozen at the cell's own
+	// sequential stopping time.
+	Estimate stats.Estimate
+	// Probability is the estimated probability that the property holds
+	// under this cell's bound.
+	Probability float64
+	// Paths is the number of shared paths this cell consumed before its
+	// stopping rule fired.
+	Paths int
+}
+
+// SweepReport is the outcome of a shared-path multi-bound analysis.
+type SweepReport struct {
+	// Report summarizes the shared stream: its counts cover every
+	// consumed path, and its Estimate and Probability are the horizon
+	// cell's.
+	Report
+	// Cells holds the per-bound results in ascending bound order. The
+	// last cell is bit-identical to a single-bound Analyze run at the
+	// sweep horizon.
+	Cells []CellReport
 }
 
 // workerState is the per-worker sampling state, created eagerly so the
@@ -181,45 +208,74 @@ func (s *runTally) add(t pathTally) {
 }
 
 // Analyze estimates the probability of the configured property using Monte
-// Carlo simulation.
+// Carlo simulation: a one-cell sweep at cfg.Property.Bound.
 func Analyze(rt *network.Runtime, cfg AnalysisConfig) (Report, error) {
+	rep, err := analyzeCells(rt, cfg, []float64{cfg.Property.Bound})
+	return rep.Report, err
+}
+
+// AnalyzeSweep estimates the probability of the configured property under
+// every time bound in bounds (non-negative, not NaN, strictly ascending)
+// from one shared path stream. cfg.Property.Bound is overridden by the
+// sweep horizon; everything else configures the run exactly as Analyze.
+// With telemetry the run report gains a sweep section with every cell.
+func AnalyzeSweep(rt *network.Runtime, cfg AnalysisConfig, bounds []float64) (SweepReport, error) {
+	rep, err := analyzeCells(rt, cfg, bounds)
+	if err == nil && cfg.Telemetry != nil {
+		cfg.Telemetry.SetSweep(rep.metrics(cfg.Params.Delta))
+	}
+	return rep, err
+}
+
+// analyzeCells is the sampling pipeline behind Analyze and AnalyzeSweep: the
+// engine samples paths bounded at the sweep horizon (the largest bound)
+// and records the decision time of each verdict; prop.Sweep maps that to
+// a per-bound outcome vector, and stats.MultiEstimator runs one stopping
+// rule per cell off the shared stream until the slowest cell converges.
+// The fan-out goes through parallel.RunMulti's fair-round collector, so
+// every estimate is a pure function of (model, property, seed, worker
+// count), and the horizon cell is bit-identical to a one-cell run at the
+// horizon.
+func analyzeCells(rt *network.Runtime, cfg AnalysisConfig, bounds []float64) (SweepReport, error) {
+	sweep, err := prop.NewSweep(cfg.Property, bounds)
+	if err != nil {
+		return SweepReport{}, err
+	}
+	// Paths must run to the largest bound so every cell is decided.
+	cfg.Property.Bound = sweep.Horizon()
 	engine, err := NewEngine(rt, cfg.Config)
 	if err != nil {
-		return Report{}, err
+		return SweepReport{}, err
 	}
 	method := cfg.Method
 	if method == 0 {
 		method = stats.MethodChernoff
 	}
-	var gen stats.Generator
-	if cfg.RelErr > 0 {
-		method = stats.MethodRelative
-		gen, err = stats.NewRelative(cfg.Params.Delta, cfg.RelErr)
-	} else {
-		gen, err = stats.NewGenerator(method, cfg.Params)
-	}
+	me, err := stats.NewMultiEstimator(method, cfg.Params, sweep.Cells())
 	if err != nil {
-		return Report{}, err
+		return SweepReport{}, err
 	}
 
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-
+	workers := max(cfg.Workers, 1)
 	states := newWorkerStates(engine, cfg, workers)
 	tel := cfg.Telemetry
 
-	sampler := func(worker, iteration int) (bool, error) {
+	sampler := func(worker, iteration int, out []bool) error {
 		res, err := states[worker].samplePath(tel, worker, iteration)
 		if err != nil {
-			return false, err
+			return err
 		}
-		return res.Satisfied, nil
+		sweep.Outcomes(res.Satisfied, res.DecidedAt, out)
+		return nil
 	}
 
+	// The shared stream's scalar outcome is the horizon cell's verdict —
+	// identical to res.Satisfied — so the Sampling telemetry of a sweep
+	// reads exactly like a single-bound run at the horizon.
+	last := sweep.Cells() - 1
+	var stream stats.Estimate
 	var sum runTally
-	popts := parallel.Options{Workers: cfg.Workers, OnSample: func(worker, _ int, _ bool) {
+	popts := parallel.MultiOptions{Workers: workers, OnSample: func(worker, _ int, _ []bool) {
 		sum.add(states[worker].pop())
 	}}
 	if tel != nil {
@@ -230,43 +286,91 @@ func Analyze(rt *network.Runtime, cfg AnalysisConfig) (Report, error) {
 			Epsilon:  cfg.Params.Epsilon,
 			Seed:     cfg.Seed,
 			Workers:  workers,
-			Bound:    cfg.Property.Bound,
+			Bound:    sweep.Horizon(),
 		})
-		tel.Begin(gen.Planned())
-		popts.OnSample = func(worker, iteration int, ok bool) {
+		tel.Begin(me.Planned())
+		popts.OnSample = func(worker, iteration int, outcomes []bool) {
 			sum.add(states[worker].pop())
-			tel.Commit(worker, iteration, ok)
+			stream.Add(outcomes[last])
+			tel.Commit(worker, iteration, outcomes[last])
 		}
 	}
 
 	start := time.Now()
-	est, err := parallel.Run(gen, sampler, popts)
+	runErr := parallel.RunMulti(me, sampler, popts)
 	elapsed := time.Since(start)
 	engineSteps, cacheHits, cacheMisses := engine.Stats()
 	if tel != nil {
 		tel.SetEngineStats(engineSteps, cacheHits, cacheMisses)
-		tel.End(est, elapsed)
+		tel.End(stream, elapsed)
 	}
-	if err != nil {
-		return Report{}, fmt.Errorf("sim: analysis failed: %w", err)
+	if runErr != nil {
+		return SweepReport{}, fmt.Errorf("sim: analysis failed: %w", runErr)
 	}
-	return Report{
-		Estimate:    est,
-		Probability: est.Mean(),
-		Paths:       est.Trials,
-		Deadlocks:   sum.deadlocks,
-		Timelocks:   sum.timelocks,
-		TotalSteps:  sum.steps,
-		CacheHits:   cacheHits,
-		CacheMisses: cacheMisses,
-		Elapsed:     elapsed,
-		Strategy:    cfg.Strategy.Name(),
-		Method:      method,
+
+	cells := make([]CellReport, sweep.Cells())
+	for i := range cells {
+		est := me.Estimate(i)
+		cells[i] = CellReport{
+			Bound:       sweep.Bounds()[i],
+			Estimate:    est,
+			Probability: est.Mean(),
+			Paths:       est.Trials,
+		}
+	}
+	return SweepReport{
+		Report: Report{
+			Estimate:    cells[last].Estimate,
+			Probability: cells[last].Probability,
+			Paths:       me.Paths(),
+			Deadlocks:   sum.deadlocks,
+			Timelocks:   sum.timelocks,
+			TotalSteps:  sum.steps,
+			CacheHits:   cacheHits,
+			CacheMisses: cacheMisses,
+			Elapsed:     elapsed,
+			Strategy:    cfg.Strategy.Name(),
+			Method:      method,
+		},
+		Cells: cells,
 	}, nil
+}
+
+// metrics renders the cells as the telemetry sweep section, with
+// confidence intervals at risk delta.
+func (r SweepReport) metrics(delta float64) *telemetry.SweepMetrics {
+	sm := &telemetry.SweepMetrics{SharedPaths: r.Paths, Cells: make([]telemetry.SweepCell, len(r.Cells))}
+	for i, c := range r.Cells {
+		lo, hi := stats.ConfidenceInterval(c.Estimate, delta)
+		sm.Cells[i] = telemetry.SweepCell{
+			Bound:     c.Bound,
+			Samples:   c.Estimate.Trials,
+			Successes: c.Estimate.Successes,
+			Estimate:  c.Probability,
+			ConfidenceInterval: &telemetry.CI{
+				Level: 1 - delta,
+				Lower: lo,
+				Upper: hi,
+			},
+		}
+	}
+	return sm
 }
 
 // String renders the report in the tool's CLI output format.
 func (r Report) String() string {
 	return fmt.Sprintf("P ≈ %.6f  (paths=%d, strategy=%s, method=%s, deadlocks=%d, timelocks=%d, steps=%d, elapsed=%s)",
 		r.Probability, r.Paths, r.Strategy, r.Method, r.Deadlocks, r.Timelocks, r.TotalSteps, r.Elapsed.Round(time.Millisecond))
+}
+
+// String renders the sweep report in the tool's CLI output format: one
+// line per bound, then the stream summary.
+func (r SweepReport) String() string {
+	out := ""
+	for _, c := range r.Cells {
+		out += fmt.Sprintf("P(u=%g) ≈ %.6f  (paths=%d)\n", c.Bound, c.Probability, c.Paths)
+	}
+	out += fmt.Sprintf("shared paths=%d, strategy=%s, method=%s, deadlocks=%d, timelocks=%d, steps=%d, elapsed=%s",
+		r.Paths, r.Strategy, r.Method, r.Deadlocks, r.Timelocks, r.TotalSteps, r.Elapsed.Round(time.Millisecond))
+	return out
 }

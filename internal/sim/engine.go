@@ -2,9 +2,9 @@
 // alternates timed and discrete steps through a network.Runtime, resolves
 // non-determinism via a strategy.Strategy, races exponential (Markovian)
 // transitions against scheduled delays, evaluates the property along the
-// way, and reports a Bernoulli outcome per path. The Analyze entry point
-// couples the generator to a stats.Generator through the bias-free
-// parallel collector.
+// way, and reports a Bernoulli outcome per path. The AnalyzeSweep entry
+// point, and Analyze as its one-cell case, couple the generator to a
+// stats.MultiEstimator through the bias-free parallel collector.
 package sim
 
 import (

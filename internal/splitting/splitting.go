@@ -67,7 +67,7 @@ const maxAutoThresholds = 16
 
 // Config configures a splitting analysis. The embedded sim.AnalysisConfig
 // is interpreted exactly as by sim.Analyze; its statistical generator
-// (Method, Params, RelErr) only governs the degenerate single-level run.
+// (Method, Params) only governs the degenerate single-level run.
 type Config struct {
 	sim.AnalysisConfig
 	// Levels selects the number of splitting levels (stages): 0 derives

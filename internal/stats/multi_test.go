@@ -134,8 +134,8 @@ func TestMultiEstimatorFreeze(t *testing.T) {
 // freezes at exactly the estimate a standalone generator of the same
 // method produces from the same stream.
 func TestMultiEstimatorMatchesStandalone(t *testing.T) {
-	p := Params{Delta: 0.05, Epsilon: 0.05}
-	for _, m := range []Method{MethodChernoff, MethodGauss, MethodChowRobbins} {
+	p := Params{Delta: 0.05, Epsilon: 0.05, RelErr: 0.2}
+	for _, m := range []Method{MethodChernoff, MethodGauss, MethodChowRobbins, MethodRelative} {
 		me, err := NewMultiEstimator(m, p, 2)
 		if err != nil {
 			t.Fatal(err)

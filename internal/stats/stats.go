@@ -21,6 +21,10 @@ type Params struct {
 	Delta float64
 	// Epsilon is the absolute error bound ε ∈ (0, 1).
 	Epsilon float64
+	// RelErr is the target relative error of MethodRelative, in (0, 1):
+	// sampling continues until the CLT half-width is at most RelErr·p̂.
+	// The other methods ignore it.
+	RelErr float64
 }
 
 // Validate checks the parameter ranges.
@@ -260,9 +264,10 @@ const (
 	MethodChernoff Method = iota + 1
 	MethodGauss
 	MethodChowRobbins
-	// MethodRelative is the relative-error sequential rule (NewRelative).
-	// It is selected by the -rel knob rather than -method because it takes
-	// the target relative error as an extra parameter.
+	// MethodRelative is the relative-error sequential rule (NewRelative)
+	// at Params.RelErr. It is selected by the -rel knob rather than
+	// -method because it takes the target relative error as an extra
+	// parameter.
 	MethodRelative
 )
 
@@ -305,6 +310,8 @@ func NewGenerator(m Method, p Params) (Generator, error) {
 		return NewGauss(p)
 	case MethodChowRobbins:
 		return NewChowRobbins(p)
+	case MethodRelative:
+		return NewRelative(p.Delta, p.RelErr)
 	default:
 		return nil, fmt.Errorf("stats: invalid method %d", m)
 	}

@@ -227,8 +227,8 @@ func TestParseMethod(t *testing.T) {
 }
 
 func TestNewGeneratorDispatch(t *testing.T) {
-	p := Params{Delta: 0.1, Epsilon: 0.1}
-	for _, m := range []Method{MethodChernoff, MethodGauss, MethodChowRobbins} {
+	p := Params{Delta: 0.1, Epsilon: 0.1, RelErr: 0.1}
+	for _, m := range []Method{MethodChernoff, MethodGauss, MethodChowRobbins, MethodRelative} {
 		g, err := NewGenerator(m, p)
 		if err != nil || g == nil {
 			t.Errorf("NewGenerator(%v) = (%v, %v)", m, g, err)
@@ -236,6 +236,9 @@ func TestNewGeneratorDispatch(t *testing.T) {
 	}
 	if _, err := NewGenerator(Method(99), p); err == nil {
 		t.Error("NewGenerator should reject invalid method")
+	}
+	if _, err := NewGenerator(MethodRelative, Params{Delta: 0.1, Epsilon: 0.1}); err == nil {
+		t.Error("NewGenerator(MethodRelative) should reject RelErr = 0")
 	}
 }
 

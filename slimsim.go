@@ -227,25 +227,37 @@ type CellReport = sim.CellReport
 // splitting.Report.
 type SplittingReport = splitting.Report
 
+// withoutPattern returns opts with a Pattern parsed into Kind, Goal,
+// Constraint and Bound, and Pattern cleared.
+func (opts Options) withoutPattern() (Options, error) {
+	if opts.Pattern == "" {
+		return opts, nil
+	}
+	spec, err := prop.ParsePattern(opts.Pattern)
+	if err != nil {
+		return Options{}, err
+	}
+	opts.Pattern = ""
+	opts.Bound = spec.Bound
+	opts.Goal = spec.Goal
+	opts.Constraint = spec.Constraint
+	switch spec.Kind {
+	case prop.Reachability:
+		opts.Kind = Reachability
+	case prop.Invariance:
+		opts.Kind = Invariance
+	case prop.Until:
+		opts.Kind = Until
+	}
+	return opts, nil
+}
+
 // CompileProperty resolves the property described by opts against the
 // model.
 func (m *Model) CompileProperty(opts Options) (prop.Property, error) {
-	if opts.Pattern != "" {
-		spec, err := prop.ParsePattern(opts.Pattern)
-		if err != nil {
-			return prop.Property{}, err
-		}
-		opts.Bound = spec.Bound
-		opts.Goal = spec.Goal
-		opts.Constraint = spec.Constraint
-		switch spec.Kind {
-		case prop.Reachability:
-			opts.Kind = Reachability
-		case prop.Invariance:
-			opts.Kind = Invariance
-		case prop.Until:
-			opts.Kind = Until
-		}
+	opts, err := opts.withoutPattern()
+	if err != nil {
+		return prop.Property{}, err
 	}
 	if opts.Goal == "" {
 		return prop.Property{}, fmt.Errorf("slimsim: no goal expression given")
@@ -339,8 +351,11 @@ func (m *Model) analysisConfig(opts Options, p prop.Property) (sim.AnalysisConfi
 	default:
 		return sim.AnalysisConfig{}, fmt.Errorf("slimsim: unknown lock policy %q (want violate or error)", opts.OnLock)
 	}
-	if opts.RelErr != 0 && !(opts.RelErr > 0 && opts.RelErr < 1) {
-		return sim.AnalysisConfig{}, fmt.Errorf("slimsim: relative error must lie in (0,1), got %g", opts.RelErr)
+	if opts.RelErr != 0 {
+		if !(opts.RelErr > 0 && opts.RelErr < 1) {
+			return sim.AnalysisConfig{}, fmt.Errorf("slimsim: relative error must lie in (0,1), got %g", opts.RelErr)
+		}
+		method = stats.MethodRelative
 	}
 	seed := opts.Seed
 	if seed == 0 {
@@ -353,9 +368,8 @@ func (m *Model) analysisConfig(opts Options, p prop.Property) (sim.AnalysisConfi
 			Locks:    locks,
 			MaxSteps: opts.MaxSteps,
 		},
-		Params:    stats.Params{Delta: delta, Epsilon: eps},
+		Params:    stats.Params{Delta: delta, Epsilon: eps, RelErr: opts.RelErr},
 		Method:    method,
-		RelErr:    opts.RelErr,
 		Workers:   opts.Workers,
 		Seed:      seed,
 		Telemetry: opts.Telemetry,
@@ -373,34 +387,29 @@ func (m *Model) Analyze(opts Options) (Report, error) {
 }
 
 // AnalyzeSweep estimates the probability of the property under every time
-// bound in bounds (finite, non-negative, strictly ascending) from one
+// bound in bounds (non-negative, not NaN, strictly ascending) from one
 // shared path stream: each sampled path runs to the largest bound and its
 // first-hit time decides the verdict of every cell at once, with one
 // stopping rule per cell (see docs/SWEEPS.md). Options.Bound (or the
-// pattern's bound) is overridden by the sweep horizon. With identical
-// configuration the last cell is bit-identical to Analyze at the horizon.
+// pattern's bound) is overridden by the sweep horizon, and the report
+// renders the property at the horizon. With identical configuration the
+// last cell is bit-identical to Analyze at the horizon.
 func (m *Model) AnalyzeSweep(opts Options, bounds []float64) (SweepReport, error) {
 	if len(bounds) == 0 {
 		return SweepReport{}, fmt.Errorf("slimsim: sweep needs at least one bound")
 	}
 	// Compile the property at the horizon so validation and the rendered
 	// property text agree with what actually runs.
-	if opts.Pattern == "" {
-		opts.Bound = bounds[len(bounds)-1]
-	}
-	p, err := m.CompileProperty(opts)
+	opts, err := opts.withoutPattern()
 	if err != nil {
 		return SweepReport{}, err
 	}
-	cfg, err := m.analysisConfig(opts, p)
+	opts.Bound = bounds[len(bounds)-1]
+	s, err := m.NewSession(opts)
 	if err != nil {
 		return SweepReport{}, err
 	}
-	if opts.Telemetry != nil {
-		opts.Bound = bounds[len(bounds)-1]
-		opts.Telemetry.SetRun(telemetry.RunInfo{Property: propertyText(opts)})
-	}
-	return sim.AnalyzeSweep(m.rt, cfg, bounds)
+	return sim.AnalyzeSweep(m.rt, s.cfg, bounds)
 }
 
 // AnalyzeSplitting estimates the probability of the property with
