@@ -103,9 +103,10 @@ ci: verify vet staticcheck vulncheck fmtcheck race lint difftest serve-smoke ben
 
 # BENCH_PKGS are the packages carrying the hot-path micro-benchmarks
 # (engine step, move memoization, compiled expression evaluation, pooled
-# splitting clones, explicit and quotient CTMC construction, and lumping)
+# splitting clones, explicit and quotient CTMC construction, lumping, and
+# the single-clock zone analyzer)
 # and their AllocsPerRun regression gates.
-BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/expr/ ./internal/splitting/ ./internal/ctmc/ ./internal/symmetry/ ./internal/bisim/
+BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/expr/ ./internal/splitting/ ./internal/ctmc/ ./internal/symmetry/ ./internal/bisim/ ./internal/zone/
 
 # bench runs the micro-benchmarks at a publishable benchtime.
 bench:

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -53,9 +54,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *modelPath == "" || *goal == "" || *bound <= 0 {
+	if *modelPath == "" || *goal == "" || !(*bound > 0) || math.IsInf(*bound, 0) {
 		fs.Usage()
-		return fmt.Errorf("-model, -goal and a positive -bound are required")
+		return fmt.Errorf("-model, -goal and a positive, finite -bound are required")
 	}
 
 	if !*noLint {

@@ -188,3 +188,25 @@ func TestNoSymmetryOverflowSurfacing(t *testing.T) {
 		t.Fatalf("ExitCode = %d, want 1 for %v", got, err)
 	}
 }
+
+// TestBoundValidation: -bound must be positive and finite, and a finite
+// bound too large to solve is an error rather than a silent 0.
+func TestBoundValidation(t *testing.T) {
+	path := writeSensorFilter(t, 2)
+	for _, tc := range []struct{ bound, want string }{
+		{"NaN", "positive, finite -bound"},
+		{"Inf", "positive, finite -bound"},
+		{"-Inf", "positive, finite -bound"},
+		{"0", "positive, finite -bound"},
+		{"1e19", "uniformization of λ·t"},
+	} {
+		err := run([]string{"-model", path, "-goal", casestudy.SensorFilterGoal, "-bound", tc.bound, "-q"})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("-bound %s: error %v, want one containing %q", tc.bound, err, tc.want)
+			continue
+		}
+		if got := slimsim.ExitCode(err); got != 1 {
+			t.Errorf("-bound %s: ExitCode = %d, want 1 for %v", tc.bound, got, err)
+		}
+	}
+}

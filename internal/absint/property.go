@@ -129,11 +129,12 @@ func (r *Result) Decide(p prop.Property) ReachReport {
 
 // evalInitial evaluates a Boolean expression exactly at the initial state.
 func (r *Result) evalInitial(goal expr.Expr) (bool, bool) {
-	st, err := r.rt.InitialState()
-	if err != nil {
+	st := r.rt.NewState()
+	sc := r.rt.NewScratch(0)
+	if err := sc.InitialStateInto(&st); err != nil {
 		return false, false
 	}
-	v, err := expr.EvalBool(goal, r.rt.Env(&st))
+	v, err := expr.EvalBool(goal, sc.Env(&st))
 	if err != nil {
 		return false, false
 	}

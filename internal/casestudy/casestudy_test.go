@@ -45,11 +45,10 @@ func TestSensorFilterGenerates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("goal: %v", err)
 		}
-		st, err := rt.InitialState()
-		if err != nil {
+		st := rt.NewState()
+		if err := rt.NewScratch(0).InitialStateInto(&st); err != nil {
 			t.Fatal(err)
 		}
-		_ = st
 		_ = goal
 	}
 	if _, err := SensorFilter(SensorFilterParams{}); err == nil {
@@ -128,13 +127,13 @@ func TestLauncherGenerates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("goal: %v", err)
 		}
-		st, err := rt.InitialState()
-		if err != nil {
+		sc := rt.NewScratch(0)
+		st := rt.NewState()
+		if err := sc.InitialStateInto(&st); err != nil {
 			t.Fatal(err)
 		}
 		// Initially everything is healthy: both thrusters powered.
-		env := rt.Env(&st)
-		v, err := goal.Eval(env)
+		v, err := goal.Eval(sc.Env(&st))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,6 +73,24 @@ func (c *CTMC) ExitRate(s int) float64 {
 	return sum
 }
 
+// MaxUniformizationSteps caps the Poisson truncation point of a transient
+// solve. Each step sweeps every edge of the chain once, so the cap turns a
+// λ·t the solver would grind through for minutes into an error; it admits
+// λ·t up to about 9.98e7.
+const MaxUniformizationSteps = 100_000_000
+
+// UniformizationSteps returns the truncation point of the Poisson(λ·t)
+// weights a transient solve by uniformization sums: λ·t plus a margin of
+// twenty standard deviations. It fails when lt is not a finite
+// non-negative number or the point exceeds MaxUniformizationSteps.
+func UniformizationSteps(lt float64) (int, error) {
+	steps := lt + 20*math.Sqrt(lt+1) + 100
+	if !(lt >= 0) || !(steps <= MaxUniformizationSteps) {
+		return 0, fmt.Errorf("ctmc: uniformization of λ·t = %g needs more than the %d-step cap", lt, MaxUniformizationSteps)
+	}
+	return int(steps), nil
+}
+
 // ReachWithin computes P(◇[0,t] Goal) by uniformization with truncation
 // error at most tail. Goal states are made absorbing (standard reduction of
 // time-bounded reachability to transient analysis).
@@ -80,8 +98,8 @@ func (c *CTMC) ReachWithin(t float64, tail float64) (float64, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
-	if t < 0 {
-		return 0, fmt.Errorf("ctmc: negative time bound %g", t)
+	if !(t >= 0) || math.IsInf(t, 1) {
+		return 0, fmt.Errorf("ctmc: time bound must be finite and non-negative, got %g", t)
 	}
 	if tail <= 0 {
 		tail = 1e-10
@@ -140,6 +158,10 @@ func (c *CTMC) ReachWithin(t float64, tail float64) (float64, error) {
 	next := make([]float64, n)
 
 	lt := lambda * t
+	maxIter, err := UniformizationSteps(lt)
+	if err != nil {
+		return 0, err
+	}
 	// Poisson(k; λt) computed iteratively in log space to avoid
 	// overflow for large λt.
 	logW := -lt // log weight at k = 0
@@ -157,7 +179,6 @@ func (c *CTMC) ReachWithin(t float64, tail float64) (float64, error) {
 	}
 	addTerm()
 	// Iterate until the remaining Poisson tail is below the target.
-	maxIter := int(lt + 20*math.Sqrt(lt+1) + 100)
 	for k := 1; k <= maxIter && 1-cum > tail; k++ {
 		for s := range next {
 			next[s] = 0

@@ -112,6 +112,47 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestReachRejectsHugeHorizons: a bound whose Poisson truncation point
+// overflows, or exceeds the step cap, is an error rather than a silent 0,
+// and so is a bound that is not a number.
+func TestReachRejectsHugeHorizons(t *testing.T) {
+	c := twoState(0.5)
+	for _, tc := range []struct {
+		t    float64
+		want string
+	}{
+		{1e19, "λ·t = 5e+18 needs more than the 100000000-step cap"},
+		{1e300, "λ·t = 5e+299"},
+		{math.Inf(1), "finite"},
+		{math.NaN(), "finite"},
+	} {
+		p, err := c.ReachWithin(tc.t, 1e-10)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ReachWithin(%v) = %v, %v; want an error containing %q", tc.t, p, err, tc.want)
+		}
+	}
+	// A large horizon below the cap still solves.
+	if p, err := c.ReachWithin(2e5, 1e-10); err != nil || p < 1-1e-9 {
+		t.Errorf("ReachWithin(2e5) = %v, %v; want ≈1, nil", p, err)
+	}
+}
+
+func TestUniformizationSteps(t *testing.T) {
+	for _, tc := range []struct {
+		lt   float64
+		want int
+	}{{0, 120}, {3, 143}, {1e6, 1020100}} {
+		if got, err := UniformizationSteps(tc.lt); err != nil || got != tc.want {
+			t.Errorf("UniformizationSteps(%v) = %d, %v; want %d", tc.lt, got, err, tc.want)
+		}
+	}
+	for _, lt := range []float64{-1, math.NaN(), math.Inf(1), 1e8, 1e19} {
+		if got, err := UniformizationSteps(lt); err == nil {
+			t.Errorf("UniformizationSteps(%v) = %d, want an error", lt, got)
+		}
+	}
+}
+
 // buildNet assembles a failure/repair process with an immediate monitor:
 // failures occur at rate λ and repairs at rate μ; the monitor immediately
 // raises an alarm (a vanishing hop) on the first failure.

@@ -338,11 +338,13 @@ func checkInitialTimelocks(b *model.Built, rep *Reporter) {
 		// The typecheck pass has already reported why.
 		return
 	}
-	st, err := rt.InitialState()
-	if err != nil {
+	st := rt.NewState()
+	sc := rt.NewScratch(0)
+	if err := sc.InitialStateInto(&st); err != nil {
 		return
 	}
-	env := rt.Env(&st)
+	// Nothing else uses sc below, so its environment stays valid.
+	env := sc.Env(&st)
 	nonneg := intervals.FromInterval(intervals.AtLeast(0))
 
 	for _, inst := range b.Instances() {

@@ -74,46 +74,37 @@ extend b with SinkFail.Imp {
 
 func TestErrorPropagationSynchronizes(t *testing.T) {
 	b := mustBuild(t, propagationSrc)
-	rt := mustRuntime(t, b)
-	st, err := rt.InitialState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, sc, st := mustStart(t, b)
 
 	// Step 1: the Markovian failure of a.
-	moves := rt.Moves(&st)
-	var die *network.Move
-	for i := range moves {
-		if moves[i].Markovian() {
-			die = &moves[i]
-		}
-	}
-	if die == nil {
+	cm := sc.Moves(&st)
+	if len(cm.Markovian) == 0 {
 		t.Fatal("die move not found")
 	}
-	st2, err := rt.Apply(&st, die)
-	if err != nil {
+	die := &cm.Markovian[len(cm.Markovian)-1]
+	st2 := rt.NewState()
+	if err := sc.ApplyInto(&st2, &st, die); err != nil {
 		t.Fatal(err)
 	}
 
 	// Step 2: the propagation must now be a synchronized two-process
 	// move taking b's error model to infected.
-	moves2 := rt.Moves(&st2)
+	moves2 := sc.Moves(&st2).Guarded
 	var spread *network.Move
 	for i := range moves2 {
-		if !moves2[i].Markovian() && len(moves2[i].Parts) == 2 {
+		if len(moves2[i].Parts) == 2 {
 			spread = &moves2[i]
 		}
 	}
 	if spread == nil {
-		t.Fatalf("synchronized propagation move not found among %d moves", len(moves2))
+		t.Fatalf("synchronized propagation move not found among %d guarded moves", len(moves2))
 	}
-	enabled, err := rt.EnabledAt(&st2, spread)
+	enabled, err := sc.EnabledAt(&st2, spread)
 	if err != nil || !enabled {
 		t.Fatalf("propagation should be enabled: (%v, %v)", enabled, err)
 	}
-	st3, err := rt.Apply(&st2, spread)
-	if err != nil {
+	st3 := rt.NewState()
+	if err := sc.ApplyInto(&st3, &st2, spread); err != nil {
 		t.Fatal(err)
 	}
 	bHealthy, _ := b.lookupVar("b.healthy")
@@ -124,7 +115,7 @@ func TestErrorPropagationSynchronizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	okv, err := expr.EvalBool(pred, rt.Env(&st3))
+	okv, err := expr.EvalBool(pred, sc.Env(&st3))
 	if err != nil || !okv {
 		t.Errorf("b.@err should be infected: (%v, %v)", okv, err)
 	}
@@ -132,9 +123,9 @@ func TestErrorPropagationSynchronizes(t *testing.T) {
 	// Before a fails, the propagation is blocked: b's spread transition
 	// requires a's error model to offer spread, which it only does in
 	// failed.
-	for i := range moves {
-		if !moves[i].Markovian() && len(moves[i].Parts) == 2 {
-			ok, err := rt.EnabledAt(&st, &moves[i])
+	for i := range cm.Guarded {
+		if len(cm.Guarded[i].Parts) == 2 {
+			ok, err := sc.EnabledAt(&st, &cm.Guarded[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,23 +182,16 @@ extend u with HotFail.Imp reset on reboot {
 
 func TestResetEventRecoversHotFault(t *testing.T) {
 	b := mustBuild(t, resetSrc)
-	rt := mustRuntime(t, b)
-	st, err := rt.InitialState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, sc, st := mustStart(t, b)
 	healthy, _ := b.lookupVar("u.healthy")
 
 	// Fire the overheat.
-	moves := rt.Moves(&st)
-	var overheat *network.Move
-	for i := range moves {
-		if moves[i].Markovian() {
-			overheat = &moves[i]
-		}
+	markovian := sc.Moves(&st).Markovian
+	if len(markovian) == 0 {
+		t.Fatal("overheat move not found")
 	}
-	st2, err := rt.Apply(&st, overheat)
-	if err != nil {
+	st2 := rt.NewState()
+	if err := sc.ApplyInto(&st2, &st, &markovian[len(markovian)-1]); err != nil {
 		t.Fatal(err)
 	}
 	if st2.Vals[healthy].Bool() {
@@ -216,18 +200,18 @@ func TestResetEventRecoversHotFault(t *testing.T) {
 
 	// The reboot is now a synchronized move between the nominal process
 	// and the error model.
-	moves2 := rt.Moves(&st2)
+	moves2 := sc.Moves(&st2).Guarded
 	var reboot *network.Move
 	for i := range moves2 {
-		if !moves2[i].Markovian() && len(moves2[i].Parts) == 2 {
+		if len(moves2[i].Parts) == 2 {
 			reboot = &moves2[i]
 		}
 	}
 	if reboot == nil {
-		t.Fatalf("synchronized reboot move not found among %d moves", len(moves2))
+		t.Fatalf("synchronized reboot move not found among %d guarded moves", len(moves2))
 	}
-	st3, err := rt.Apply(&st2, reboot)
-	if err != nil {
+	st3 := rt.NewState()
+	if err := sc.ApplyInto(&st3, &st2, reboot); err != nil {
 		t.Fatal(err)
 	}
 	if !st3.Vals[healthy].Bool() {
@@ -300,43 +284,41 @@ extend c with Stuck.Imp {
 }
 `
 	b := mustBuild(t, src)
-	rt := mustRuntime(t, b)
-	st, err := rt.InitialState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, sc, st := mustStart(t, b)
 	countID, _ := b.lookupVar("c.count")
 	nomID, ok := b.lookupVar("c.count@nom")
 	if !ok {
 		t.Fatal("nominal shadow missing")
 	}
 
-	findMove := func(st *network.State, markovian bool) *network.Move {
-		moves := rt.Moves(st)
-		for i := range moves {
-			if moves[i].Markovian() == markovian {
-				return &moves[i]
-			}
+	// fire steps st by its first guarded or first Markovian move.
+	next := rt.NewState()
+	fire := func(markovian bool) {
+		t.Helper()
+		cm := sc.Moves(&st)
+		moves := cm.Guarded
+		if markovian {
+			moves = cm.Markovian
 		}
-		return nil
+		if len(moves) == 0 {
+			t.Fatalf("no move with Markovian=%v", markovian)
+		}
+		if err := sc.ApplyInto(&next, &st, &moves[0]); err != nil {
+			t.Fatal(err)
+		}
+		st, next = next, st
 	}
 
 	// Tick twice: observed count 2.
 	for i := 0; i < 2; i++ {
-		st, err = rt.Apply(&st, findMove(&st, false))
-		if err != nil {
-			t.Fatal(err)
-		}
+		fire(false)
 	}
 	if got := st.Vals[countID].Int(); got != 2 {
 		t.Fatalf("count = %v, want 2", got)
 	}
 
 	// Jam: observed -1, nominal still 2.
-	st, err = rt.Apply(&st, findMove(&st, true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fire(true)
 	if got := st.Vals[countID].Int(); got != -1 {
 		t.Errorf("count while stuck = %v, want -1", got)
 	}
@@ -346,19 +328,13 @@ extend c with Stuck.Imp {
 
 	// Tick during the fault: the increment reads the *observed* value
 	// (-1) per override semantics, writing 0 to the nominal shadow.
-	st, err = rt.Apply(&st, findMove(&st, false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fire(false)
 	if got := st.Vals[nomID].Int(); got != 0 {
 		t.Errorf("nominal after faulty tick = %v, want 0 (reads observe the injection)", got)
 	}
 
 	// Free: observed value recovers to the nominal.
-	st, err = rt.Apply(&st, findMove(&st, true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fire(true)
 	if got := st.Vals[countID].Int(); got != 0 {
 		t.Errorf("count after recovery = %v, want 0", got)
 	}

@@ -23,13 +23,20 @@ func mustBuild(t *testing.T, src string) *Built {
 	return b
 }
 
-func mustRuntime(t *testing.T, b *Built) *network.Runtime {
+// mustStart builds b's runtime and returns it with a scratch and the
+// initial state.
+func mustStart(t *testing.T, b *Built) (*network.Runtime, *network.Scratch, network.State) {
 	t.Helper()
 	rt, err := network.New(b.Net)
 	if err != nil {
 		t.Fatalf("network.New: %v", err)
 	}
-	return rt
+	sc := rt.NewScratch(0)
+	st := rt.NewState()
+	if err := sc.InitialStateInto(&st); err != nil {
+		t.Fatalf("InitialStateInto: %v", err)
+	}
+	return rt, sc, st
 }
 
 const gpsSrc = `
@@ -54,12 +61,8 @@ root GPS.Imp;
 
 func TestInstantiateGPS(t *testing.T) {
 	b := mustBuild(t, gpsSrc)
-	rt := mustRuntime(t, b)
+	rt, sc, st := mustStart(t, b)
 
-	st, err := rt.InitialState()
-	if err != nil {
-		t.Fatalf("InitialState: %v", err)
-	}
 	// Variables: measurement, x, @mode.
 	if _, ok := b.lookupVar("measurement"); !ok {
 		t.Error("measurement variable missing")
@@ -72,7 +75,7 @@ func TestInstantiateGPS(t *testing.T) {
 	}
 
 	// Invariant bounds the acquisition mode to 120 s.
-	d, _, _, err := rt.MaxDelay(&st)
+	d, _, _, err := sc.MaxDelay(&st)
 	if err != nil {
 		t.Fatalf("MaxDelay: %v", err)
 	}
@@ -81,11 +84,12 @@ func TestInstantiateGPS(t *testing.T) {
 	}
 
 	// The activate transition is enabled from 10 s.
-	moves := rt.Moves(&st)
-	if len(moves) != 1 {
-		t.Fatalf("moves = %d, want 1", len(moves))
+	cm := sc.Moves(&st)
+	if len(cm.Guarded) != 1 || len(cm.Markovian) != 0 {
+		t.Fatalf("moves = %d guarded, %d Markovian, want 1 guarded", len(cm.Guarded), len(cm.Markovian))
 	}
-	w, err := rt.Window(&st, &moves[0])
+	activate := &cm.Guarded[0]
+	w, err := sc.Window(&st, activate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +98,11 @@ func TestInstantiateGPS(t *testing.T) {
 	}
 
 	// Firing it sets measurement and @mode.
-	st2, err := rt.Advance(&st, 15)
-	if err != nil {
+	st2, st3 := rt.NewState(), rt.NewState()
+	if err := sc.AdvanceInto(&st2, &st, 15); err != nil {
 		t.Fatal(err)
 	}
-	st3, err := rt.Apply(&st2, &moves[0])
-	if err != nil {
+	if err := sc.ApplyInto(&st3, &st2, activate); err != nil {
 		t.Fatal(err)
 	}
 	mID, _ := b.lookupVar("measurement")
@@ -121,7 +124,7 @@ func TestInstantiateGPS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CompileExpr: %v", err)
 	}
-	ok, err := expr.EvalBool(goal, rt.Env(&st3))
+	ok, err := expr.EvalBool(goal, sc.Env(&st3))
 	if err != nil || !ok {
 		t.Errorf("goal after activation = (%v, %v), want true", ok, err)
 	}
@@ -169,11 +172,7 @@ root Platform.Imp;
 
 func TestDataConnectionFlows(t *testing.T) {
 	b := mustBuild(t, sensorFilterSrc)
-	rt := mustRuntime(t, b)
-	st, err := rt.InitialState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, sc, st := mustStart(t, b)
 	inID, ok := b.lookupVar("f.input")
 	if !ok {
 		t.Fatal("f.input missing")
@@ -182,12 +181,10 @@ func TestDataConnectionFlows(t *testing.T) {
 		t.Errorf("initial f.input = %v, want 1 (flows from s.reading)", got)
 	}
 	// Firing the sensor's increment propagates through the connection.
-	moves := rt.Moves(&st)
+	moves := sc.Moves(&st).Guarded
 	var sensorMove *network.Move
 	for i := range moves {
-		if enabled, _ := rt.EnabledAt(&st, &moves[i]); enabled {
-			ok, _ := rt.EnabledAt(&st, &moves[i])
-			_ = ok
+		if enabled, _ := sc.EnabledAt(&st, &moves[i]); enabled {
 			if moves[i].Label(rt)[0] == 's' {
 				sensorMove = &moves[i]
 				break
@@ -197,8 +194,8 @@ func TestDataConnectionFlows(t *testing.T) {
 	if sensorMove == nil {
 		t.Fatal("sensor move not found")
 	}
-	st2, err := rt.Apply(&st, sensorMove)
-	if err != nil {
+	st2 := rt.NewState()
+	if err := sc.ApplyInto(&st2, &st, sensorMove); err != nil {
 		t.Fatal(err)
 	}
 	if got := st2.Vals[inID].Int(); got != 2 {
@@ -249,20 +246,16 @@ root Net.Imp;
 
 func TestEventConnectionSynchronizes(t *testing.T) {
 	b := mustBuild(t, syncSrc)
-	rt := mustRuntime(t, b)
-	st, err := rt.InitialState()
-	if err != nil {
-		t.Fatal(err)
+	rt, sc, st := mustStart(t, b)
+	cm := sc.Moves(&st)
+	if len(cm.Guarded) != 1 || len(cm.Markovian) != 0 {
+		t.Fatalf("moves = %d guarded, %d Markovian, want exactly 1 synchronized move", len(cm.Guarded), len(cm.Markovian))
 	}
-	moves := rt.Moves(&st)
-	if len(moves) != 1 {
-		t.Fatalf("moves = %d, want exactly 1 synchronized move", len(moves))
+	if len(cm.Guarded[0].Parts) != 2 {
+		t.Fatalf("parts = %d, want 2 (sender and receiver)", len(cm.Guarded[0].Parts))
 	}
-	if len(moves[0].Parts) != 2 {
-		t.Fatalf("parts = %d, want 2 (sender and receiver)", len(moves[0].Parts))
-	}
-	st2, err := rt.Apply(&st, &moves[0])
-	if err != nil {
+	st2 := rt.NewState()
+	if err := sc.ApplyInto(&st2, &st, &cm.Guarded[0]); err != nil {
 		t.Fatal(err)
 	}
 	aMode, _ := b.lookupVar("a.@mode")
@@ -319,11 +312,7 @@ extend u with Fail.Imp {
 
 func TestModelExtension(t *testing.T) {
 	b := mustBuild(t, errorSrc)
-	rt := mustRuntime(t, b)
-	st, err := rt.InitialState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, sc, st := mustStart(t, b)
 
 	// The injected variable keeps its public name; the nominal value is
 	// shadowed.
@@ -339,18 +328,18 @@ func TestModelExtension(t *testing.T) {
 	}
 
 	// Drive the error process into transient via its Markovian move.
-	moves := rt.Moves(&st)
+	moves := sc.Moves(&st).Markovian
 	var glitch *network.Move
 	for i := range moves {
-		if moves[i].Markovian() && math.Abs(moves[i].Rate-0.1) < 1e-12 {
+		if math.Abs(moves[i].Rate-0.1) < 1e-12 {
 			glitch = &moves[i]
 		}
 	}
 	if glitch == nil {
-		t.Fatalf("glitch move not found in %d moves", len(moves))
+		t.Fatalf("glitch move not found in %d Markovian moves", len(moves))
 	}
-	st2, err := rt.Apply(&st, glitch)
-	if err != nil {
+	st2 := rt.NewState()
+	if err := sc.ApplyInto(&st2, &st, glitch); err != nil {
 		t.Fatal(err)
 	}
 	if st2.Vals[okID].Bool() {
@@ -358,17 +347,12 @@ func TestModelExtension(t *testing.T) {
 	}
 
 	// The repair window is [2,3] after entering transient.
-	moves2 := rt.Moves(&st2)
-	var repair *network.Move
-	for i := range moves2 {
-		if !moves2[i].Markovian() {
-			repair = &moves2[i]
-		}
-	}
-	if repair == nil {
+	moves2 := sc.Moves(&st2).Guarded
+	if len(moves2) == 0 {
 		t.Fatal("repair move not found")
 	}
-	w, err := rt.Window(&st2, repair)
+	repair := &moves2[len(moves2)-1]
+	w, err := sc.Window(&st2, repair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +360,7 @@ func TestModelExtension(t *testing.T) {
 		t.Errorf("repair window = %v, want [2,3]", w)
 	}
 	// Invariant forces the state to be left by 3.
-	d, _, _, err := rt.MaxDelay(&st2)
+	d, _, _, err := sc.MaxDelay(&st2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,12 +369,11 @@ func TestModelExtension(t *testing.T) {
 	}
 
 	// Recovery restores the nominal value.
-	st3, err := rt.Advance(&st2, 2.5)
-	if err != nil {
+	st3, st4 := rt.NewState(), rt.NewState()
+	if err := sc.AdvanceInto(&st3, &st2, 2.5); err != nil {
 		t.Fatal(err)
 	}
-	st4, err := rt.Apply(&st3, repair)
-	if err != nil {
+	if err := sc.ApplyInto(&st4, &st3, repair); err != nil {
 		t.Fatal(err)
 	}
 	if !st4.Vals[okID].Bool() {
@@ -402,7 +385,7 @@ func TestModelExtension(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CompileExpr: %v", err)
 	}
-	okv, err := expr.EvalBool(goal, rt.Env(&st2))
+	okv, err := expr.EvalBool(goal, sc.Env(&st2))
 	if err != nil || !okv {
 		t.Errorf("predicate in transient = (%v,%v), want true", okv, err)
 	}
@@ -545,18 +528,13 @@ features
   own_in: in data port int default 0;
 end S;`, 1)
 	b := mustBuild(t, src)
-	rt := mustRuntime(t, b)
-	st, err := rt.InitialState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, sc, st := mustStart(t, b)
 	inID, _ := b.lookupVar("own_in")
 	if got := st.Vals[inID].Int(); got != 0 {
 		t.Errorf("own_in in m1 = %v, want default 0 (connection inactive)", got)
 	}
-	moves := rt.Moves(&st)
-	st2, err := rt.Apply(&st, &moves[0])
-	if err != nil {
+	st2 := rt.NewState()
+	if err := sc.ApplyInto(&st2, &st, &sc.Moves(&st).Guarded[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := st2.Vals[inID].Int(); got != 7 {
@@ -596,11 +574,7 @@ func TestComputedPort(t *testing.T) {
 	// The computed expression references an implementation subcomponent,
 	// which lives in the same scope.
 	b := mustBuild(t, src)
-	rt := mustRuntime(t, b)
-	st, err := rt.InitialState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, sc, st := mustStart(t, b)
 	availID, ok := b.lookupVar("p.avail")
 	if !ok {
 		t.Fatal("p.avail missing")
@@ -608,8 +582,8 @@ func TestComputedPort(t *testing.T) {
 	if !st.Vals[availID].Bool() {
 		t.Error("avail should start true at energy 10")
 	}
-	st2, err := rt.Advance(&st, 9)
-	if err != nil {
+	st2 := rt.NewState()
+	if err := sc.AdvanceInto(&st2, &st, 9); err != nil {
 		t.Fatal(err)
 	}
 	if st2.Vals[availID].Bool() {

@@ -58,9 +58,9 @@ func benchNet(tb testing.TB) (*Runtime, State) {
 	if err != nil {
 		tb.Fatalf("New: %v", err)
 	}
-	st, err := rt.InitialState()
-	if err != nil {
-		tb.Fatalf("InitialState: %v", err)
+	st := rt.NewState()
+	if err := rt.NewScratch(0).InitialStateInto(&st); err != nil {
+		tb.Fatalf("InitialStateInto: %v", err)
 	}
 	return rt, st
 }

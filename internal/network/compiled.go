@@ -56,7 +56,7 @@ type procProg struct {
 }
 
 // timedVar is one non-flow timed variable together with its rate source,
-// precomputed for Advance. Continuous variables without trajectory
+// precomputed for AdvanceInto. Continuous variables without trajectory
 // equations always have rate 0 and are omitted.
 type timedVar struct {
 	id expr.VarID
@@ -112,7 +112,7 @@ func (rt *Runtime) buildPrograms() {
 			tv.rate = 1
 		} else {
 			// Continuous variable without trajectory equations: its
-			// rate is always 0, so Advance never updates it.
+			// rate is always 0, so AdvanceInto never updates it.
 			continue
 		}
 		rt.timedVars = append(rt.timedVars, tv)
@@ -277,39 +277,55 @@ func (s *Scratch) InitialStateInto(st *State) error {
 	return s.rt.propagateFlowsEnv(&s.env)
 }
 
-// MaxDelay is the allocation-free form of Runtime.MaxDelay.
+// MaxDelay returns the largest delay permitted by all location invariants
+// from st: the supremum D of {d ≥ 0 : every invariant holds throughout
+// [0, d]}. attained reports whether delaying exactly D is allowed (the
+// bound is closed); D may be +inf. If an invariant is already violated at
+// d = 0, MaxDelay returns (0, false, false).
 func (s *Scratch) MaxDelay(st *State) (d float64, attained, nowOK bool, err error) {
 	s.env.st = st
 	return s.rt.maxDelayEnv(&s.env)
 }
 
-// Window is the allocation-free form of Runtime.Window.
+// Window returns the set of delays d (within the whole real line; callers
+// intersect with [0, maxDelay]) at which every guard of the move holds.
+// Markovian moves have no guard window (they race by rate); Window returns
+// the full set for them.
 func (s *Scratch) Window(st *State, m *Move) (intervals.Set, error) {
 	s.env.st = st
 	return s.rt.windowEnv(&s.env, m)
 }
 
-// EnabledAt is the allocation-free form of Runtime.EnabledAt.
+// EnabledAt reports whether the move's guards all hold right now (delay 0).
 func (s *Scratch) EnabledAt(st *State, m *Move) (bool, error) {
 	s.env.st = st
 	return s.rt.enabledAtEnv(&s.env, m)
 }
 
 // AdvanceInto writes the state after letting d time units pass from src
-// into out, which must not alias src. src must come from the runtime (see
-// Runtime.Advance).
+// into out, which must not alias src: timed variables move along their
+// trajectories, the flows downstream of them are recomputed, and Time
+// increases. It does not check invariants; callers bound d by MaxDelay.
+// src must come from the runtime (InitialStateInto, AdvanceInto or
+// ApplyInto) or be an exact copy of such a state, so its flows are
+// consistent: flows that read no timed variable keep src's values.
 func (s *Scratch) AdvanceInto(out, src *State, d float64) error {
 	return s.rt.advanceInto(out, src, &s.env, d)
 }
 
-// ApplyInto writes the successor of firing m from src into out, which must
-// not alias src. src must come from the runtime (see Runtime.Apply).
+// ApplyInto writes the successor of firing m from src (whose guards are
+// assumed enabled) into out, which must not alias src. Effects of the
+// participating processes apply sequentially in ascending process order;
+// afterwards the flows downstream of the written variables are recomputed.
+// Like AdvanceInto, it requires src to come from the runtime: every other
+// flow keeps src's value.
 func (s *Scratch) ApplyInto(out, src *State, m *Move) error {
 	return s.rt.applyInto(out, src, m, &s.env)
 }
 
-// Moves returns the memoized move set of st's location vector. The returned
-// value is cached and shared: callers must treat it as immutable.
+// Moves returns the memoized candidate moves of st's location vector (see
+// CachedMoves). The returned value is cached and shared: callers must treat
+// it as immutable.
 func (s *Scratch) Moves(st *State) *CachedMoves {
 	return s.cache.lookup(st)
 }
@@ -335,7 +351,8 @@ func (s *Scratch) RenderedLabels() int {
 	return n
 }
 
-// maxDelayEnv is MaxDelay evaluated through a caller-owned environment.
+// maxDelayEnv is Scratch.MaxDelay evaluated through a caller-owned
+// environment.
 func (rt *Runtime) maxDelayEnv(e *env) (d float64, attained, nowOK bool, err error) {
 	bound := math.Inf(1)
 	boundAttained := true
@@ -368,7 +385,7 @@ func (rt *Runtime) maxDelayEnv(e *env) (d float64, attained, nowOK bool, err err
 	return bound, boundAttained && !math.IsInf(bound, 1), true, nil
 }
 
-// windowEnv is Window evaluated through a caller-owned environment.
+// windowEnv is Scratch.Window evaluated through a caller-owned environment.
 func (rt *Runtime) windowEnv(e *env, m *Move) (intervals.Set, error) {
 	if m.Markovian() {
 		return intervals.FullSet(), nil
@@ -392,7 +409,8 @@ func (rt *Runtime) windowEnv(e *env, m *Move) (intervals.Set, error) {
 	return w, nil
 }
 
-// enabledAtEnv is EnabledAt evaluated through a caller-owned environment.
+// enabledAtEnv is Scratch.EnabledAt evaluated through a caller-owned
+// environment.
 func (rt *Runtime) enabledAtEnv(e *env, m *Move) (bool, error) {
 	if m.Markovian() {
 		return true, nil
@@ -413,8 +431,8 @@ func (rt *Runtime) enabledAtEnv(e *env, m *Move) (bool, error) {
 	return true, nil
 }
 
-// advanceInto implements Advance writing into a caller-owned destination.
-// out must not alias src; e is repointed during the call.
+// advanceInto implements Scratch.AdvanceInto. out must not alias src; e is
+// repointed during the call.
 func (rt *Runtime) advanceInto(out, src *State, e *env, d float64) error {
 	if d < 0 {
 		return Internal(fmt.Errorf("network: negative delay %g", d))
@@ -446,8 +464,8 @@ func (rt *Runtime) advanceInto(out, src *State, e *env, d float64) error {
 	return nil
 }
 
-// applyInto implements Apply writing into a caller-owned destination. out
-// must not alias src; e is repointed during the call.
+// applyInto implements Scratch.ApplyInto. out must not alias src; e is
+// repointed during the call.
 func (rt *Runtime) applyInto(out, src *State, m *Move, e *env) error {
 	out.CopyFrom(src)
 	e.st = out

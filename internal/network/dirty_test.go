@@ -198,7 +198,7 @@ func TestDirtyFlowsMatchFullPropagation(t *testing.T) {
 	if fired["s"] == 0 || fired["markovian"] == 0 || fired[sta.Tau] == fired["markovian"] {
 		t.Fatalf("walk missed a move kind: %v", fired)
 	}
-	// Advance(d=0) returns before propagating, so it is not counted.
+	// AdvanceInto(d=0) returns before propagating, so it is not counted.
 	if n := checked.Load(); n < 300 {
 		t.Errorf("checked %d successors, want at least 300", n)
 	}

@@ -13,7 +13,7 @@ import (
 // must match. st itself is left untouched.
 func (rt *Runtime) CheckFlows(st *State) error {
 	full := st.Clone()
-	if err := rt.propagateFlows(&full); err != nil {
+	if err := rt.propagateFlowsEnv(&env{rt: rt, st: &full}); err != nil {
 		return fmt.Errorf("full propagation: %w", err)
 	}
 	for i := range st.Vals {
@@ -25,9 +25,8 @@ func (rt *Runtime) CheckFlows(st *State) error {
 	return nil
 }
 
-// CheckFlowsOnEveryStep makes every ApplyInto and AdvanceInto of rt (and so
-// every Apply and Advance) run CheckFlows on its successor, failing the step
-// on a mismatch. The returned counter counts the checked successors; it is
+// CheckFlowsOnEveryStep makes every ApplyInto and AdvanceInto of rt run
+// CheckFlows on its successor, failing the step on a mismatch. The returned counter counts the checked successors; it is
 // safe to read while several goroutines step the runtime.
 func (rt *Runtime) CheckFlowsOnEveryStep() *atomic.Int64 {
 	n := new(atomic.Int64)

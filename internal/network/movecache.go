@@ -11,9 +11,9 @@ package network
 // (see Label), so callers that never read them, such as the CTMC builder
 // or a sampling run without an observer, never pay for them.
 type CachedMoves struct {
-	// Guarded and Markovian split the Runtime.Moves enumeration, each
-	// keeping its order; Guarded holds the non-Markovian candidates the
-	// strategy chooses among.
+	// Guarded holds the non-Markovian candidates the strategy chooses
+	// among, Markovian the rated moves that race by rate. The two are
+	// adjacent windows of one array, in the order movesFor documents.
 	Guarded   []Move
 	Markovian []Move
 
@@ -53,7 +53,7 @@ type cacheEntry struct {
 	stamp uint64
 }
 
-// MoveCache memoizes Runtime.Moves per location vector. It is not safe for
+// MoveCache memoizes the move enumeration per location vector. It is not safe for
 // concurrent use: each worker owns its own cache (inside its Scratch), so
 // lookups are lock-free. Capacity is bounded; when full, the
 // least-recently-used entry is evicted.
@@ -129,23 +129,4 @@ func (c *MoveCache) evict() {
 			delete(c.entries, k)
 		}
 	}
-}
-
-// movesFor enumerates the moves of st and splits them stably into one
-// backing array, guarded moves first.
-func (rt *Runtime) movesFor(st *State) CachedMoves {
-	all := rt.Moves(st)
-	split := make([]Move, 0, len(all))
-	for i := range all {
-		if !all[i].Markovian() {
-			split = append(split, all[i])
-		}
-	}
-	guarded := len(split)
-	for i := range all {
-		if all[i].Markovian() {
-			split = append(split, all[i])
-		}
-	}
-	return CachedMoves{Guarded: split[:guarded:guarded], Markovian: split[guarded:], rt: rt}
 }

@@ -31,9 +31,9 @@ func ringNet(t *testing.T, n int) (*Runtime, State) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	st, err := rt.InitialState()
-	if err != nil {
-		t.Fatalf("InitialState: %v", err)
+	st := rt.NewState()
+	if err := rt.NewScratch(0).InitialStateInto(&st); err != nil {
+		t.Fatalf("InitialStateInto: %v", err)
 	}
 	return rt, st
 }

@@ -17,12 +17,12 @@ type Runtime struct {
 	net         *sta.Network
 	flowOrder   []expr.VarID     // topological evaluation order of flow vars
 	actions     map[string][]int // action -> indices of participating processes
-	actionNames []string         // keys of actions, sorted: Moves' enumeration order
+	actionNames []string         // keys of actions, sorted: movesFor's sync order
 	contRates   map[expr.VarID]*contRate
 
 	// Compiled evaluation programs (see compiled.go): flows in flowOrder,
 	// per-VarID flow rate codes, per-process invariant/guard/effect codes
-	// and the precomputed non-flow timed variables for Advance, with the
+	// and the precomputed non-flow timed variables for AdvanceInto, with the
 	// flows downstream of them (the only flows a delay can change).
 	flowProgs  []flowProg
 	flowRate   []expr.AffineCode
@@ -31,7 +31,7 @@ type Runtime struct {
 	timedFlows flowSet
 
 	// pruned, when non-nil, marks transitions statically proven unable to
-	// ever fire (or to ever be enumerated); Moves skips them. Set once by
+	// ever fire (or to ever be enumerated); movesFor skips them. Set once by
 	// Prune before simulation starts.
 	pruned [][]bool
 
@@ -109,11 +109,11 @@ func New(net *sta.Network) (*Runtime, error) {
 func (rt *Runtime) Net() *sta.Network { return rt.net }
 
 // Prune installs a mask of statically-dead transitions (per process, per
-// transition index) that Moves drops from enumeration. Callers own the
+// transition index) that move enumeration drops. Callers own the
 // soundness argument: a pruned transition must never be able to fire from
 // any reachable state, and dropping it must not mask a guard-evaluation
 // error (see absint.PruneMask). Prune must be called before simulation
-// starts; it is not safe to call concurrently with Moves.
+// starts; it is not safe to call concurrently with Scratch.Moves.
 func (rt *Runtime) Prune(dead [][]bool) error {
 	if len(dead) != len(rt.net.Processes) {
 		return fmt.Errorf("network: prune mask has %d processes, network has %d", len(dead), len(rt.net.Processes))
@@ -255,46 +255,6 @@ func (rt *Runtime) checkStatic() error {
 	return nil
 }
 
-// InitialState builds the network's initial configuration with every flow
-// variable propagated.
-func (rt *Runtime) InitialState() (State, error) {
-	st := State{
-		Locs: make([]sta.LocID, len(rt.net.Processes)),
-		Vals: make([]expr.Value, len(rt.net.Vars)),
-	}
-	for i, p := range rt.net.Processes {
-		st.Locs[i] = p.Initial
-	}
-	for i := range rt.net.Vars {
-		st.Vals[i] = rt.net.Vars[i].Init
-	}
-	if err := rt.propagateFlows(&st); err != nil {
-		return State{}, err
-	}
-	return st, nil
-}
-
-// Env returns an expression environment reading from st.
-func (rt *Runtime) Env(st *State) expr.RateEnv {
-	return &env{rt: rt, st: st}
-}
-
-// propagateFlows recomputes every flow variable in dependency order.
-func (rt *Runtime) propagateFlows(st *State) error {
-	e := env{rt: rt, st: st}
-	return rt.propagateFlowsEnv(&e)
-}
-
-// MaxDelay returns the largest delay permitted by all location invariants
-// from st: the supremum D of {d ≥ 0 : every invariant holds throughout
-// [0, d]}. attained reports whether delaying exactly D is allowed (the
-// bound is closed); D may be +inf. If an invariant is already violated at
-// d = 0, MaxDelay returns (0, false, false).
-func (rt *Runtime) MaxDelay(st *State) (d float64, attained, nowOK bool, err error) {
-	e := env{rt: rt, st: st}
-	return rt.maxDelayEnv(&e)
-}
-
 // UrgentNow reports whether some process currently occupies an urgent
 // location (used to classify zero-delay locks).
 func (rt *Runtime) UrgentNow(st *State) bool {
@@ -354,16 +314,19 @@ func (m *Move) Label(rt *Runtime) string {
 	return fmt.Sprintf("%s (%d procs): %s: %s -> %s", m.Action, len(m.Parts), p.Name, from, to)
 }
 
-// Moves enumerates the candidate global moves from st, ignoring guards:
-// every internal (τ) transition of every process individually, every
-// Markovian transition individually, and every combination of transitions
-// sharing a synchronized action (one per participating process).
+// movesFor enumerates the candidate global moves of st's location vector,
+// ignoring guards: every internal (τ) transition of every process
+// individually, every Markovian transition individually, and every
+// combination of transitions sharing a synchronized action (one per
+// participating process). Guard truth is evaluated separately, at a delay,
+// through Scratch.Window or Scratch.EnabledAt, so the candidates are purely
+// structural.
 //
-// Guard truth is evaluated separately (at a delay) via EnabledAt or
-// Windows, so candidates here are purely structural.
-func (rt *Runtime) Moves(st *State) []Move {
-	// Internal and Markovian moves, counted first so they fill exactly
-	// sized arrays.
+// The moves share one backing array, guarded moves first: the unrated τ
+// moves in process and transition order, then the synchronized moves in
+// action order, then the Markovian moves in process and transition order.
+func (rt *Runtime) movesFor(st *State) CachedMoves {
+	// τ moves, counted first so they fill exactly sized arrays.
 	tau := 0
 	for pi, p := range rt.net.Processes {
 		for _, ti := range p.Outgoing(st.Locs[pi]) {
@@ -377,17 +340,7 @@ func (rt *Runtime) Moves(st *State) []Move {
 	// capacity-capped window of it, so later appends never write into a
 	// window, and a reallocation leaves the earlier windows where they are.
 	parts := make([]Part, 0, tau)
-	for pi, p := range rt.net.Processes {
-		for _, ti := range p.Outgoing(st.Locs[pi]) {
-			tr := &p.Transitions[ti]
-			if tr.Action != sta.Tau || rt.isPruned(pi, ti) {
-				continue
-			}
-			parts = append(parts, Part{Proc: pi, Trans: ti})
-			n := len(parts)
-			moves = append(moves, Move{Action: sta.Tau, Parts: parts[n-1 : n : n], Rate: tr.Rate})
-		}
-	}
+	moves, parts = rt.appendTauMoves(moves, parts, st, false)
 	// Synchronized moves: for each action, the cross product of each
 	// participating process's candidate transitions, the first process
 	// varying slowest. cands holds the candidates of all participants
@@ -436,49 +389,25 @@ func (rt *Runtime) Moves(st *State) []Move {
 			}
 		}
 	}
-	return moves
+	guarded := len(moves)
+	moves, _ = rt.appendTauMoves(moves, parts, st, true)
+	return CachedMoves{Guarded: moves[:guarded:guarded], Markovian: moves[guarded:], rt: rt}
 }
 
-// Window returns the set of delays d (within the whole real line; callers
-// intersect with [0, maxDelay]) at which every guard of the move holds.
-// Markovian moves have no guard window (they race by rate); Window returns
-// the full set for them.
-func (rt *Runtime) Window(st *State, m *Move) (intervals.Set, error) {
-	e := env{rt: rt, st: st}
-	return rt.windowEnv(&e, m)
-}
-
-// EnabledAt reports whether the move's guards all hold right now (delay 0).
-func (rt *Runtime) EnabledAt(st *State, m *Move) (bool, error) {
-	e := env{rt: rt, st: st}
-	return rt.enabledAtEnv(&e, m)
-}
-
-// Advance returns the state after letting d time units pass: timed
-// variables move along their trajectories, the flows downstream of them are
-// recomputed, and Time increases. It does not check invariants; callers
-// bound d by MaxDelay. st must come from the runtime (InitialState, Advance,
-// Apply or their Scratch forms) or be an exact copy of such a state, so its
-// flows are consistent: flows that read no timed variable keep st's values.
-func (rt *Runtime) Advance(st *State, d float64) (State, error) {
-	out := rt.NewState()
-	e := env{rt: rt}
-	if err := rt.advanceInto(&out, st, &e, d); err != nil {
-		return State{}, err
+// appendTauMoves appends one single-part move per unpruned τ transition out
+// of st's locations whose Markovian-ness is markovian, in process and
+// transition order.
+func (rt *Runtime) appendTauMoves(moves []Move, parts []Part, st *State, markovian bool) ([]Move, []Part) {
+	for pi, p := range rt.net.Processes {
+		for _, ti := range p.Outgoing(st.Locs[pi]) {
+			tr := &p.Transitions[ti]
+			if tr.Action != sta.Tau || tr.Markovian() != markovian || rt.isPruned(pi, ti) {
+				continue
+			}
+			parts = append(parts, Part{Proc: pi, Trans: ti})
+			n := len(parts)
+			moves = append(moves, Move{Action: sta.Tau, Parts: parts[n-1 : n : n], Rate: tr.Rate})
+		}
 	}
-	return out, nil
-}
-
-// Apply fires the move from st (whose guards are assumed enabled) and
-// returns the successor. Effects of the participating processes apply
-// sequentially in ascending process order; afterwards the flows downstream
-// of the written variables are recomputed. Like Advance, it requires st to
-// come from the runtime: every other flow keeps st's value.
-func (rt *Runtime) Apply(st *State, m *Move) (State, error) {
-	out := rt.NewState()
-	e := env{rt: rt}
-	if err := rt.applyInto(&out, st, m, &e); err != nil {
-		return State{}, err
-	}
-	return out, nil
+	return moves, parts
 }

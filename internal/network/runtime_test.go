@@ -13,7 +13,7 @@ import (
 // gpsNet builds the paper's Listing-1 GPS automaton: a clock x, location
 // acquisition with invariant x <= 120, a transition to active guarded by
 // x >= 10 on action "activate" setting measurement := true.
-func gpsNet(t *testing.T) (*Runtime, State) {
+func gpsNet(t *testing.T) (*Scratch, State) {
 	t.Helper()
 	xID, mID := expr.VarID(0), expr.VarID(1)
 	p := &sta.Process{
@@ -46,16 +46,17 @@ func gpsNet(t *testing.T) (*Runtime, State) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	st, err := rt.InitialState()
-	if err != nil {
-		t.Fatalf("InitialState: %v", err)
+	sc := rt.NewScratch(0)
+	st := rt.NewState()
+	if err := sc.InitialStateInto(&st); err != nil {
+		t.Fatalf("InitialStateInto: %v", err)
 	}
-	return rt, st
+	return sc, st
 }
 
 func TestMaxDelayFromInvariant(t *testing.T) {
-	rt, st := gpsNet(t)
-	d, attained, nowOK, err := rt.MaxDelay(&st)
+	sc, st := gpsNet(t)
+	d, attained, nowOK, err := sc.MaxDelay(&st)
 	if err != nil {
 		t.Fatalf("MaxDelay: %v", err)
 	}
@@ -64,9 +65,9 @@ func TestMaxDelayFromInvariant(t *testing.T) {
 	}
 
 	// After advancing 50, only 70 remain.
-	st2, err := rt.Advance(&st, 50)
-	if err != nil {
-		t.Fatalf("Advance: %v", err)
+	st2 := sc.rt.NewState()
+	if err := sc.AdvanceInto(&st2, &st, 50); err != nil {
+		t.Fatalf("AdvanceInto: %v", err)
 	}
 	if got := st2.Vals[0].Real(); got != 50 {
 		t.Errorf("clock after advance = %v, want 50", got)
@@ -74,7 +75,7 @@ func TestMaxDelayFromInvariant(t *testing.T) {
 	if st2.Time != 50 {
 		t.Errorf("Time = %v, want 50", st2.Time)
 	}
-	d, _, _, err = rt.MaxDelay(&st2)
+	d, _, _, err = sc.MaxDelay(&st2)
 	if err != nil {
 		t.Fatalf("MaxDelay: %v", err)
 	}
@@ -84,17 +85,17 @@ func TestMaxDelayFromInvariant(t *testing.T) {
 }
 
 func TestGuardWindowAndApply(t *testing.T) {
-	rt, st := gpsNet(t)
-	moves := rt.Moves(&st)
-	if len(moves) != 1 {
-		t.Fatalf("Moves = %d, want 1", len(moves))
+	sc, st := gpsNet(t)
+	cm := sc.Moves(&st)
+	if len(cm.Guarded) != 1 || len(cm.Markovian) != 0 {
+		t.Fatalf("Moves = %d guarded, %d Markovian, want 1 guarded", len(cm.Guarded), len(cm.Markovian))
 	}
-	m := &moves[0]
+	m := &cm.Guarded[0]
 	if m.Action != "activate" || m.Markovian() {
 		t.Errorf("unexpected move %+v", m)
 	}
 
-	w, err := rt.Window(&st, m)
+	w, err := sc.Window(&st, m)
 	if err != nil {
 		t.Fatalf("Window: %v", err)
 	}
@@ -104,23 +105,23 @@ func TestGuardWindowAndApply(t *testing.T) {
 		t.Errorf("guard window = %v, want [10,inf)", w)
 	}
 
-	ok, err := rt.EnabledAt(&st, m)
+	ok, err := sc.EnabledAt(&st, m)
 	if err != nil || ok {
 		t.Errorf("EnabledAt initially = (%v,%v), want (false,nil)", ok, err)
 	}
 
-	st2, err := rt.Advance(&st, 15)
-	if err != nil {
-		t.Fatalf("Advance: %v", err)
+	st2 := sc.rt.NewState()
+	if err := sc.AdvanceInto(&st2, &st, 15); err != nil {
+		t.Fatalf("AdvanceInto: %v", err)
 	}
-	ok, err = rt.EnabledAt(&st2, m)
+	ok, err = sc.EnabledAt(&st2, m)
 	if err != nil || !ok {
 		t.Errorf("EnabledAt after 15 = (%v,%v), want (true,nil)", ok, err)
 	}
 
-	st3, err := rt.Apply(&st2, m)
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
+	st3 := sc.rt.NewState()
+	if err := sc.ApplyInto(&st3, &st2, m); err != nil {
+		t.Fatalf("ApplyInto: %v", err)
 	}
 	if st3.Locs[0] != 1 {
 		t.Errorf("location after apply = %v, want 1 (active)", st3.Locs[0])
@@ -132,7 +133,7 @@ func TestGuardWindowAndApply(t *testing.T) {
 
 // syncNet builds two processes that must synchronize on action "go", where
 // the second has two alternative go-transitions.
-func syncNet(t *testing.T) (*Runtime, State) {
+func syncNet(t *testing.T) (*Scratch, State) {
 	t.Helper()
 	a := &sta.Process{
 		Name:      "a",
@@ -159,16 +160,21 @@ func syncNet(t *testing.T) (*Runtime, State) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	st, err := rt.InitialState()
-	if err != nil {
-		t.Fatalf("InitialState: %v", err)
+	sc := rt.NewScratch(0)
+	st := rt.NewState()
+	if err := sc.InitialStateInto(&st); err != nil {
+		t.Fatalf("InitialStateInto: %v", err)
 	}
-	return rt, st
+	return sc, st
 }
 
 func TestSynchronizedMoves(t *testing.T) {
-	rt, st := syncNet(t)
-	moves := rt.Moves(&st)
+	sc, st := syncNet(t)
+	cm := sc.Moves(&st)
+	if len(cm.Markovian) != 0 {
+		t.Errorf("%d Markovian moves, want none", len(cm.Markovian))
+	}
+	moves := cm.Guarded
 	// 1 τ move (from b) + 2 synchronized combinations.
 	var tau, sync int
 	for i := range moves {
@@ -190,9 +196,9 @@ func TestSynchronizedMoves(t *testing.T) {
 		if moves[i].Action != "go" {
 			continue
 		}
-		st2, err := rt.Apply(&st, &moves[i])
-		if err != nil {
-			t.Fatalf("Apply: %v", err)
+		st2 := sc.rt.NewState()
+		if err := sc.ApplyInto(&st2, &st, &moves[i]); err != nil {
+			t.Fatalf("ApplyInto: %v", err)
 		}
 		if st2.Locs[0] != 1 {
 			t.Errorf("process a at %v, want 1", st2.Locs[0])
@@ -205,10 +211,10 @@ func TestSynchronizedMoves(t *testing.T) {
 }
 
 func TestSyncBlockedWhenPartnerCannot(t *testing.T) {
-	rt, st := syncNet(t)
+	sc, st := syncNet(t)
 	// Move process a to its terminal location; "go" then has no
 	// candidates from a, so no sync moves appear even though b has some.
-	moves := rt.Moves(&st)
+	moves := sc.Moves(&st).Guarded
 	var goMove *Move
 	for i := range moves {
 		if moves[i].Action == "go" {
@@ -216,11 +222,15 @@ func TestSyncBlockedWhenPartnerCannot(t *testing.T) {
 			break
 		}
 	}
-	st2, err := rt.Apply(&st, goMove)
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
+	st2 := sc.rt.NewState()
+	if err := sc.ApplyInto(&st2, &st, goMove); err != nil {
+		t.Fatalf("ApplyInto: %v", err)
 	}
-	for _, m := range rt.Moves(&st2) {
+	cm := sc.Moves(&st2)
+	if len(cm.Markovian) != 0 {
+		t.Errorf("%d Markovian moves, want none", len(cm.Markovian))
+	}
+	for _, m := range cm.Guarded {
 		if m.Action == "go" {
 			t.Errorf("unexpected sync move from %+v", st2.Locs)
 		}
@@ -241,13 +251,18 @@ func TestMarkovianMoves(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	st, err := rt.InitialState()
-	if err != nil {
-		t.Fatalf("InitialState: %v", err)
+	sc := rt.NewScratch(0)
+	st := rt.NewState()
+	if err := sc.InitialStateInto(&st); err != nil {
+		t.Fatalf("InitialStateInto: %v", err)
 	}
-	moves := rt.Moves(&st)
+	cm := sc.Moves(&st)
+	if len(cm.Guarded) != 0 {
+		t.Errorf("%d guarded moves, want none", len(cm.Guarded))
+	}
+	moves := cm.Markovian
 	if len(moves) != 2 {
-		t.Fatalf("Moves = %d, want 2", len(moves))
+		t.Fatalf("Markovian moves = %d, want 2", len(moves))
 	}
 	var total float64
 	for i := range moves {
@@ -259,7 +274,7 @@ func TestMarkovianMoves(t *testing.T) {
 	if total != 2.0 {
 		t.Errorf("total rate = %v, want 2", total)
 	}
-	d, attained, nowOK, err := rt.MaxDelay(&st)
+	d, attained, nowOK, err := sc.MaxDelay(&st)
 	if err != nil {
 		t.Fatalf("MaxDelay: %v", err)
 	}
@@ -293,17 +308,17 @@ func TestFlowPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	st, err := rt.InitialState()
-	if err != nil {
-		t.Fatalf("InitialState: %v", err)
+	sc := rt.NewScratch(0)
+	st := rt.NewState()
+	if err := sc.InitialStateInto(&st); err != nil {
+		t.Fatalf("InitialStateInto: %v", err)
 	}
 	if got := st.Vals[inID].Int(); got != 6 {
 		t.Errorf("initial flow value = %v, want 6", got)
 	}
-	moves := rt.Moves(&st)
-	st2, err := rt.Apply(&st, &moves[0])
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
+	st2 := rt.NewState()
+	if err := sc.ApplyInto(&st2, &st, &sc.Moves(&st).Guarded[0]); err != nil {
+		t.Fatalf("ApplyInto: %v", err)
 	}
 	if got := st2.Vals[inID].Int(); got != 12 {
 		t.Errorf("flow value after effect = %v, want 12", got)
@@ -377,38 +392,39 @@ func TestContinuousTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	st, err := rt.InitialState()
-	if err != nil {
-		t.Fatalf("InitialState: %v", err)
+	sc := rt.NewScratch(0)
+	st := rt.NewState()
+	if err := sc.InitialStateInto(&st); err != nil {
+		t.Fatalf("InitialStateInto: %v", err)
 	}
 	// energy(d) = 100 - 2d >= 0 until d = 50.
-	d, attained, nowOK, err := rt.MaxDelay(&st)
+	d, attained, nowOK, err := sc.MaxDelay(&st)
 	if err != nil {
 		t.Fatalf("MaxDelay: %v", err)
 	}
 	if d != 50 || !attained || !nowOK {
 		t.Errorf("MaxDelay = (%v,%v,%v), want (50,true,true)", d, attained, nowOK)
 	}
-	st2, err := rt.Advance(&st, 50)
-	if err != nil {
-		t.Fatalf("Advance: %v", err)
+	st2 := rt.NewState()
+	if err := sc.AdvanceInto(&st2, &st, 50); err != nil {
+		t.Fatalf("AdvanceInto: %v", err)
 	}
 	if got := st2.Vals[eID].Real(); got != 0 {
 		t.Errorf("energy after 50 = %v, want 0", got)
 	}
-	moves := rt.Moves(&st2)
-	ok, err := rt.EnabledAt(&st2, &moves[0])
+	deplete := &sc.Moves(&st2).Guarded[0]
+	ok, err := sc.EnabledAt(&st2, deplete)
 	if err != nil || !ok {
 		t.Errorf("deplete transition should be enabled at boundary: (%v,%v)", ok, err)
 	}
 	// In the empty location the rate defaults to 0.
-	st3, err := rt.Apply(&st2, &moves[0])
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
+	st3 := rt.NewState()
+	if err := sc.ApplyInto(&st3, &st2, deplete); err != nil {
+		t.Fatalf("ApplyInto: %v", err)
 	}
-	st4, err := rt.Advance(&st3, 10)
-	if err != nil {
-		t.Fatalf("Advance: %v", err)
+	st4 := rt.NewState()
+	if err := sc.AdvanceInto(&st4, &st3, 10); err != nil {
+		t.Fatalf("AdvanceInto: %v", err)
 	}
 	if got := st4.Vals[eID].Real(); got != 0 {
 		t.Errorf("energy should stay 0 in empty location, got %v", got)
@@ -428,8 +444,12 @@ func TestUrgentLocationBlocksTime(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	st, _ := rt.InitialState()
-	d, attained, nowOK, err := rt.MaxDelay(&st)
+	sc := rt.NewScratch(0)
+	st := rt.NewState()
+	if err := sc.InitialStateInto(&st); err != nil {
+		t.Fatalf("InitialStateInto: %v", err)
+	}
+	d, attained, nowOK, err := sc.MaxDelay(&st)
 	if err != nil {
 		t.Fatalf("MaxDelay: %v", err)
 	}
@@ -456,8 +476,12 @@ func TestInvariantViolatedNow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	st, _ := rt.InitialState()
-	_, _, nowOK, err := rt.MaxDelay(&st)
+	sc := rt.NewScratch(0)
+	st := rt.NewState()
+	if err := sc.InitialStateInto(&st); err != nil {
+		t.Fatalf("InitialStateInto: %v", err)
+	}
+	_, _, nowOK, err := sc.MaxDelay(&st)
 	if err != nil {
 		t.Fatalf("MaxDelay: %v", err)
 	}
@@ -487,14 +511,17 @@ func TestTypeRangeEnforcedOnEffects(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	st, _ := rt.InitialState()
+	sc := rt.NewScratch(0)
+	st, next := rt.NewState(), rt.NewState()
+	if err := sc.InitialStateInto(&st); err != nil {
+		t.Fatalf("InitialStateInto: %v", err)
+	}
 	var applyErr error
 	for i := 0; i < 5; i++ {
-		moves := rt.Moves(&st)
-		st, applyErr = rt.Apply(&st, &moves[0])
-		if applyErr != nil {
+		if applyErr = sc.ApplyInto(&next, &st, &sc.Moves(&st).Guarded[0]); applyErr != nil {
 			break
 		}
+		st, next = next, st
 	}
 	if applyErr == nil {
 		t.Error("expected range violation after incrementing past 2")
@@ -502,9 +529,8 @@ func TestTypeRangeEnforcedOnEffects(t *testing.T) {
 }
 
 func TestMoveLabel(t *testing.T) {
-	rt, st := gpsNet(t)
-	moves := rt.Moves(&st)
-	label := moves[0].Label(rt)
+	sc, st := gpsNet(t)
+	label := sc.Moves(&st).Guarded[0].Label(sc.rt)
 	if !strings.Contains(label, "gps") || !strings.Contains(label, "acquisition") {
 		t.Errorf("label %q should mention process and source location", label)
 	}
@@ -534,16 +560,18 @@ func TestQuickAdvanceAdditivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := rt.InitialState()
-	if err != nil {
+	sc := rt.NewScratch(0)
+	st := rt.NewState()
+	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatal(err)
 	}
+	oneShot, step1, twoShot := rt.NewState(), rt.NewState(), rt.NewState()
 	f := func(a8, b8 uint8) bool {
 		a := float64(a8) / 16
 		b := float64(b8) / 16
-		oneShot, err1 := rt.Advance(&st, a+b)
-		step1, err2 := rt.Advance(&st, a)
-		twoShot, err3 := rt.Advance(&step1, b)
+		err1 := sc.AdvanceInto(&oneShot, &st, a+b)
+		err2 := sc.AdvanceInto(&step1, &st, a)
+		err3 := sc.AdvanceInto(&twoShot, &step1, b)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}
@@ -576,13 +604,16 @@ func TestUrgentNow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _ := rt.InitialState()
+	sc := rt.NewScratch(0)
+	st := rt.NewState()
+	if err := sc.InitialStateInto(&st); err != nil {
+		t.Fatal(err)
+	}
 	if rt.UrgentNow(&st) {
 		t.Error("initial location is not urgent")
 	}
-	moves := rt.Moves(&st)
-	st2, err := rt.Apply(&st, &moves[0])
-	if err != nil {
+	st2 := rt.NewState()
+	if err := sc.ApplyInto(&st2, &st, &sc.Moves(&st).Guarded[0]); err != nil {
 		t.Fatal(err)
 	}
 	if !rt.UrgentNow(&st2) {
@@ -590,10 +621,13 @@ func TestUrgentNow(t *testing.T) {
 	}
 }
 
-// TestMovesEnumerationOrder pins Moves' order on a net with τ moves and
-// two synchronized actions of several candidates per participant: τ moves
-// by process and transition, then actions in sorted name order, each
-// action's cross product with the first participant varying slowest.
+// TestMovesEnumerationOrder pins the move cache's order on a net with
+// unrated and Markovian τ moves and two synchronized actions of several
+// candidates per participant. Guarded comes first: unrated τ moves by
+// process and transition, then actions in sorted name order, each action's
+// cross product with the first participant varying slowest. Markovian
+// follows, by process and transition, although its first process precedes
+// every other.
 func TestMovesEnumerationOrder(t *testing.T) {
 	proc := func(name string, actions ...string) *sta.Process {
 		p := &sta.Process{
@@ -609,50 +643,76 @@ func TestMovesEnumerationOrder(t *testing.T) {
 		}
 		return p
 	}
+	// A location mixes no guarded and Markovian transitions, so the rated
+	// moves get processes of their own.
+	markov := func(name string, rates ...float64) *sta.Process {
+		p := proc(name)
+		for _, r := range rates {
+			p.Transitions = append(p.Transitions, sta.Transition{From: 0, To: 1, Action: sta.Tau, Rate: r})
+		}
+		return p
+	}
 	net := &sta.Network{Processes: []*sta.Process{
+		markov("m", 0.5, 1.5),
 		proc("p", "x", "go", sta.Tau, "go"),
 		proc("q", "go", "x", "go", "go"),
 		proc("r", sta.Tau, "x", "x"),
+		markov("n", 2),
 	}}
 	rt, err := New(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := rt.InitialState()
-	if err != nil {
+	sc := rt.NewScratch(0)
+	st := rt.NewState()
+	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatal(err)
 	}
-	var want []Move
-	want = append(want,
-		Move{Action: sta.Tau, Parts: []Part{{Proc: 0, Trans: 2}}},
-		Move{Action: sta.Tau, Parts: []Part{{Proc: 2, Trans: 0}}})
+	var guarded []Move
+	guarded = append(guarded,
+		Move{Action: sta.Tau, Parts: []Part{{Proc: 1, Trans: 2}}},
+		Move{Action: sta.Tau, Parts: []Part{{Proc: 3, Trans: 0}}})
 	for _, p := range []int{1, 3} {
 		for _, q := range []int{0, 2, 3} {
-			want = append(want, Move{Action: "go", Parts: []Part{{Proc: 0, Trans: p}, {Proc: 1, Trans: q}}})
+			guarded = append(guarded, Move{Action: "go", Parts: []Part{{Proc: 1, Trans: p}, {Proc: 2, Trans: q}}})
 		}
 	}
 	for _, p := range []int{0} {
 		for _, q := range []int{1} {
 			for _, r := range []int{1, 2} {
-				want = append(want, Move{Action: "x", Parts: []Part{{Proc: 0, Trans: p}, {Proc: 1, Trans: q}, {Proc: 2, Trans: r}}})
+				guarded = append(guarded, Move{Action: "x", Parts: []Part{{Proc: 1, Trans: p}, {Proc: 2, Trans: q}, {Proc: 3, Trans: r}}})
 			}
 		}
 	}
-	got := rt.Moves(&st)
-	if len(got) != len(want) {
-		t.Fatalf("%d moves, want %d: %+v", len(got), len(want), got)
+	markovian := []Move{
+		{Action: sta.Tau, Parts: []Part{{Proc: 0, Trans: 0}}, Rate: 0.5},
+		{Action: sta.Tau, Parts: []Part{{Proc: 0, Trans: 1}}, Rate: 1.5},
+		{Action: sta.Tau, Parts: []Part{{Proc: 4, Trans: 0}}, Rate: 2},
 	}
-	for i := range want {
-		if got[i].Action != want[i].Action || len(got[i].Parts) != len(want[i].Parts) {
-			t.Fatalf("move %d = %+v, want %+v", i, got[i], want[i])
+	cm := sc.Moves(&st)
+	if cap(cm.Guarded) != len(cm.Guarded) {
+		t.Fatalf("Guarded has spare capacity %d, so an append could overwrite Markovian", cap(cm.Guarded)-len(cm.Guarded))
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []Move
+	}{{"guarded", cm.Guarded, guarded}, {"Markovian", cm.Markovian, markovian}} {
+		got, want := c.got, c.want
+		if len(got) != len(want) {
+			t.Fatalf("%d %s moves, want %d: %+v", len(got), c.name, len(want), got)
 		}
-		for j := range want[i].Parts {
-			if got[i].Parts[j] != want[i].Parts[j] {
-				t.Fatalf("move %d = %+v, want %+v", i, got[i], want[i])
+		for i := range want {
+			if got[i].Action != want[i].Action || got[i].Rate != want[i].Rate || len(got[i].Parts) != len(want[i].Parts) {
+				t.Fatalf("%s move %d = %+v, want %+v", c.name, i, got[i], want[i])
 			}
-		}
-		if cap(got[i].Parts) != len(got[i].Parts) {
-			t.Fatalf("move %d: Parts has spare capacity %d, so an append could overwrite its neighbour", i, cap(got[i].Parts))
+			for j := range want[i].Parts {
+				if got[i].Parts[j] != want[i].Parts[j] {
+					t.Fatalf("%s move %d = %+v, want %+v", c.name, i, got[i], want[i])
+				}
+			}
+			if cap(got[i].Parts) != len(got[i].Parts) {
+				t.Fatalf("%s move %d: Parts has spare capacity %d, so an append could overwrite its neighbour", c.name, i, cap(got[i].Parts))
+			}
 		}
 	}
 }

@@ -295,8 +295,8 @@ func Analyze(rt *network.Runtime, cfg Config) (Report, error) {
 	if cfg.Effort < 0 {
 		return Report{}, fmt.Errorf("splitting: effort must be nonnegative, got %d", cfg.Effort)
 	}
-	init, err := rt.InitialState()
-	if err != nil {
+	init := rt.NewState()
+	if err := rt.NewScratch(0).InitialStateInto(&init); err != nil {
 		return Report{}, err
 	}
 	level, maxLevel, source := deriveLevel(rt, cfg.Static, init.Locs)

@@ -250,8 +250,8 @@ func TestSplittingFallbackLevelFunction(t *testing.T) {
 func TestSplittingCloneAllocs(t *testing.T) {
 	rt := chainNet(t, 4, 0.5, 2)
 	pool := &statePool{rt: rt}
-	src, err := rt.InitialState()
-	if err != nil {
+	src := rt.NewState()
+	if err := rt.NewScratch(0).InitialStateInto(&src); err != nil {
 		t.Fatal(err)
 	}
 	warm := pool.get()
@@ -269,8 +269,8 @@ func TestSplittingCloneAllocs(t *testing.T) {
 func BenchmarkSplittingClone(b *testing.B) {
 	rt := chainNet(b, 4, 0.5, 2)
 	pool := &statePool{rt: rt}
-	src, err := rt.InitialState()
-	if err != nil {
+	src := rt.NewState()
+	if err := rt.NewScratch(0).InitialStateInto(&src); err != nil {
 		b.Fatal(err)
 	}
 	warm := pool.get()

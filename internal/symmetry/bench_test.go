@@ -57,19 +57,18 @@ func TestCanonAllocs(t *testing.T) {
 	if red == nil {
 		t.Fatal("no symmetry detected")
 	}
-	init, err := rt.InitialState()
-	if err != nil {
+	sc := rt.NewScratch(0)
+	init := rt.NewState()
+	if err := sc.InitialStateInto(&init); err != nil {
 		t.Fatal(err)
 	}
 	// The initial state and its successors: each fails one replica, which
 	// Canon moves to the front or back of the group.
 	states := []network.State{init}
-	for _, m := range rt.Moves(&init) {
-		if !m.Markovian() {
-			continue
-		}
-		succ, err := rt.Apply(&init, &m)
-		if err != nil {
+	markovian := sc.Moves(&init).Markovian
+	for i := range markovian {
+		succ := rt.NewState()
+		if err := sc.ApplyInto(&succ, &init, &markovian[i]); err != nil {
 			t.Fatal(err)
 		}
 		states = append(states, succ)

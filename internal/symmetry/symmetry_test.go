@@ -12,6 +12,7 @@ import (
 	"slimsim/internal/model"
 	"slimsim/internal/network"
 	"slimsim/internal/slim"
+	"slimsim/internal/sta"
 	"slimsim/internal/symmetry"
 )
 
@@ -186,37 +187,47 @@ func TestCanonicalizeIdempotent(t *testing.T) {
 		t.Fatal("no symmetry detected")
 	}
 	c := red.NewCanonicalizer()
-	st, err := rt.InitialState()
-	if err != nil {
+	sc := rt.NewScratch(0)
+	st := rt.NewState()
+	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatal(err)
 	}
 	// Walk a few enabled moves to leave the (trivially symmetric)
 	// initial state, canonicalizing as the builder would. Moves returns
-	// structural candidates; guards are checked via EnabledAt.
+	// structural candidates; guards are checked via EnabledAt. Each step
+	// fires the first enabled τ move in process and transition order, or
+	// failing that the first enabled synchronized move.
 	for range 4 {
+		cm := sc.Moves(&st)
 		var pick *network.Move
-		moves := rt.Moves(&st)
-		for i := range moves {
-			if on, err := rt.EnabledAt(&st, &moves[i]); err == nil && on {
-				pick = &moves[i]
-				break
+		for _, moves := range [][]network.Move{cm.Guarded, cm.Markovian} {
+			for i := range moves {
+				m := &moves[i]
+				if on, err := sc.EnabledAt(&st, m); err != nil || !on {
+					continue
+				}
+				if pick == nil || m.Action == sta.Tau && (pick.Action != sta.Tau ||
+					m.Parts[0].Proc < pick.Parts[0].Proc ||
+					m.Parts[0].Proc == pick.Parts[0].Proc && m.Parts[0].Trans < pick.Parts[0].Trans) {
+					pick = m
+				}
 			}
 		}
 		if pick == nil {
 			break
 		}
-		next, err := rt.Apply(&st, pick)
-		if err != nil {
+		next := rt.NewState()
+		if err := sc.ApplyInto(&next, &st, pick); err != nil {
 			t.Fatal(err)
 		}
 		st = next
-		before, err := expr.EvalBool(goal, rt.Env(&st))
+		before, err := expr.EvalBool(goal, sc.Env(&st))
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.Canon(&st)
 		once := st.Key()
-		after, err := expr.EvalBool(goal, rt.Env(&st))
+		after, err := expr.EvalBool(goal, sc.Env(&st))
 		if err != nil {
 			t.Fatal(err)
 		}

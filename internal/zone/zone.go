@@ -36,7 +36,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
+	"slimsim/internal/ctmc"
 	"slimsim/internal/expr"
 	"slimsim/internal/intervals"
 	"slimsim/internal/network"
@@ -143,6 +145,7 @@ func Analyze(rt *network.Runtime, goal expr.Expr, bound float64, maxStates int) 
 	}
 	a := &analyzer{
 		rt:        rt,
+		sc:        rt.NewScratch(0),
 		goal:      goal,
 		bound:     bound,
 		maxStates: maxStates,
@@ -155,8 +158,8 @@ func Analyze(rt *network.Runtime, goal expr.Expr, bound float64, maxStates int) 
 		}
 	}
 
-	init, err := rt.InitialState()
-	if err != nil {
+	init := rt.NewState()
+	if err := a.sc.InitialStateInto(&init); err != nil {
 		return nil, err
 	}
 	cur := []massState{{st: init, mass: 1}}
@@ -206,8 +209,8 @@ func Analyze(rt *network.Runtime, goal expr.Expr, bound float64, maxStates int) 
 			if m <= massEps {
 				continue
 			}
-			adv, err := rt.Advance(&c.states[i], delta)
-			if err != nil {
+			adv := rt.NewState()
+			if err := a.sc.AdvanceInto(&adv, &c.states[i], delta); err != nil {
 				return nil, err
 			}
 			cur = append(cur, massState{st: adv, mass: m})
@@ -227,6 +230,7 @@ type massState struct {
 
 type analyzer struct {
 	rt        *network.Runtime
+	sc        *network.Scratch
 	goal      expr.Expr
 	bound     float64
 	maxStates int
@@ -270,7 +274,7 @@ func delayClip(maxD float64, attained bool) intervals.Set {
 // exactly like the engine's step: an open-at-zero window under an expired
 // invariant (maxD = 0) is a timelock, not a firing.
 func (a *analyzer) fireable(st *network.State) ([]network.Move, float64, error) {
-	d, att, nowOK, err := a.rt.MaxDelay(st)
+	d, att, nowOK, err := a.sc.MaxDelay(st)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -278,18 +282,15 @@ func (a *analyzer) fireable(st *network.State) ([]network.Move, float64, error) 
 		return nil, 0, fmt.Errorf("zone: invariant violated at t=%g", st.Time)
 	}
 	clip := delayClip(d, att)
-	moves := a.rt.Moves(st)
+	guarded := a.sc.Moves(st).Guarded
 	var out []network.Move
-	for i := range moves {
-		if moves[i].Markovian() {
-			continue
-		}
-		w, err := a.rt.Window(st, &moves[i])
+	for i := range guarded {
+		w, err := a.sc.Window(st, &guarded[i])
 		if err != nil {
 			return nil, 0, err
 		}
 		if fireableNow(w.Intersect(clip)) {
-			out = append(out, moves[i])
+			out = append(out, guarded[i])
 		}
 	}
 	return out, d, nil
@@ -316,16 +317,27 @@ func (a *analyzer) assignsClock(m *network.Move) bool {
 // fire every fireable move (uniform choice, maximal progress — clock resets
 // are legal here, the boundary time is deterministic), absorb goal states
 // into reached and timelocked states into dead, and merge the surviving
-// tangible states by canonical key.
-func (a *analyzer) settle(cur []massState) (map[string]*massState, error) {
-	out := make(map[string]*massState, len(cur))
+// tangible states by canonical key. The survivors come back in ascending
+// key order: map order would renumber the segment's closure, and so reorder
+// the float sums of transient, from run to run.
+func (a *analyzer) settle(cur []massState) ([]*massState, error) {
+	merged := make(map[string]*massState, len(cur))
 	for i := range cur {
 		if cur[i].mass <= massEps {
 			continue
 		}
-		if err := a.settleState(&cur[i].st, cur[i].mass, out, 0); err != nil {
+		if err := a.settleState(&cur[i].st, cur[i].mass, merged, 0); err != nil {
 			return nil, err
 		}
+	}
+	keys := make([]string, 0, len(merged))
+	for k := range merged {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]*massState, len(keys))
+	for i, k := range keys {
+		out[i] = merged[k]
 	}
 	return out, nil
 }
@@ -334,7 +346,7 @@ func (a *analyzer) settleState(st *network.State, mass float64, out map[string]*
 	if depth > maxCascade {
 		return fmt.Errorf("zone: immediate-transition cascade exceeds %d steps (cycle of immediate transitions?)", maxCascade)
 	}
-	g, err := expr.EvalBool(a.goal, a.rt.Env(st))
+	g, err := expr.EvalBool(a.goal, a.sc.Env(st))
 	if err != nil {
 		return fmt.Errorf("zone: evaluating goal: %w", err)
 	}
@@ -361,8 +373,8 @@ func (a *analyzer) settleState(st *network.State, mass float64, out map[string]*
 	}
 	share := mass / float64(len(en))
 	for i := range en {
-		succ, err := a.rt.Apply(st, &en[i])
-		if err != nil {
+		succ := a.rt.NewState()
+		if err := a.sc.ApplyInto(&succ, st, &en[i]); err != nil {
 			return err
 		}
 		if err := a.settleState(&succ, share, out, depth+1); err != nil {
@@ -410,12 +422,9 @@ func (c *closure) addCand(t float64) {
 // of st: within a segment the fireable set must not change, so each
 // endpoint subdivides time.
 func (a *analyzer) candWindows(c *closure, st *network.State) error {
-	moves := a.rt.Moves(st)
-	for i := range moves {
-		if moves[i].Markovian() {
-			continue
-		}
-		w, err := a.rt.Window(st, &moves[i])
+	guarded := a.sc.Moves(st).Guarded
+	for i := range guarded {
+		w, err := a.sc.Window(st, &guarded[i])
 		if err != nil {
 			return err
 		}
@@ -430,7 +439,7 @@ func (a *analyzer) candWindows(c *closure, st *network.State) error {
 // buildClosure explores the segment's CTMC from the settled support:
 // tangible states are interned and expanded through their Markovian moves,
 // whose targets are resolved through interior immediate cascades.
-func (a *analyzer) buildClosure(support map[string]*massState) (*closure, error) {
+func (a *analyzer) buildClosure(support []*massState) (*closure, error) {
 	c := &closure{
 		index:   make(map[string]int, len(support)),
 		minCand: math.Inf(1),
@@ -445,17 +454,15 @@ func (a *analyzer) buildClosure(support map[string]*massState) (*closure, error)
 	}
 	for head := 0; head < len(c.states); head++ {
 		st := &c.states[head]
-		moves := a.rt.Moves(st)
-		for i := range moves {
-			if !moves[i].Markovian() {
-				continue
-			}
-			if a.assignsClock(&moves[i]) {
+		cm := a.sc.Moves(st)
+		for i := range cm.Markovian {
+			m := &cm.Markovian[i]
+			if a.assignsClock(m) {
 				return nil, fmt.Errorf("zone: clock reset on Markovian transition %s: %w",
-					moves[i].Label(a.rt), ErrIneligible)
+					cm.MarkLabel(i), ErrIneligible)
 			}
-			succ, err := a.rt.Apply(st, &moves[i])
-			if err != nil {
+			succ := a.rt.NewState()
+			if err := a.sc.ApplyInto(&succ, st, m); err != nil {
 				return nil, err
 			}
 			dist, err := a.resolveJump(c, resolved, &succ, make(map[string]bool), 0)
@@ -466,8 +473,8 @@ func (a *analyzer) buildClosure(support map[string]*massState) (*closure, error)
 			// c.states, invalidating st.
 			st = &c.states[head]
 			for _, w := range dist {
-				c.edges[head] = append(c.edges[head], share{to: w.to, p: moves[i].Rate * w.p})
-				c.exit[head] += moves[i].Rate * w.p
+				c.edges[head] = append(c.edges[head], share{to: w.to, p: m.Rate * w.p})
+				c.exit[head] += m.Rate * w.p
 			}
 		}
 	}
@@ -484,7 +491,7 @@ func (a *analyzer) intern(c *closure, st *network.State) (int, error) {
 	if len(c.states) >= a.maxStates {
 		return 0, fmt.Errorf("zone: segment closure exceeds %d states", a.maxStates)
 	}
-	d, _, nowOK, err := a.rt.MaxDelay(st)
+	d, _, nowOK, err := a.sc.MaxDelay(st)
 	if err != nil {
 		return 0, err
 	}
@@ -522,7 +529,7 @@ func (a *analyzer) resolveJump(c *closure, resolved map[string][]share, st *netw
 	if depth > maxCascade {
 		return nil, fmt.Errorf("zone: immediate-transition cascade exceeds %d steps", maxCascade)
 	}
-	g, err := expr.EvalBool(a.goal, a.rt.Env(st))
+	g, err := expr.EvalBool(a.goal, a.sc.Env(st))
 	if err != nil {
 		return nil, fmt.Errorf("zone: evaluating goal: %w", err)
 	}
@@ -563,8 +570,8 @@ func (a *analyzer) resolveJump(c *closure, resolved map[string][]share, st *netw
 			return nil, fmt.Errorf("zone: clock reset on immediate transition %s fired at a stochastic time: %w",
 				en[i].Label(a.rt), ErrIneligible)
 		}
-		succ, err := a.rt.Apply(st, &en[i])
-		if err != nil {
+		succ := a.rt.NewState()
+		if err := a.sc.ApplyInto(&succ, st, &en[i]); err != nil {
 			return nil, err
 		}
 		sub, err := a.resolveJump(c, resolved, &succ, onPath, depth+1)
@@ -575,10 +582,13 @@ func (a *analyzer) resolveJump(c *closure, resolved map[string][]share, st *netw
 			acc[w.to] += p * w.p
 		}
 	}
+	// Sorted by target, so the closure's edge order (and the float sums
+	// over it) do not follow map order.
 	out := make([]share, 0, len(acc))
 	for to, p := range acc {
 		out = append(out, share{to: to, p: p})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].to < out[j].to })
 	resolved[key] = out
 	return out, nil
 }
@@ -618,6 +628,10 @@ func (a *analyzer) transient(c *closure, delta float64) ([]float64, error) {
 		a.dead += pi[deadIdx]
 		return pi[:n], nil
 	}
+	maxIter, err := ctmc.UniformizationSteps(lt)
+	if err != nil {
+		return nil, fmt.Errorf("zone: %w", err)
+	}
 
 	// DTMC of the uniformized chain; the two sentinel rows are absorbing.
 	probs := make([][]share, n+2)
@@ -653,7 +667,6 @@ func (a *analyzer) transient(c *closure, delta float64) ([]float64, error) {
 		}
 	}
 	add()
-	maxIter := int(lt + 20*math.Sqrt(lt+1) + 100)
 	for k := 1; k <= maxIter && 1-cum > segTail; k++ {
 		for s := range next {
 			next[s] = 0
