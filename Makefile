@@ -53,9 +53,11 @@ lint: build
 # pipelines and estimators it feeds), plus the daemon package whose caches
 # share compiled models across request-handling goroutines, and the
 # runtime and exact back ends whose immutable network.Runtime every worker
-# shares.
+# shares, and the concurrent CheckCTMC calls that share one model's
+# symmetry reduction.
 race:
 	$(GO) test -race ./internal/parallel/ ./internal/sim/ ./internal/splitting/ ./internal/stats/ ./internal/serve/ ./internal/network/ ./internal/ctmc/ ./internal/symmetry/
+	$(GO) test -race -run CheckCTMC .
 
 # serve-smoke boots the slimserve daemon on an ephemeral port, POSTs the
 # same model twice and asserts the second response reports a

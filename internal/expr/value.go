@@ -11,6 +11,7 @@
 package expr
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -128,6 +129,78 @@ func (v Value) AppendText(buf []byte) []byte {
 	default:
 		return append(buf, '?')
 	}
+}
+
+// CompareText orders v and o as bytes.Compare orders their AppendText
+// renderings, rendering neither bools nor ints: false < true, ints in
+// decimal-text order (so 10 < 9 and -1 < -10), and reals by their 'g'
+// text, rendered only when their bits differ (so -0 < 0).
+func (v Value) CompareText(o Value) int {
+	if v.kind == o.kind {
+		switch v.kind {
+		case KindBool:
+			switch {
+			case v.b == o.b:
+				return 0
+			case o.b:
+				return -1
+			}
+			return 1
+		case KindInt:
+			return compareDecimal(v.i, o.i)
+		case KindReal:
+			if math.Float64bits(v.r) == math.Float64bits(o.r) {
+				return 0
+			}
+		}
+	}
+	var a, b [32]byte
+	return bytes.Compare(v.AppendText(a[:0]), o.AppendText(b[:0]))
+}
+
+// compareDecimal orders x and y as their decimal texts order bytewise. '-'
+// sorts below every digit, so a negative comes first; otherwise both texts
+// share their sign, and their digit strings compare on the leading digits
+// they have in common, a digit string that is a prefix of the other
+// sorting first.
+func compareDecimal(x, y int64) int {
+	if x == y {
+		return 0
+	}
+	if (x < 0) != (y < 0) {
+		if x < 0 {
+			return -1
+		}
+		return 1
+	}
+	a, b := uint64(x), uint64(y)
+	if x < 0 {
+		a, b = -a, -b
+	}
+	da, db := decimalDigits(a), decimalDigits(b)
+	for n := da; n > db; n-- {
+		a /= 10
+	}
+	for n := db; n > da; n-- {
+		b /= 10
+	}
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case da < db:
+		return -1
+	}
+	return 1
+}
+
+func decimalDigits(u uint64) int {
+	n := 1
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // String renders the value as SLIM literal syntax.

@@ -1,26 +1,32 @@
 package symmetry_test
 
 import (
+	"fmt"
 	"testing"
 
 	"slimsim/internal/network"
 	"slimsim/internal/symmetry"
 )
 
-// BenchmarkBuildQuotient is the counter-abstracted Table I build at N=8:
-// detection runs once, the timed loop is BuildQuotient alone.
+// BenchmarkBuildQuotient is the counter-abstracted Table I build at N=8
+// and at N=12, the size perfbench's table1-exact workload runs: detection
+// runs once per size, the timed loop is BuildQuotient alone.
 func BenchmarkBuildQuotient(b *testing.B) {
-	rt, goal := sensorFilter(b, 8)
-	red := symmetry.Detect(rt)
-	if red == nil {
-		b.Fatal("no symmetry detected")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := symmetry.BuildQuotient(rt, red, goal, 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{8, 12} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			rt, goal := sensorFilter(b, n)
+			red := symmetry.Detect(rt)
+			if red == nil {
+				b.Fatal("no symmetry detected")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := symmetry.BuildQuotient(rt, red, goal, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

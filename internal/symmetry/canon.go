@@ -1,21 +1,18 @@
 package symmetry
 
 import (
-	"bytes"
-
 	"slimsim/internal/expr"
 	"slimsim/internal/network"
 	"slimsim/internal/sta"
 )
 
-// Canonicalizer rewrites states to the lexicographically least member of
-// their permutation orbit by sorting the per-unit configurations of every
-// certified group in place. It carries scratch buffers, so one instance
+// Canonicalizer rewrites states to their orbit representative: the member
+// whose units, within every certified group, stand in ascending per-unit
+// text order (see unitLess). It carries scratch buffers, so one instance
 // serves one single-threaded exploration (ctmc.BuildWith calls it for
 // every discovered state).
 type Canonicalizer struct {
 	groups []Group
-	keys   [][]byte
 	order  []int
 	locTmp []sta.LocID
 	valTmp []expr.Value
@@ -29,12 +26,7 @@ func (r *Reduction) NewCanonicalizer() *Canonicalizer {
 			max = len(g.Units)
 		}
 	}
-	c := &Canonicalizer{groups: r.Groups, order: make([]int, 0, max)}
-	c.keys = make([][]byte, max)
-	for i := range c.keys {
-		c.keys[i] = make([]byte, 0, 32)
-	}
-	return c
+	return &Canonicalizer{groups: r.Groups, order: make([]int, 0, max)}
 }
 
 // Canon canonicalizes st in place. Because every unit's variables include
@@ -45,45 +37,29 @@ func (r *Reduction) NewCanonicalizer() *Canonicalizer {
 func (c *Canonicalizer) Canon(st *network.State) {
 	for gi := range c.groups {
 		g := &c.groups[gi]
-		n := len(g.Units)
-		for ui := 0; ui < n; ui++ {
-			u := &g.Units[ui]
-			buf := c.keys[ui][:0]
-			for _, p := range u.Procs {
-				buf = appendInt(buf, int(st.Locs[p]))
-				buf = append(buf, ',')
-			}
-			buf = append(buf, '|')
-			for _, v := range u.Vars {
-				buf = st.Vals[v].AppendText(buf)
-				buf = append(buf, ',')
-			}
-			c.keys[ui] = buf
-		}
-		// Stable insertion sort of the unit indices by key: groups are
-		// small, and unlike sort.SliceStable it allocates nothing.
+		// Stable insertion sort of the unit indices: groups are small, and
+		// unlike sort.SliceStable it allocates nothing.
 		c.order = c.order[:0]
-		identity := true
-		for i := 0; i < n; i++ {
+		for i := range g.Units {
 			j := len(c.order)
 			c.order = append(c.order, i)
-			for ; j > 0 && bytes.Compare(c.keys[i], c.keys[c.order[j-1]]) < 0; j-- {
+			for ; j > 0 && unitLess(st, &g.Units[i], &g.Units[c.order[j-1]]); j-- {
 				c.order[j] = c.order[j-1]
 			}
-			if j != i {
-				c.order[j] = i
-				identity = false
-			}
+			c.order[j] = i
 		}
-		if identity {
-			continue
+		// Only the units in [lo, hi) move. Gather their configurations in
+		// sorted order, then write them back slot-wise: unit i receives the
+		// configuration of unit order[i].
+		lo, hi := 0, len(c.order)
+		for lo < hi && c.order[lo] == lo {
+			lo++
 		}
-		// Gather the configurations in sorted order, then write them
-		// back slot-wise: unit i receives the configuration of unit
-		// order[i].
-		c.locTmp = c.locTmp[:0]
-		c.valTmp = c.valTmp[:0]
-		for _, o := range c.order {
+		for hi > lo && c.order[hi-1] == hi-1 {
+			hi--
+		}
+		c.locTmp, c.valTmp = c.locTmp[:0], c.valTmp[:0]
+		for _, o := range c.order[lo:hi] {
 			u := &g.Units[o]
 			for _, p := range u.Procs {
 				c.locTmp = append(c.locTmp, st.Locs[p])
@@ -93,7 +69,7 @@ func (c *Canonicalizer) Canon(st *network.State) {
 			}
 		}
 		li, vi := 0, 0
-		for ui := 0; ui < n; ui++ {
+		for ui := lo; ui < hi; ui++ {
 			u := &g.Units[ui]
 			for _, p := range u.Procs {
 				st.Locs[p] = c.locTmp[li]
@@ -107,13 +83,31 @@ func (c *Canonicalizer) Canon(st *network.State) {
 	}
 }
 
-func appendInt(buf []byte, v int) []byte {
-	if v < 0 {
-		buf = append(buf, '-')
-		v = -v
+// unitLess reports whether unit a sorts before unit b in text order: the
+// bytewise order of the keys "l1,l2,…,|v1,v2,…," that render each process
+// location in decimal and each variable with expr.Value.AppendText. Units
+// of a group have the same slots, so the keys agree up to the first slot
+// whose texts differ, and that slot decides. There the two texts, each
+// followed by ',', order as the texts do alone: either their first
+// differing byte decides, or one is a prefix of the other, and ',' sorts
+// below every byte that can follow a complete value's text (digits, '-',
+// '.', 'e' and letters; '+' only ever follows an 'e'), so the shorter text
+// sorts first. expr.Value.CompareText gives that order without rendering.
+func unitLess(st *network.State, a, b *Unit) bool {
+	for k, p := range a.Procs {
+		if x, y := st.Locs[p], st.Locs[b.Procs[k]]; x != y {
+			return expr.IntVal(int64(x)).CompareText(expr.IntVal(int64(y))) < 0
+		}
 	}
-	if v >= 10 {
-		buf = appendInt(buf, v/10)
+	for k, v := range a.Vars {
+		// Equal values have equal texts, except that -0 == 0.
+		x, y := &st.Vals[v], &st.Vals[b.Vars[k]]
+		if *x == *y && x.Kind() != expr.KindReal {
+			continue
+		}
+		if c := x.CompareText(*y); c != 0 {
+			return c < 0
+		}
 	}
-	return append(buf, byte('0'+v%10))
+	return false
 }

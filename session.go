@@ -11,6 +11,7 @@ package slimsim
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"sync"
 
 	"slimsim/internal/absint"
 	"slimsim/internal/model"
@@ -18,12 +19,14 @@ import (
 	"slimsim/internal/prop"
 	"slimsim/internal/sim"
 	"slimsim/internal/slim"
+	"slimsim/internal/symmetry"
 	"slimsim/internal/telemetry"
 )
 
 // CompiledModel is the immutable compile artifact of one SLIM source text:
-// the instantiated model, the executable network runtime and the
-// abstract-interpretation fixpoint. It is safe for concurrent use — the
+// the instantiated model, the executable network runtime, the
+// abstract-interpretation fixpoint and, on first use, the certified
+// replica symmetry of the runtime. It is safe for concurrent use — the
 // runtime is read-only after construction and every worker evaluates
 // through its own scratch arena — and is identified by a content hash of
 // the source and the load options, so equal sources compile to
@@ -33,6 +36,11 @@ type CompiledModel struct {
 	built    *model.Built
 	rt       *network.Runtime
 	analysis *absint.Result
+	// reduction detects the runtime's symmetry once, on the first
+	// CheckCTMC that asks for it; the *Reduction is read-only (nil when
+	// no group certifies) and every quotient build makes its own
+	// canonicalizer scratch.
+	reduction func() *symmetry.Reduction
 }
 
 // ContentHash returns the cache key Compile assigns to src under opts:
@@ -85,6 +93,7 @@ func Compile(src string, opts ...LoadOption) (*CompiledModel, error) {
 			}
 		}
 	}
+	cm.reduction = sync.OnceValue(func() *symmetry.Reduction { return symmetry.Detect(rt) })
 	return cm, nil
 }
 

@@ -526,7 +526,9 @@ func (m *Model) Untimed() bool {
 // replicas per local configuration) vectors with binomially scaled rates —
 // never materializing the exponential concrete product. The reduction is
 // exact: probabilities agree with the explicit flow to solver precision.
-// Disable with WithoutSymmetry.
+// The symmetry is detected once per compiled model and shared by all of
+// its queries; goal invariance is checked per query. Disable with
+// WithoutSymmetry.
 func (m *Model) CheckCTMC(goalSrc string, bound float64, maxStates int, opts ...CTMCOption) (CTMCReport, error) {
 	var cfg ctmcConfig
 	for _, o := range opts {
@@ -540,7 +542,7 @@ func (m *Model) CheckCTMC(goalSrc string, bound float64, maxStates int, opts ...
 	var res *ctmc.BuildResult
 	var sym *SymmetryInfo
 	if !cfg.noSymmetry {
-		if red := symmetry.Detect(m.rt); red != nil && red.Invariant(goal) {
+		if red := m.reduction(); red != nil && red.Invariant(goal) {
 			res, err = symmetry.BuildQuotient(m.rt, red, goal, maxStates)
 			if err != nil {
 				return CTMCReport{}, err

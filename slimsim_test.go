@@ -2,8 +2,12 @@ package slimsim
 
 import (
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"slimsim/internal/casestudy"
 )
 
 // simpleSrc is a minimal Markovian model with known reachability.
@@ -152,6 +156,62 @@ func TestCheckCTMC(t *testing.T) {
 	}
 	if rep.States < 2 || rep.LumpedStates > rep.States {
 		t.Errorf("state counts look wrong: %+v", rep)
+	}
+}
+
+// TestCheckCTMCConcurrent runs quotient and explicit CheckCTMC calls on one
+// Model from several goroutines at once: the symmetry reduction the model
+// detects on first use is shared by all of them, and every report must
+// equal the one a sequential call on a fresh model gives.
+func TestCheckCTMCConcurrent(t *testing.T) {
+	src, err := casestudy.SensorFilter(casestudy.DefaultSensorFilter(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// counts drops the timings, which differ from run to run.
+	counts := func(rep CTMCReport) CTMCReport {
+		rep.BuildTime, rep.LumpTime, rep.SolveTime = 0, 0, 0
+		return rep
+	}
+	flows := [][]CTMCOption{nil, {WithoutSymmetry()}}
+	want := make([]CTMCReport, len(flows))
+	for i, opts := range flows {
+		fresh, err := LoadModel(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := fresh.CheckCTMC(casestudy.SensorFilterGoal, 100, 0, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = counts(rep)
+	}
+	if want[0].Symmetry == nil || want[1].Symmetry != nil {
+		t.Fatalf("symmetry engaged: quotient %v, explicit %v", want[0].Symmetry, want[1].Symmetry)
+	}
+	m, err := LoadModel(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	got := make([]CTMCReport, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = m.CheckCTMC(casestudy.SensorFilterGoal, 100, 0, flows[g%len(flows)]...)
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("caller %d: %v", g, errs[g])
+		}
+		if rep, w := counts(got[g]), want[g%len(flows)]; !reflect.DeepEqual(rep, w) {
+			t.Errorf("caller %d: report %+v, want %+v", g, rep, w)
+		}
 	}
 }
 
