@@ -87,6 +87,7 @@ soundness:
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s -run '^$$' ./internal/slim/
 	$(GO) test -fuzz FuzzEvalExpr -fuzztime 30s -run '^$$' ./internal/difftest/
+	$(GO) test -fuzz FuzzWindowTimeInvariant -fuzztime 30s -run '^$$' ./internal/expr/
 
 # fuzz-long is the nightly form: fresh differential seeds across every
 # generator class (any discrepancy is shrunk into the regression corpus
@@ -98,6 +99,7 @@ fuzz-long: build
 	$(GO) run ./cmd/slimfuzz -class all -n $(FUZZ_N) -q
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZ_TIME) -run '^$$' ./internal/slim/
 	$(GO) test -fuzz FuzzEvalExpr -fuzztime $(FUZZ_TIME) -run '^$$' ./internal/difftest/
+	$(GO) test -fuzz FuzzWindowTimeInvariant -fuzztime $(FUZZ_TIME) -run '^$$' ./internal/expr/
 
 verify: build test
 

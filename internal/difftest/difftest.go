@@ -140,7 +140,11 @@ type Discrepancy struct {
 	Class modelgen.Class
 	Seed  uint64
 	// Oracle names the oracle that failed: load, lint, roundtrip,
-	// absint, strategies, exact, zone, splitting or engine.
+	// absint, strategies, exact, zone, splitting, symmetry, engine or
+	// simulate. engine means an internal engine invariant tripped
+	// (slimsim.ErrEngine), whichever check hit it; simulate means the
+	// timed-class run failed with an ordinary error, such as a goal that
+	// no longer compiles.
 	Oracle string
 	// Detail describes the disagreement.
 	Detail string
@@ -747,11 +751,13 @@ func checkSymmetric(g *modelgen.Generated, m *slimsim.Model, fail failf) *Discre
 
 // checkEngine is the timed-class oracle: no exact reference exists, so
 // the engine's own invariants are the oracle — every strategy must sample
-// paths without tripping ErrEngine or any other failure.
+// paths without tripping ErrEngine or any other failure. Ordinary failures
+// file under their own oracle, simulate, so shrinking an engine failure
+// cannot drift into a model that merely lost the goal's component.
 func checkEngine(g *modelgen.Generated, m *slimsim.Model, fail failf) *Discrepancy {
 	for _, strat := range Strategies {
 		if _, err := m.Simulate(opts(g, strat, g.Seed+1), timedPaths); err != nil {
-			return engineOr(fail, "engine", "%s: %v", strat, err)
+			return engineOr(fail, "simulate", "%s: %v", strat, err)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"strings"
 	"testing"
 
 	"slimsim/internal/modelgen"
@@ -120,5 +121,28 @@ func TestShrinkNewShapes(t *testing.T) {
 				t.Fatal("shrunk reproducer does not fail the zone oracle anymore")
 			}
 		})
+	}
+}
+
+// TestShrinkKeepsEngineFailure pins the shrinker on an engine-invariant
+// failure: a generated continuous ramp that trips "invariant violated" under
+// the maxtime strategy. Shrinking may only accept candidates that still fail
+// with slimsim.ErrEngine; a candidate that deleted the goal's component
+// fails with an ordinary error under the simulate oracle and is rejected.
+func TestShrinkKeepsEngineFailure(t *testing.T) {
+	g, err := modelgen.Generate(modelgen.Timed, 1792291155031506312)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := Check(g)
+	if d == nil || d.Oracle != "engine" {
+		t.Fatalf("seed no longer fails the engine oracle: %v", d)
+	}
+	shrunk := Shrink(d)
+	if shrunk.Oracle != "engine" || !strings.Contains(shrunk.Detail, "invariant violated") {
+		t.Fatalf("shrunk reproducer fails %s with %q, want an engine invariant violation", shrunk.Oracle, shrunk.Detail)
+	}
+	if len(shrunk.Source) > len(d.Source) {
+		t.Fatalf("shrinking grew the model: %d -> %d bytes", len(d.Source), len(shrunk.Source))
 	}
 }

@@ -38,21 +38,60 @@ func (e *nonLinearError) Error() string {
 	return fmt.Sprintf("expr: %s is not linear in time", e.expr)
 }
 
+// Timed classifies variables for delay analysis: it reports whether a
+// variable's value can change while time passes. A variable it rejects
+// must have VarRate 0 in every environment the analysis is run with; the
+// network runtime classifies clocks, continuous variables with trajectory
+// equations and the flows that read them as timed (Runtime.Timed).
+//
+// A subexpression that reads no timed variable is constant during a delay,
+// so EvalAffine, Window and their compiled forms evaluate it with the exact
+// value semantics of Eval: integer division and mod, short-circuit and/or,
+// and the same errors at the same points. Interval arithmetic is used only
+// where a timed variable is read.
+type Timed func(VarID) bool
+
+// readsTimed reports whether e references a variable timed accepts.
+func readsTimed(e Expr, timed Timed) bool {
+	reads := false
+	Walk(e, func(n Expr) {
+		if r, ok := n.(*Ref); ok && r.ID != NoVar && !reads {
+			reads = timed(r.ID)
+		}
+	})
+	return reads
+}
+
+// constAffine lifts the value of a delay-constant numeric subexpression.
+func constAffine(v Value, err error) (Affine, error) {
+	if err != nil {
+		return Affine{}, err
+	}
+	if !v.IsNumeric() {
+		return Affine{}, fmt.Errorf("expr: non-numeric value %s in timed context", v)
+	}
+	return Affine{A: v.AsFloat()}, nil
+}
+
+// boolWindow lifts the truth value of a delay-constant guard.
+func boolWindow(b bool, err error) (intervals.Set, error) {
+	if err != nil {
+		return intervals.Set{}, err
+	}
+	return boolSet(b), nil
+}
+
 // EvalAffine computes a numeric expression's value as an affine function of
-// the delay d, given current values and rates. It fails if the expression
-// is non-linear in d (the SLIM subset forbids such dynamics) or not
-// numeric.
-func EvalAffine(e Expr, env RateEnv) (Affine, error) {
+// the delay d, given current values and rates. Subexpressions that read no
+// timed variable are evaluated as values (see Timed). It fails if the
+// expression is non-linear in d (the SLIM subset forbids such dynamics) or
+// not numeric.
+func EvalAffine(e Expr, env RateEnv, timed Timed) (Affine, error) {
+	if !readsTimed(e, timed) {
+		return constAffine(e.Eval(env))
+	}
 	switch n := e.(type) {
-	case *Lit:
-		if !n.Val.IsNumeric() {
-			return Affine{}, fmt.Errorf("expr: non-numeric literal %s in timed context", n.Val)
-		}
-		return Affine{A: n.Val.AsFloat()}, nil
 	case *Ref:
-		if n.ID == NoVar {
-			return Affine{}, fmt.Errorf("expr: unresolved reference %q", n.Name)
-		}
 		v := env.VarValue(n.ID)
 		if !v.IsNumeric() {
 			return Affine{}, fmt.Errorf("expr: non-numeric variable %s in timed context", n.Name)
@@ -62,29 +101,34 @@ func EvalAffine(e Expr, env RateEnv) (Affine, error) {
 		if n.Op != OpNeg {
 			return Affine{}, fmt.Errorf("expr: operator %v in timed numeric context", n.Op)
 		}
-		x, err := EvalAffine(n.X, env)
+		x, err := EvalAffine(n.X, env, timed)
 		if err != nil {
 			return Affine{}, err
 		}
 		return Affine{A: -x.A, B: -x.B}, nil
 	case *Binary:
-		return evalAffineBinary(n, env)
+		return evalAffineBinary(n, env, timed)
 	case *Cond:
-		return evalAffineCond(n, env)
+		return evalAffineCond(n, env, timed)
 	default:
 		return Affine{}, fmt.Errorf("expr: unsupported node %T in timed context", e)
 	}
 }
 
-func evalAffineBinary(n *Binary, env RateEnv) (Affine, error) {
-	l, err := EvalAffine(n.L, env)
+func evalAffineBinary(n *Binary, env RateEnv, timed Timed) (Affine, error) {
+	l, err := EvalAffine(n.L, env, timed)
 	if err != nil {
 		return Affine{}, err
 	}
-	r, err := EvalAffine(n.R, env)
+	r, err := EvalAffine(n.R, env, timed)
 	if err != nil {
 		return Affine{}, err
 	}
+	return affineArith(n, l, r)
+}
+
+// affineArith combines the affine operands of a timed arithmetic node.
+func affineArith(n *Binary, l, r Affine) (Affine, error) {
 	switch n.Op {
 	case OpAdd:
 		return Affine{A: l.A + r.A, B: l.B + r.B}, nil
@@ -124,20 +168,17 @@ func evalAffineBinary(n *Binary, env RateEnv) (Affine, error) {
 // expression e holds, assuming variables evolve with the rates in env. The
 // caller intersects the result with [0, maxDelay].
 //
-// Comparisons reduce to sign conditions on affine functions; Boolean
-// connectives map to set algebra. Boolean variables are constant during a
-// delay, so they contribute the full or empty set.
-func Window(e Expr, env RateEnv) (intervals.Set, error) {
+// A subexpression that reads no timed variable is decided as a Boolean
+// (see Timed) and contributes the full or empty set. Comparisons over timed
+// variables reduce to sign conditions on affine functions; Boolean
+// connectives map to set algebra, and and/or stop at an empty/full left
+// window just as evaluation stops at a false/true left operand.
+func Window(e Expr, env RateEnv, timed Timed) (intervals.Set, error) {
+	if !readsTimed(e, timed) {
+		return boolWindow(EvalBool(e, env))
+	}
 	switch n := e.(type) {
-	case *Lit:
-		if n.Val.Kind() != KindBool {
-			return intervals.Set{}, fmt.Errorf("expr: non-Boolean literal %s in guard", n.Val)
-		}
-		return boolSet(n.Val.Bool()), nil
 	case *Ref:
-		if n.ID == NoVar {
-			return intervals.Set{}, fmt.Errorf("expr: unresolved reference %q", n.Name)
-		}
 		v := env.VarValue(n.ID)
 		if v.Kind() != KindBool {
 			return intervals.Set{}, fmt.Errorf("expr: non-Boolean variable %s used as guard", n.Name)
@@ -147,28 +188,31 @@ func Window(e Expr, env RateEnv) (intervals.Set, error) {
 		if n.Op != OpNot {
 			return intervals.Set{}, fmt.Errorf("expr: operator %v used as guard", n.Op)
 		}
-		inner, err := Window(n.X, env)
+		inner, err := Window(n.X, env, timed)
 		if err != nil {
 			return intervals.Set{}, err
 		}
 		return inner.Complement(), nil
 	case *Binary:
-		return windowBinary(n, env)
+		return windowBinary(n, env, timed)
 	case *Cond:
-		return windowCond(n, env)
+		return windowCond(n, env, timed)
 	default:
 		return intervals.Set{}, fmt.Errorf("expr: unsupported node %T in guard", e)
 	}
 }
 
-func windowBinary(n *Binary, env RateEnv) (intervals.Set, error) {
+func windowBinary(n *Binary, env RateEnv, timed Timed) (intervals.Set, error) {
 	switch n.Op {
 	case OpAnd, OpOr:
-		l, err := Window(n.L, env)
+		l, err := Window(n.L, env, timed)
 		if err != nil {
 			return intervals.Set{}, err
 		}
-		r, err := Window(n.R, env)
+		if stopsConnective(n.Op, l) {
+			return l, nil
+		}
+		r, err := Window(n.R, env, timed)
 		if err != nil {
 			return intervals.Set{}, err
 		}
@@ -185,11 +229,11 @@ func windowBinary(n *Binary, env RateEnv) (intervals.Set, error) {
 				return s, nil
 			}
 		}
-		l, err := EvalAffine(n.L, env)
+		l, err := EvalAffine(n.L, env, timed)
 		if err != nil {
 			return intervals.Set{}, err
 		}
-		r, err := EvalAffine(n.R, env)
+		r, err := EvalAffine(n.R, env, timed)
 		if err != nil {
 			return intervals.Set{}, err
 		}
@@ -198,6 +242,15 @@ func windowBinary(n *Binary, env RateEnv) (intervals.Set, error) {
 	default:
 		return intervals.Set{}, fmt.Errorf("expr: operator %v used as guard", n.Op)
 	}
+}
+
+// stopsConnective reports whether the left window l alone decides the
+// connective op: an empty left operand of and, a full one of or.
+func stopsConnective(op Op, l intervals.Set) bool {
+	if op == OpAnd {
+		return l.Empty()
+	}
+	return l.Full()
 }
 
 // tryBoolComparison handles = and != over Boolean subexpressions, which are

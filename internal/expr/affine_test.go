@@ -45,7 +45,7 @@ func TestEvalAffine(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := EvalAffine(tt.e, env)
+			got, err := EvalAffine(tt.e, env, env.timed)
 			if err != nil {
 				t.Fatalf("EvalAffine: %v", err)
 			}
@@ -66,7 +66,7 @@ func TestEvalAffineRejectsNonLinear(t *testing.T) {
 		b,
 		Not(b),
 	} {
-		if _, err := EvalAffine(e, env); err == nil {
+		if _, err := EvalAffine(e, env, env.timed); err == nil {
 			t.Errorf("EvalAffine(%s) should fail", e)
 		}
 	}
@@ -99,7 +99,7 @@ func TestWindowComparisons(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			set, err := Window(tt.e, env)
+			set, err := Window(tt.e, env, env.timed)
 			if err != nil {
 				t.Fatalf("Window: %v", err)
 			}
@@ -120,14 +120,14 @@ func TestWindowComparisons(t *testing.T) {
 func TestWindowBooleanConstants(t *testing.T) {
 	env := affEnv()
 	b := Var("b", 3)
-	set, err := Window(b, env)
+	set, err := Window(b, env, env.timed)
 	if err != nil {
 		t.Fatalf("Window: %v", err)
 	}
 	if !set.Equal(intervals.FullSet()) {
 		t.Errorf("window of true bool var = %v, want full set", set)
 	}
-	set, err = Window(Not(b), env)
+	set, err = Window(Not(b), env, env.timed)
 	if err != nil {
 		t.Fatalf("Window: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestWindowBooleanConstants(t *testing.T) {
 		t.Errorf("window of negated true bool = %v, want empty", set)
 	}
 	// Boolean equality with a literal.
-	set, err = Window(Bin(OpEq, b, False()), env)
+	set, err = Window(Bin(OpEq, b, False()), env, env.timed)
 	if err != nil {
 		t.Fatalf("Window: %v", err)
 	}
@@ -147,14 +147,14 @@ func TestWindowBooleanConstants(t *testing.T) {
 func TestWindowConstantComparison(t *testing.T) {
 	env := affEnv()
 	n := Var("n", 2) // constant 3
-	set, err := Window(Bin(OpLt, n, Literal(IntVal(5))), env)
+	set, err := Window(Bin(OpLt, n, Literal(IntVal(5))), env, env.timed)
 	if err != nil {
 		t.Fatalf("Window: %v", err)
 	}
 	if !set.Equal(intervals.FullSet()) {
 		t.Errorf("constant-true comparison window = %v, want full", set)
 	}
-	set, err = Window(Bin(OpGt, n, Literal(IntVal(5))), env)
+	set, err = Window(Bin(OpGt, n, Literal(IntVal(5))), env, env.timed)
 	if err != nil {
 		t.Fatalf("Window: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestQuickWindowAgreesWithPointEval(t *testing.T) {
 			},
 		}
 		e := exprs[r.Intn(len(exprs))]
-		set, err := Window(e, env)
+		set, err := Window(e, env, env.timed)
 		if err != nil {
 			return false
 		}
@@ -230,4 +230,43 @@ func nearBoundary(s intervals.Set, d, eps float64) bool {
 		}
 	}
 	return false
+}
+
+// TestWindowValueSemantics checks that the parts of a timed guard which
+// read no timed variable keep value semantics: integer division in the
+// operand of a clock comparison, and a time-invariant condition that
+// selects one branch without evaluating the other.
+func TestWindowValueSemantics(t *testing.T) {
+	x, n, y := Var("x", 0), Var("n", 1), Var("y", 2)
+	env := &mapEnv{
+		vals:  map[VarID]Value{0: RealVal(0), 1: IntVal(7), 2: IntVal(0)},
+		rates: map[VarID]float64{0: 1},
+	}
+	tests := []struct {
+		name string
+		e    Expr
+		want intervals.Set
+	}{
+		// x >= 7 / 2 = 3 (integer division), not 3.5.
+		{"int div operand", Bin(OpGe, x, Bin(OpDiv, n, Literal(IntVal(2)))),
+			intervals.FromInterval(intervals.AtLeast(3))},
+		// if y = 0 then x >= 1 else x >= 10 / y: the else branch, which
+		// divides by zero, is never evaluated.
+		{"chosen branch", Ite(Bin(OpEq, y, Literal(IntVal(0))),
+			Bin(OpGe, x, Literal(IntVal(1))),
+			Bin(OpGe, x, Bin(OpDiv, Literal(IntVal(10)), y))),
+			intervals.FromInterval(intervals.AtLeast(1))},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			got, err := Window(tt.e, env, env.timed)
+			if err != nil || !got.Equal(tt.want) {
+				t.Errorf("Window = (%v, %v), want %v", got, err, tt.want)
+			}
+			got, err = CompileWindow(tt.e, env.timed)(env)
+			if err != nil || !got.Equal(tt.want) {
+				t.Errorf("CompileWindow = (%v, %v), want %v", got, err, tt.want)
+			}
+		})
+	}
 }

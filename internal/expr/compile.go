@@ -2,7 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"math"
 
 	"slimsim/internal/intervals"
 )
@@ -285,25 +284,20 @@ func CompileBool(e Expr) BoolCode {
 }
 
 // CompileAffine builds the closure form of a timed numeric expression,
-// mirroring EvalAffine node for node.
-func CompileAffine(e Expr) AffineCode {
+// mirroring EvalAffine node for node. A subtree that reads no timed
+// variable compiles through Compile, so it keeps value semantics.
+func CompileAffine(e Expr, timed Timed) AffineCode {
+	if !readsTimed(e, timed) {
+		code, cst := compile(e)
+		if cst {
+			if a, err := constAffine(code(nil)); err == nil {
+				return func(RateEnv) (Affine, error) { return a, nil }
+			}
+		}
+		return func(env RateEnv) (Affine, error) { return constAffine(code(env)) }
+	}
 	switch n := e.(type) {
-	case *Lit:
-		if !n.Val.IsNumeric() {
-			v := n.Val
-			return func(RateEnv) (Affine, error) {
-				return Affine{}, fmt.Errorf("expr: non-numeric literal %s in timed context", v)
-			}
-		}
-		a := Affine{A: n.Val.AsFloat()}
-		return func(RateEnv) (Affine, error) { return a, nil }
 	case *Ref:
-		if n.ID == NoVar {
-			name := n.Name
-			return func(RateEnv) (Affine, error) {
-				return Affine{}, fmt.Errorf("expr: unresolved reference %q", name)
-			}
-		}
 		id, name := n.ID, n.Name
 		return func(env RateEnv) (Affine, error) {
 			v := env.VarValue(id)
@@ -319,7 +313,7 @@ func CompileAffine(e Expr) AffineCode {
 				return Affine{}, fmt.Errorf("expr: operator %v in timed numeric context", op)
 			}
 		}
-		x := CompileAffine(n.X)
+		x := CompileAffine(n.X, timed)
 		return func(env RateEnv) (Affine, error) {
 			xv, err := x(env)
 			if err != nil {
@@ -328,11 +322,23 @@ func CompileAffine(e Expr) AffineCode {
 			return Affine{A: -xv.A, B: -xv.B}, nil
 		}
 	case *Binary:
-		return compileAffineBinary(n)
+		l := CompileAffine(n.L, timed)
+		r := CompileAffine(n.R, timed)
+		return func(env RateEnv) (Affine, error) {
+			lv, err := l(env)
+			if err != nil {
+				return Affine{}, err
+			}
+			rv, err := r(env)
+			if err != nil {
+				return Affine{}, err
+			}
+			return affineArith(n, lv, rv)
+		}
 	case *Cond:
 		ifC := CompileBool(n.If)
-		thenC := CompileAffine(n.Then)
-		elseC := CompileAffine(n.Else)
+		thenC := CompileAffine(n.Then, timed)
+		elseC := CompileAffine(n.Else, timed)
 		return func(env RateEnv) (Affine, error) {
 			b, err := ifC(env)
 			if err != nil {
@@ -344,94 +350,22 @@ func CompileAffine(e Expr) AffineCode {
 			return elseC(env)
 		}
 	default:
-		return func(env RateEnv) (Affine, error) { return EvalAffine(e, env) }
+		return func(env RateEnv) (Affine, error) { return EvalAffine(e, env, timed) }
 	}
 }
 
-func compileAffineBinary(n *Binary) AffineCode {
-	l := CompileAffine(n.L)
-	r := CompileAffine(n.R)
-	op := n.Op
-	switch op {
-	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
-	default:
-		return func(env RateEnv) (Affine, error) {
-			// Match evalAffineBinary: operands evaluate before the
-			// operator is rejected.
-			if _, err := l(env); err != nil {
-				return Affine{}, err
-			}
-			if _, err := r(env); err != nil {
-				return Affine{}, err
-			}
-			return Affine{}, fmt.Errorf("expr: operator %v in timed numeric context", op)
-		}
-	}
-	return func(env RateEnv) (Affine, error) {
-		lv, err := l(env)
-		if err != nil {
-			return Affine{}, err
-		}
-		rv, err := r(env)
-		if err != nil {
-			return Affine{}, err
-		}
-		switch op {
-		case OpAdd:
-			return Affine{A: lv.A + rv.A, B: lv.B + rv.B}, nil
-		case OpSub:
-			return Affine{A: lv.A - rv.A, B: lv.B - rv.B}, nil
-		case OpMul:
-			switch {
-			case lv.Constant():
-				return Affine{A: lv.A * rv.A, B: lv.A * rv.B}, nil
-			case rv.Constant():
-				return Affine{A: lv.A * rv.A, B: rv.A * lv.B}, nil
-			default:
-				return Affine{}, &nonLinearError{expr: n}
-			}
-		case OpDiv:
-			if !rv.Constant() {
-				return Affine{}, &nonLinearError{expr: n}
-			}
-			if rv.A == 0 {
-				return Affine{}, ErrDivisionByZero
-			}
-			return Affine{A: lv.A / rv.A, B: lv.B / rv.A}, nil
-		default: // OpMod
-			if !lv.Constant() || !rv.Constant() {
-				return Affine{}, &nonLinearError{expr: n}
-			}
-			if rv.A == 0 {
-				return Affine{}, ErrDivisionByZero
-			}
-			return Affine{A: math.Mod(lv.A, rv.A)}, nil
-		}
-	}
-}
-
-// CompileWindow builds the closure form of a timed guard, mirroring Window
-// node for node. Boolean leaves evaluate to the shared full or the zero
+// CompileWindow builds the closure form of a guard, mirroring Window node
+// for node. A subtree that reads no timed variable compiles to one
+// CompileBool program whose result selects the shared full or the zero
 // empty set, and the set algebra short-circuits on both, so guards that do
 // not depend on the delay compute their window without allocating.
-func CompileWindow(e Expr) WindowCode {
+func CompileWindow(e Expr, timed Timed) WindowCode {
+	if !readsTimed(e, timed) {
+		b := CompileBool(e)
+		return func(env RateEnv) (intervals.Set, error) { return boolWindow(b(env)) }
+	}
 	switch n := e.(type) {
-	case *Lit:
-		if n.Val.Kind() != KindBool {
-			v := n.Val
-			return func(RateEnv) (intervals.Set, error) {
-				return intervals.Set{}, fmt.Errorf("expr: non-Boolean literal %s in guard", v)
-			}
-		}
-		s := boolSet(n.Val.Bool())
-		return func(RateEnv) (intervals.Set, error) { return s, nil }
 	case *Ref:
-		if n.ID == NoVar {
-			name := n.Name
-			return func(RateEnv) (intervals.Set, error) {
-				return intervals.Set{}, fmt.Errorf("expr: unresolved reference %q", name)
-			}
-		}
 		id, name := n.ID, n.Name
 		return func(env RateEnv) (intervals.Set, error) {
 			v := env.VarValue(id)
@@ -447,7 +381,7 @@ func CompileWindow(e Expr) WindowCode {
 				return intervals.Set{}, fmt.Errorf("expr: operator %v used as guard", op)
 			}
 		}
-		x := CompileWindow(n.X)
+		x := CompileWindow(n.X, timed)
 		return func(env RateEnv) (intervals.Set, error) {
 			inner, err := x(env)
 			if err != nil {
@@ -456,42 +390,62 @@ func CompileWindow(e Expr) WindowCode {
 			return inner.Complement(), nil
 		}
 	case *Binary:
-		return compileWindowBinary(n)
+		return compileWindowBinary(n, timed)
 	case *Cond:
-		ifC := CompileWindow(n.If)
-		thenC := CompileWindow(n.Then)
-		elseC := CompileWindow(n.Else)
-		return func(env RateEnv) (intervals.Set, error) {
-			wIf, err := ifC(env)
-			if err != nil {
-				return intervals.Set{}, err
-			}
-			wThen, err := thenC(env)
-			if err != nil {
-				return intervals.Set{}, err
-			}
-			wElse, err := elseC(env)
-			if err != nil {
-				return intervals.Set{}, err
-			}
-			return wIf.Intersect(wThen).Union(wIf.Complement().Intersect(wElse)), nil
-		}
+		return compileWindowCond(n, timed)
 	default:
-		return func(env RateEnv) (intervals.Set, error) { return Window(e, env) }
+		return func(env RateEnv) (intervals.Set, error) { return Window(e, env, timed) }
 	}
 }
 
-func compileWindowBinary(n *Binary) WindowCode {
+func compileWindowCond(n *Cond, timed Timed) WindowCode {
+	thenC := CompileWindow(n.Then, timed)
+	elseC := CompileWindow(n.Else, timed)
+	if !readsTimed(n.If, timed) {
+		ifC := CompileBool(n.If)
+		return func(env RateEnv) (intervals.Set, error) {
+			b, err := ifC(env)
+			if err != nil {
+				return intervals.Set{}, err
+			}
+			if b {
+				return thenC(env)
+			}
+			return elseC(env)
+		}
+	}
+	ifC := CompileWindow(n.If, timed)
+	return func(env RateEnv) (intervals.Set, error) {
+		wIf, err := ifC(env)
+		if err != nil {
+			return intervals.Set{}, err
+		}
+		wThen, err := thenC(env)
+		if err != nil {
+			return intervals.Set{}, err
+		}
+		wElse, err := elseC(env)
+		if err != nil {
+			return intervals.Set{}, err
+		}
+		return wIf.Intersect(wThen).Union(wIf.Complement().Intersect(wElse)), nil
+	}
+}
+
+func compileWindowBinary(n *Binary, timed Timed) WindowCode {
 	op := n.Op
 	switch op {
 	case OpAnd, OpOr:
-		l := CompileWindow(n.L)
-		r := CompileWindow(n.R)
+		l := CompileWindow(n.L, timed)
+		r := CompileWindow(n.R, timed)
 		isAnd := op == OpAnd
 		return func(env RateEnv) (intervals.Set, error) {
 			lv, err := l(env)
 			if err != nil {
 				return intervals.Set{}, err
+			}
+			if stopsConnective(op, lv) {
+				return lv, nil
 			}
 			rv, err := r(env)
 			if err != nil {
@@ -503,8 +457,8 @@ func compileWindowBinary(n *Binary) WindowCode {
 			return lv.Union(rv), nil
 		}
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		lAff := CompileAffine(n.L)
-		rAff := CompileAffine(n.R)
+		lAff := CompileAffine(n.L, timed)
+		rAff := CompileAffine(n.R, timed)
 		// The Boolean-comparison probe needs plain value evaluation of
 		// both operands; compile those too when the operator admits it.
 		var lVal, rVal Code

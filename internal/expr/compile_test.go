@@ -85,15 +85,15 @@ func TestCompileAgreesWithEval(t *testing.T) {
 			t.Fatalf("CompileBool disagrees on %s:\n eval (%v, %v)\n code (%v, %v)", e, wantB, wantErr, gotB, gotErr)
 		}
 
-		wantA, wantErr := EvalAffine(e, env)
-		gotA, gotErr := CompileAffine(e)(env)
+		wantA, wantErr := EvalAffine(e, env, env.timed)
+		gotA, gotErr := CompileAffine(e, env.timed)(env)
 		if !sameErr(wantErr, gotErr) || (wantErr == nil && (math.Float64bits(wantA.A) != math.Float64bits(gotA.A) ||
 			math.Float64bits(wantA.B) != math.Float64bits(gotA.B))) {
 			t.Fatalf("CompileAffine disagrees on %s:\n eval (%v, %v)\n code (%v, %v)", e, wantA, wantErr, gotA, gotErr)
 		}
 
-		wantW, wantErr := Window(e, env)
-		gotW, gotErr := CompileWindow(e)(env)
+		wantW, wantErr := Window(e, env, env.timed)
+		gotW, gotErr := CompileWindow(e, env.timed)(env)
 		if !sameErr(wantErr, gotErr) || (wantErr == nil && !wantW.Equal(gotW)) {
 			t.Fatalf("CompileWindow disagrees on %s:\n eval (%v, %v)\n code (%v, %v)", e, wantW, wantErr, gotW, gotErr)
 		}
@@ -159,7 +159,7 @@ func TestCompiledConstGuardWindowAllocs(t *testing.T) {
 		vals:  map[VarID]Value{0: BoolVal(true), 1: IntVal(2), 2: BoolVal(false)},
 		rates: map[VarID]float64{},
 	}
-	code := CompileWindow(g)
+	code := CompileWindow(g, env.timed)
 	if w, err := code(env); err != nil || !w.Full() {
 		t.Fatalf("window = (%v, %v), want full set", w, err)
 	}
@@ -206,13 +206,13 @@ func BenchmarkCompiledEval(b *testing.B) {
 	b.Run("interp-window", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Window(benchGuard, benchEnv); err != nil {
+			if _, err := Window(benchGuard, benchEnv, benchEnv.timed); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("compiled-window", func(b *testing.B) {
-		code := CompileWindow(benchGuard)
+		code := CompileWindow(benchGuard, benchEnv.timed)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

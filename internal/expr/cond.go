@@ -45,30 +45,41 @@ func (c *Cond) walk(fn func(Expr)) {
 // be delay-constant (it may not reference clock or continuous variables);
 // the chosen branch is then analyzed as usual. The restriction is enforced
 // statically by TimedLinear.
-func evalAffineCond(c *Cond, env RateEnv) (Affine, error) {
+func evalAffineCond(c *Cond, env RateEnv, timed Timed) (Affine, error) {
 	b, err := EvalBool(c.If, env)
 	if err != nil {
 		return Affine{}, err
 	}
 	if b {
-		return EvalAffine(c.Then, env)
+		return EvalAffine(c.Then, env, timed)
 	}
-	return EvalAffine(c.Else, env)
+	return EvalAffine(c.Else, env, timed)
 }
 
-// windowCond handles Cond used as a Boolean guard:
+// windowCond handles Cond used as a Boolean guard. A delay-constant
+// condition selects one branch, as evaluation does; a timed one gives
 // (W_if ∩ W_then) ∪ (¬W_if ∩ W_else), which is exact even for
 // time-dependent conditions.
-func windowCond(c *Cond, env RateEnv) (intervals.Set, error) {
-	wIf, err := Window(c.If, env)
+func windowCond(c *Cond, env RateEnv, timed Timed) (intervals.Set, error) {
+	if !readsTimed(c.If, timed) {
+		b, err := EvalBool(c.If, env)
+		if err != nil {
+			return intervals.Set{}, err
+		}
+		if b {
+			return Window(c.Then, env, timed)
+		}
+		return Window(c.Else, env, timed)
+	}
+	wIf, err := Window(c.If, env, timed)
 	if err != nil {
 		return intervals.Set{}, err
 	}
-	wThen, err := Window(c.Then, env)
+	wThen, err := Window(c.Then, env, timed)
 	if err != nil {
 		return intervals.Set{}, err
 	}
-	wElse, err := Window(c.Else, env)
+	wElse, err := Window(c.Else, env, timed)
 	if err != nil {
 		return intervals.Set{}, err
 	}

@@ -47,7 +47,7 @@ func TestCondCheck(t *testing.T) {
 func TestCondAffine(t *testing.T) {
 	env := affEnv() // var 0: clock x rate 1, var 2: int n=3, var 3: bool b=true
 	x, n, b := Var("x", 0), Var("n", 2), Var("b", 3)
-	a, err := EvalAffine(Ite(b, x, n), env)
+	a, err := EvalAffine(Ite(b, x, n), env, env.timed)
 	if err != nil {
 		t.Fatalf("EvalAffine: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestCondWindow(t *testing.T) {
 	env := affEnv() // x(d)=1+d
 	x, b := Var("x", 0), Var("b", 3)
 	// if b then x >= 3 else false  ⇔  d >= 2 (b is true)
-	w, err := Window(Ite(b, Bin(OpGe, x, Literal(RealVal(3))), False()), env)
+	w, err := Window(Ite(b, Bin(OpGe, x, Literal(RealVal(3))), False()), env, env.timed)
 	if err != nil {
 		t.Fatalf("Window: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestCondWindow(t *testing.T) {
 	// ⇔ (d>=2 and d>=4) or (d<2 and d>=0) ⇔ d>=4 or 0<=d<2.
 	w, err = Window(Ite(Bin(OpGe, x, Literal(RealVal(3))),
 		Bin(OpGe, x, Literal(RealVal(5))),
-		Bin(OpGe, x, Literal(RealVal(1)))), env)
+		Bin(OpGe, x, Literal(RealVal(1)))), env, env.timed)
 	if err != nil {
 		t.Fatalf("Window: %v", err)
 	}

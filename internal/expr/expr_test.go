@@ -15,6 +15,9 @@ type mapEnv struct {
 func (m *mapEnv) VarValue(id VarID) Value  { return m.vals[id] }
 func (m *mapEnv) VarRate(id VarID) float64 { return m.rates[id] }
 
+// timed classifies the variables with a nonzero rate as timed (see Timed).
+func (m *mapEnv) timed(id VarID) bool { return m.rates[id] != 0 }
+
 func TestValueAccessors(t *testing.T) {
 	if !BoolVal(true).Bool() {
 		t.Error("BoolVal(true).Bool() = false")

@@ -365,7 +365,7 @@ func checkInitialTimelocks(b *model.Built, rep *Reporter) {
 		if !stableRefs(b, loc.Invariant, assigned) {
 			continue
 		}
-		w, err := expr.Window(loc.Invariant, env)
+		w, err := expr.Window(loc.Invariant, env, rt.Timed)
 		if err != nil {
 			continue
 		}
@@ -398,7 +398,7 @@ func checkInitialTimelocks(b *model.Built, rep *Reporter) {
 				escape = true // cannot reason; assume enabled
 				break
 			}
-			gw, err := expr.Window(tr.Guard, env)
+			gw, err := expr.Window(tr.Guard, env, rt.Timed)
 			if err != nil {
 				escape = true
 				break

@@ -67,31 +67,23 @@ type timedVar struct {
 }
 
 // buildPrograms compiles every expression of the network. Called once from
-// New, after static checking.
+// New, after static checking. Windows and flow rates compile last, once
+// the dirty sets have classified every variable as timed or not.
 func (rt *Runtime) buildPrograms() {
 	rt.flowProgs = make([]flowProg, 0, len(rt.flowOrder))
-	rt.flowRate = make([]expr.AffineCode, len(rt.net.Vars))
 	for _, v := range rt.flowOrder {
 		rt.flowProgs = append(rt.flowProgs, flowProg{id: v, code: expr.Compile(rt.net.Vars[v].FlowExpr)})
-		rt.flowRate[v] = expr.CompileAffine(rt.net.Vars[v].FlowExpr)
 	}
 	rt.procProgs = make([]procProg, len(rt.net.Processes))
 	for pi := range rt.net.Processes {
 		p := rt.net.Processes[pi]
 		pp := &rt.procProgs[pi]
-		pp.invWin = make([]expr.WindowCode, len(p.Locations))
-		for li := range p.Locations {
-			if inv := p.Locations[li].Invariant; inv != nil {
-				pp.invWin[li] = expr.CompileWindow(inv)
-			}
-		}
 		pp.trans = make([]transProg, len(p.Transitions))
 		for ti := range p.Transitions {
 			tr := &p.Transitions[ti]
 			tp := &pp.trans[ti]
 			if tr.Guard != nil {
 				tp.guardBool = expr.CompileBool(tr.Guard)
-				tp.guardWin = expr.CompileWindow(tr.Guard)
 			}
 			tp.effects = make([]expr.Code, len(tr.Effects))
 			for ai := range tr.Effects {
@@ -106,7 +98,7 @@ func (rt *Runtime) buildPrograms() {
 		}
 		id := expr.VarID(i)
 		tv := timedVar{id: id}
-		if cr, ok := rt.contRates[id]; ok {
+		if cr := rt.contRates[id]; cr != nil {
 			tv.cr = cr
 		} else if decl.Type.Clock {
 			tv.rate = 1
@@ -118,7 +110,59 @@ func (rt *Runtime) buildPrograms() {
 		rt.timedVars = append(rt.timedVars, tv)
 	}
 	rt.buildDirtySets()
+	rt.classifyTimed()
+	timed := rt.Timed
+	rt.flowRate = make([]expr.AffineCode, len(rt.net.Vars))
+	for _, fp := range rt.flowProgs {
+		if timed(fp.id) {
+			rt.flowRate[fp.id] = expr.CompileAffine(rt.net.Vars[fp.id].FlowExpr, timed)
+		}
+	}
+	for pi := range rt.net.Processes {
+		p := rt.net.Processes[pi]
+		pp := &rt.procProgs[pi]
+		pp.invWin = make([]expr.WindowCode, len(p.Locations))
+		bounds := false
+		for li := range p.Locations {
+			if inv := p.Locations[li].Invariant; inv != nil {
+				pp.invWin[li] = expr.CompileWindow(inv, timed)
+				bounds = true
+			}
+			bounds = bounds || p.Locations[li].Urgent
+		}
+		if bounds {
+			rt.bounding = append(rt.bounding, pi)
+		}
+		for ti := range p.Transitions {
+			if g := p.Transitions[ti].Guard; g != nil {
+				pp.trans[ti].guardWin = expr.CompileWindow(g, timed)
+			}
+		}
+	}
 }
+
+// classifyTimed marks every variable whose value can change while time
+// passes: the timed variables AdvanceInto moves and the flows downstream of
+// them. Every other variable keeps its value across a delay, so its rate is
+// 0 in every state.
+func (rt *Runtime) classifyTimed() {
+	rt.timed = make([]bool, len(rt.net.Vars))
+	for i := range rt.timedVars {
+		rt.timed[rt.timedVars[i].id] = true
+	}
+	for w, word := range rt.timedFlows {
+		for ; word != 0; word &= word - 1 {
+			rt.timed[rt.flowProgs[w<<6|bits.TrailingZeros64(word)].id] = true
+		}
+	}
+}
+
+// Timed reports whether variable id can change value while time passes:
+// a clock, a continuous variable with trajectory equations, or a flow that
+// reads one of them directly or through other flows. Guards, invariants
+// and property windows decide every subexpression that reads no timed
+// variable as a value (see expr.Timed).
+func (rt *Runtime) Timed(id expr.VarID) bool { return rt.timed[id] }
 
 // buildDirtySets gives every transition the set of flows downstream of the
 // variables its effects write, and the runtime the set of flows downstream
@@ -290,7 +334,11 @@ func (s *Scratch) MaxDelay(st *State) (d float64, attained, nowOK bool, err erro
 // Window returns the set of delays d (within the whole real line; callers
 // intersect with [0, maxDelay]) at which every guard of the move holds.
 // Markovian moves have no guard window (they race by rate); Window returns
-// the full set for them.
+// the full set for them. A guard subexpression that reads no timed variable
+// (see Runtime.Timed) is decided with the value semantics of EnabledAt —
+// integer division and mod, short-circuit and/or, the same errors — and
+// contributes the full or empty set; interval arithmetic is used only where
+// a timed variable is read.
 func (s *Scratch) Window(st *State, m *Move) (intervals.Set, error) {
 	s.env.st = st
 	return s.rt.windowEnv(&s.env, m)
@@ -356,7 +404,7 @@ func (s *Scratch) RenderedLabels() int {
 func (rt *Runtime) maxDelayEnv(e *env) (d float64, attained, nowOK bool, err error) {
 	bound := math.Inf(1)
 	boundAttained := true
-	for pi := range rt.net.Processes {
+	for _, pi := range rt.bounding {
 		p := rt.net.Processes[pi]
 		loc := &p.Locations[e.st.Locs[pi]]
 		if loc.Urgent {

@@ -18,17 +18,22 @@ type Runtime struct {
 	flowOrder   []expr.VarID     // topological evaluation order of flow vars
 	actions     map[string][]int // action -> indices of participating processes
 	actionNames []string         // keys of actions, sorted: movesFor's sync order
-	contRates   map[expr.VarID]*contRate
+	contRates   []*contRate      // per VarID; nil when no location sets its rate
 
 	// Compiled evaluation programs (see compiled.go): flows in flowOrder,
 	// per-VarID flow rate codes, per-process invariant/guard/effect codes
 	// and the precomputed non-flow timed variables for AdvanceInto, with the
-	// flows downstream of them (the only flows a delay can change).
+	// flows downstream of them (the only flows a delay can change). timed
+	// marks both per VarID (see Timed), and bounding lists the processes
+	// with an urgent location or an invariant, the only ones that can bound
+	// a delay.
 	flowProgs  []flowProg
 	flowRate   []expr.AffineCode
 	procProgs  []procProg
 	timedVars  []timedVar
 	timedFlows flowSet
+	timed      []bool
+	bounding   []int
 
 	// pruned, when non-nil, marks transitions statically proven unable to
 	// ever fire (or to ever be enumerated); movesFor skips them. Set once by
@@ -52,7 +57,7 @@ func New(net *sta.Network) (*Runtime, error) {
 	rt := &Runtime{
 		net:       net,
 		actions:   make(map[string][]int),
-		contRates: make(map[expr.VarID]*contRate),
+		contRates: make([]*contRate, len(net.Vars)),
 	}
 	for pi, p := range net.Processes {
 		// Build the outgoing-transition index now, while construction is
@@ -71,20 +76,23 @@ func New(net *sta.Network) (*Runtime, error) {
 				if !decl.Type.Timed() {
 					return nil, fmt.Errorf("network: process %s sets rate of non-timed variable %s", p.Name, decl.Name)
 				}
-				cr, ok := rt.contRates[v]
-				if !ok {
+				cr := rt.contRates[v]
+				if cr == nil {
 					fallback := 0.0
 					if decl.Type.Clock {
 						fallback = 1.0
 					}
-					cr = &contRate{proc: pi, perLoc: make(map[sta.LocID]float64), fallback: fallback}
+					cr = &contRate{proc: pi, perLoc: make([]float64, len(p.Locations))}
+					for i := range cr.perLoc {
+						cr.perLoc[i] = fallback
+					}
 					rt.contRates[v] = cr
 				}
 				if cr.proc != pi {
 					return nil, fmt.Errorf("network: variable %s has trajectory equations in two processes (%s and %s)",
 						decl.Name, net.Processes[cr.proc].Name, p.Name)
 				}
-				cr.perLoc[sta.LocID(li)] = r
+				cr.perLoc[li] = r
 			}
 		}
 	}

@@ -86,46 +86,39 @@ func (e *env) VarValue(id expr.VarID) expr.Value {
 	return e.st.Vals[id]
 }
 
-// VarRate implements expr.RateEnv. Clocks advance at rate 1, continuous
-// variables at the rate declared by the owning process's current location
-// (default 0), flow variables at the derived rate of their defining
-// expression, and discrete variables at rate 0.
+// VarRate implements expr.RateEnv. Variables the runtime does not classify
+// as timed (see Runtime.Timed) have rate 0. Clocks advance at rate 1,
+// continuous variables at the rate declared by the owning process's current
+// location (default 0), and flow variables at the derived rate of their
+// defining expression.
 func (e *env) VarRate(id expr.VarID) float64 {
-	d := &e.rt.net.Vars[id]
-	switch {
-	case d.Flow:
-		a, err := e.rt.flowRate[id](e)
+	if !e.rt.timed[id] {
+		return 0
+	}
+	if code := e.rt.flowRate[id]; code != nil {
+		a, err := code(e)
 		if err != nil {
 			// Non-numeric (e.g. Boolean) flows are constant during
 			// a delay; report rate 0.
 			return 0
 		}
 		return a.B
-	case d.Type.Clock:
-		if r, ok := e.rt.contRates[id]; ok {
-			return r.rateIn(e.st)
-		}
-		return 1
-	case d.Type.Continuous:
-		if r, ok := e.rt.contRates[id]; ok {
-			return r.rateIn(e.st)
-		}
-		return 0
-	default:
-		return 0
 	}
+	if r := e.rt.contRates[id]; r != nil {
+		return r.rateIn(e.st)
+	}
+	return 1 // a clock without trajectory equations
 }
 
 // contRate records which process locations set a variable's derivative.
 type contRate struct {
-	proc     int                   // owning process index
-	perLoc   map[sta.LocID]float64 // declared rates
-	fallback float64               // 1 for clocks, 0 for continuous
+	proc int // owning process index
+	// perLoc holds the rate in each location of the owning process, indexed
+	// by LocID: the declared rate, or 1 for clocks and 0 for continuous
+	// variables where none is declared.
+	perLoc []float64
 }
 
 func (c *contRate) rateIn(st *State) float64 {
-	if r, ok := c.perLoc[st.Locs[c.proc]]; ok {
-		return r
-	}
-	return c.fallback
+	return c.perLoc[st.Locs[c.proc]]
 }

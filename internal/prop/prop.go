@@ -173,16 +173,19 @@ type Evaluator struct {
 	consWin  expr.WindowCode
 }
 
-// NewEvaluator returns an evaluator for p.
-func NewEvaluator(p Property) *Evaluator {
+// NewEvaluator returns an evaluator for p. timed classifies the variables
+// whose value can change during a delay (see expr.Timed): goal and
+// constraint subexpressions that read none of them are decided with value
+// semantics, exactly as AtState decides them.
+func NewEvaluator(p Property, timed expr.Timed) *Evaluator {
 	ev := &Evaluator{prop: p}
 	if p.Goal != nil {
 		ev.goalBool = expr.CompileBool(p.Goal)
-		ev.goalWin = expr.CompileWindow(p.Goal)
+		ev.goalWin = expr.CompileWindow(p.Goal, timed)
 	}
 	if p.Constraint != nil {
 		ev.consBool = expr.CompileBool(p.Constraint)
-		ev.consWin = expr.CompileWindow(p.Constraint)
+		ev.consWin = expr.CompileWindow(p.Constraint, timed)
 	}
 	return ev
 }

@@ -34,6 +34,9 @@ var (
 	bRef = expr.Var("b", 1)
 )
 
+// xTimed classifies x, the only variable with a rate, as timed.
+func xTimed(id expr.VarID) bool { return id == 0 }
+
 func geX(c float64) expr.Expr { return expr.Bin(expr.OpGe, xRef, expr.Literal(expr.RealVal(c))) }
 func ltX(c float64) expr.Expr { return expr.Bin(expr.OpLt, xRef, expr.Literal(expr.RealVal(c))) }
 
@@ -65,7 +68,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestAtStateReachability(t *testing.T) {
-	ev := NewEvaluator(Reach(10, bRef))
+	ev := NewEvaluator(Reach(10, bRef), xTimed)
 	env := &testEnv{}
 	v, err := ev.AtState(env, 0)
 	if err != nil || v != Undecided {
@@ -88,7 +91,7 @@ func TestAtStateReachability(t *testing.T) {
 }
 
 func TestAtStateInvariance(t *testing.T) {
-	ev := NewEvaluator(Always(10, bRef))
+	ev := NewEvaluator(Always(10, bRef), xTimed)
 	env := &testEnv{b: true}
 	if v, _ := ev.AtState(env, 3); v != Undecided {
 		t.Errorf("holding, in bound: %v, want undecided", v)
@@ -103,7 +106,7 @@ func TestAtStateInvariance(t *testing.T) {
 }
 
 func TestAtStateUntil(t *testing.T) {
-	ev := NewEvaluator(UntilWithin(10, ltX(5), bRef))
+	ev := NewEvaluator(UntilWithin(10, ltX(5), bRef), xTimed)
 	env := &testEnv{x: 1}
 	if v, _ := ev.AtState(env, 0); v != Undecided {
 		t.Errorf("constraint holds, goal false: %v, want undecided", v)
@@ -121,7 +124,7 @@ func TestAtStateUntil(t *testing.T) {
 
 func TestDuringDelayReachability(t *testing.T) {
 	// Goal x >= 5 with x starting at 0, rate 1: reached at delay 5.
-	ev := NewEvaluator(Reach(10, geX(5)))
+	ev := NewEvaluator(Reach(10, geX(5)), xTimed)
 	env := &testEnv{x: 0, rate: 1}
 	v, at, err := ev.DuringDelay(env, 0, 8)
 	if err != nil {
@@ -138,7 +141,7 @@ func TestDuringDelayReachability(t *testing.T) {
 	}
 
 	// The goal is reached only after the bound: violated at the bound.
-	evTight := NewEvaluator(Reach(4, geX(5)))
+	evTight := NewEvaluator(Reach(4, geX(5)), xTimed)
 	v, at, _ = evTight.DuringDelay(env, 0, 8)
 	if v != Violated || at != 4 {
 		t.Errorf("goal past bound = (%v,%v), want (violated,4)", v, at)
@@ -154,7 +157,7 @@ func TestDuringDelayReachability(t *testing.T) {
 
 func TestDuringDelayInvariance(t *testing.T) {
 	// Invariant x < 5 with x rising from 0 at rate 1: breaks at 5.
-	ev := NewEvaluator(Always(10, ltX(5)))
+	ev := NewEvaluator(Always(10, ltX(5)), xTimed)
 	env := &testEnv{x: 0, rate: 1}
 	v, at, err := ev.DuringDelay(env, 0, 8)
 	if err != nil {
@@ -171,7 +174,7 @@ func TestDuringDelayInvariance(t *testing.T) {
 	}
 
 	// Surviving past the bound satisfies.
-	evShort := NewEvaluator(Always(3, ltX(5)))
+	evShort := NewEvaluator(Always(3, ltX(5)), xTimed)
 	v, at, _ = evShort.DuringDelay(env, 0, 4)
 	if v != Satisfied || at != 3 {
 		t.Errorf("past bound = (%v,%v), want (satisfied,3)", v, at)
@@ -181,7 +184,7 @@ func TestDuringDelayInvariance(t *testing.T) {
 func TestDuringDelayUntil(t *testing.T) {
 	// x rises from 0 at rate 1. Constraint: x < 5; goal: x >= 3.
 	// Goal at delay 3 precedes constraint violation at 5: satisfied.
-	ev := NewEvaluator(UntilWithin(10, ltX(5), geX(3)))
+	ev := NewEvaluator(UntilWithin(10, ltX(5), geX(3)), xTimed)
 	env := &testEnv{x: 0, rate: 1}
 	v, at, err := ev.DuringDelay(env, 0, 8)
 	if err != nil {
@@ -192,7 +195,7 @@ func TestDuringDelayUntil(t *testing.T) {
 	}
 
 	// Constraint x < 2 breaks before goal x >= 3: violated at 2.
-	ev2 := NewEvaluator(UntilWithin(10, ltX(2), geX(3)))
+	ev2 := NewEvaluator(UntilWithin(10, ltX(2), geX(3)), xTimed)
 	v, at, _ = ev2.DuringDelay(env, 0, 8)
 	if v != Violated || math.Abs(at-2) > 1e-12 {
 		t.Errorf("= (%v,%v), want (violated,2)", v, at)
@@ -205,7 +208,7 @@ func TestDuringDelayUntil(t *testing.T) {
 	}
 
 	// Bound exceeded without goal: violated.
-	ev3 := NewEvaluator(UntilWithin(2, ltX(50), geX(30)))
+	ev3 := NewEvaluator(UntilWithin(2, ltX(50), geX(30)), xTimed)
 	v, at, _ = ev3.DuringDelay(env, 0, 8)
 	if v != Violated || at != 2 {
 		t.Errorf("= (%v,%v), want (violated,2)", v, at)
@@ -214,23 +217,23 @@ func TestDuringDelayUntil(t *testing.T) {
 
 func TestAtPathEnd(t *testing.T) {
 	env := &testEnv{b: true}
-	if v, _ := NewEvaluator(Reach(10, bRef)).AtPathEnd(env, 4); v != Violated {
+	if v, _ := NewEvaluator(Reach(10, bRef), xTimed).AtPathEnd(env, 4); v != Violated {
 		t.Errorf("reachability at deadlock = %v, want violated", v)
 	}
-	if v, _ := NewEvaluator(UntilWithin(10, bRef, bRef)).AtPathEnd(env, 4); v != Violated {
+	if v, _ := NewEvaluator(UntilWithin(10, bRef, bRef), xTimed).AtPathEnd(env, 4); v != Violated {
 		t.Errorf("until at deadlock = %v, want violated", v)
 	}
-	if v, _ := NewEvaluator(Always(10, bRef)).AtPathEnd(env, 4); v != Satisfied {
+	if v, _ := NewEvaluator(Always(10, bRef), xTimed).AtPathEnd(env, 4); v != Satisfied {
 		t.Errorf("invariance holding at deadlock = %v, want satisfied", v)
 	}
 	env.b = false
-	if v, _ := NewEvaluator(Always(10, bRef)).AtPathEnd(env, 4); v != Violated {
+	if v, _ := NewEvaluator(Always(10, bRef), xTimed).AtPathEnd(env, 4); v != Violated {
 		t.Errorf("invariance broken at deadlock = %v, want violated", v)
 	}
 }
 
 func TestNegativeDelayRejected(t *testing.T) {
-	ev := NewEvaluator(Reach(10, bRef))
+	ev := NewEvaluator(Reach(10, bRef), xTimed)
 	if _, _, err := ev.DuringDelay(&testEnv{}, 0, -1); err == nil {
 		t.Error("expected error for negative delay")
 	}

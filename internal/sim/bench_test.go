@@ -196,20 +196,21 @@ func sensorFilterConfig(tb testing.TB, n int) (*network.Runtime, Config) {
 	return rt, Config{Strategy: strategy.ASAP{}, Property: prop.Reach(sensorFilterBound, goal)}
 }
 
-// BenchmarkAnalyzeSensorFilter measures one Table I simulator query (N=5,
-// ε=0.04, δ=0.05) end to end through Analyze, with 1 and 2 workers. Every
-// op builds a fresh engine, so the cold-cache misses of a real query are
-// included.
+// BenchmarkAnalyzeSensorFilter measures one Table I simulator query
+// (ε=0.04, δ=0.05) end to end through Analyze: N=5 with 1 and 2 workers,
+// and N=7 with 1 worker, the size class of the perfbench table1-sim p90.
+// Every op builds a fresh engine, so the cold-cache misses of a real query
+// are included.
 func BenchmarkAnalyzeSensorFilter(b *testing.B) {
-	rt, cfg := sensorFilterConfig(b, 5)
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	for _, c := range []struct{ n, workers int }{{5, 1}, {5, 2}, {7, 1}} {
+		rt, cfg := sensorFilterConfig(b, c.n)
+		b.Run(fmt.Sprintf("N=%d/workers=%d", c.n, c.workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Analyze(rt, AnalysisConfig{
 					Config:  cfg,
 					Params:  stats.Params{Delta: 0.05, Epsilon: 0.04},
-					Workers: workers,
+					Workers: c.workers,
 					Seed:    uint64(i + 1),
 				}); err != nil {
 					b.Fatal(err)

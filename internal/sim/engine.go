@@ -186,7 +186,7 @@ func NewEngine(rt *network.Runtime, cfg Config) (*Engine, error) {
 	if err := c.Property.Validate(rt.Net().DeclMap()); err != nil {
 		return nil, err
 	}
-	e := &Engine{rt: rt, cfg: c, ev: c.Property, eval: prop.NewEvaluator(c.Property), stats: &engineStats{}}
+	e := &Engine{rt: rt, cfg: c, ev: c.Property, eval: prop.NewEvaluator(c.Property, rt.Timed), stats: &engineStats{}}
 	e.scratch = &sync.Pool{New: func() any { return e.newScratch() }}
 	return e, nil
 }

@@ -2,7 +2,10 @@ package slimsim
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -341,5 +344,85 @@ func TestPatternOption(t *testing.T) {
 	}
 	if math.Abs(rep.Probability-want) > 0.05 {
 		t.Errorf("until pattern P = %v, want %v", rep.Probability, want)
+	}
+}
+
+// valueSemanticsRepros are the regression-corpus models whose guards or
+// goals read integers only: x / 2 with x = 7 is 3 under integer division,
+// and y != 0 and 10 / y > 1 with y = 0 is false by short-circuit.
+var valueSemanticsRepros = []string{
+	"int-div-guard.slim",
+	"int-div-guard-le.slim",
+	"int-div-goal.slim",
+	"short-circuit-guard.slim",
+}
+
+// readReproHeader returns the goal and bound recorded in a regression-corpus
+// reproducer's comment header.
+func readReproHeader(t *testing.T, src string) (goal string, bound float64) {
+	t.Helper()
+	for _, line := range strings.Split(src, "\n") {
+		if v, ok := strings.CutPrefix(line, "-- goal: "); ok {
+			goal = v
+		}
+		if v, ok := strings.CutPrefix(line, "-- bound: "); ok {
+			var err error
+			if bound, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if goal == "" || bound <= 0 {
+		t.Fatal("reproducer header lacks goal or bound")
+	}
+	return goal, bound
+}
+
+// TestGuardsUseValueSemantics holds Monte Carlo to the exact engine on
+// guards and goals that read no clock: every strategy, with and without
+// dead-transition pruning, must sample the 0/1 probability CheckCTMC
+// computes, and the static fast path, when it decides, must agree too.
+func TestGuardsUseValueSemantics(t *testing.T) {
+	for _, name := range valueSemanticsRepros {
+		t.Run(name, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("internal", "difftest", "corpus", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := string(data)
+			goal, bound := readReproHeader(t, src)
+			for _, load := range [][]LoadOption{nil, {WithoutPruning()}} {
+				m, err := LoadModel(src, load...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exact, err := m.CheckCTMC(goal, bound, 0)
+				if err != nil {
+					t.Fatalf("CheckCTMC: %v", err)
+				}
+				if exact.Probability != 0 && exact.Probability != 1 {
+					t.Fatalf("CheckCTMC P = %v, want 0 or 1", exact.Probability)
+				}
+				opts := Options{Goal: goal, Bound: bound, Epsilon: 0.05, Workers: 1}
+				static, err := m.CheckStatic(opts)
+				if err != nil {
+					t.Fatalf("CheckStatic: %v", err)
+				}
+				if static.Decided && static.Probability != exact.Probability {
+					t.Errorf("static verdict P = %v, CheckCTMC P = %v", static.Probability, exact.Probability)
+				}
+				for _, strat := range []string{"asap", "maxtime", "progressive", "local"} {
+					opts.Strategy = strat
+					rep, err := m.Analyze(opts)
+					if err != nil {
+						t.Fatalf("%s (pruning %v): %v", strat, load == nil, err)
+					}
+					if rep.Probability != exact.Probability {
+						t.Errorf("%s (pruning %v): Monte Carlo P = %v, CheckCTMC P = %v",
+							strat, load == nil, rep.Probability, exact.Probability)
+					}
+				}
+			}
+		})
 	}
 }
