@@ -106,7 +106,7 @@ verify: build test
 ci: verify vet staticcheck vulncheck fmtcheck race lint difftest serve-smoke bench-smoke bench-table1-smoke bench-fig5-smoke bench-rare-smoke fuzz-smoke
 
 # BENCH_PKGS are the packages carrying the hot-path micro-benchmarks
-# (engine step, move memoization, compiled expression evaluation, pooled
+# (engine step, move-set composition, compiled expression evaluation, pooled
 # splitting clones, explicit and quotient CTMC construction, lumping, and
 # the single-clock zone analyzer)
 # and their AllocsPerRun regression gates.

@@ -130,7 +130,7 @@ func (r *Result) Decide(p prop.Property) ReachReport {
 // evalInitial evaluates a Boolean expression exactly at the initial state.
 func (r *Result) evalInitial(goal expr.Expr) (bool, bool) {
 	st := r.rt.NewState()
-	sc := r.rt.NewScratch(0)
+	sc := r.rt.NewScratch()
 	if err := sc.InitialStateInto(&st); err != nil {
 		return false, false
 	}

@@ -46,7 +46,7 @@ func TestSensorFilterGenerates(t *testing.T) {
 			t.Fatalf("goal: %v", err)
 		}
 		st := rt.NewState()
-		if err := rt.NewScratch(0).InitialStateInto(&st); err != nil {
+		if err := rt.NewScratch().InitialStateInto(&st); err != nil {
 			t.Fatal(err)
 		}
 		_ = goal
@@ -127,7 +127,7 @@ func TestLauncherGenerates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("goal: %v", err)
 		}
-		sc := rt.NewScratch(0)
+		sc := rt.NewScratch()
 		st := rt.NewState()
 		if err := sc.InitialStateInto(&st); err != nil {
 			t.Fatal(err)

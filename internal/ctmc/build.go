@@ -83,7 +83,7 @@ func BuildWith(rt *network.Runtime, goal expr.Expr, maxStates int, opts BuildOpt
 
 	b := &builder{
 		rt:        rt,
-		sc:        rt.NewScratch(0),
+		sc:        rt.NewScratch(),
 		kinds:     slotKinds(rt),
 		cur:       rt.NewState(),
 		probe:     rt.NewState(),
@@ -92,7 +92,6 @@ func BuildWith(rt *network.Runtime, goal expr.Expr, maxStates int, opts BuildOpt
 		canon:     opts.Canon,
 		index:     make(map[string]int),
 		resolved:  make(map[string][]weighted),
-		onPath:    make(map[string]bool),
 		rateAcc:   make(map[int]float64),
 	}
 	init := rt.NewState()
@@ -149,12 +148,12 @@ type weighted struct {
 }
 
 // builder is the state of one exploration. All successor computation runs
-// through one builder-owned network.Scratch: moves come from its move
-// cache, guards and the goal are evaluated through its compiled programs,
-// and successors are written into per-depth scratch states. A state is
-// kept only as its compact key and decoded back into a scratch state when
-// it is expanded, so the only per-state allocations left are its key, its
-// resolved distribution and its edges.
+// through one builder-owned network.Scratch: moves are composed into
+// per-depth move sets, guards and the goal are evaluated through its
+// compiled programs, and successors are written into per-depth scratch
+// states. A state is kept only as its compact key and decoded back into a
+// scratch state when it is expanded, so the only per-state allocations
+// left are its key, its resolved distribution and its edges.
 type builder struct {
 	rt        *network.Runtime
 	sc        *network.Scratch
@@ -169,7 +168,6 @@ type builder struct {
 	edges     [][]Edge
 	resolved  map[string][]weighted // memoized resolution by compact key
 	keyBuf    []byte                // scratch for appendStateKey
-	onPath    map[string]bool       // immediate-cycle detection, reused across resolve calls
 	frames    []*frame              // successor scratch per resolve depth
 	cur       network.State         // the tangible state expand is expanding
 	probe     network.State         // a decoded state for goal evaluation and error text
@@ -179,13 +177,17 @@ type builder struct {
 	vanishing int
 }
 
-// frame is the scratch of one recursion depth: the successor state being
-// resolved below it and the enabled guarded moves being fired from it.
-// Frame 0 serves expand and the top-level resolve; a resolve at depth d
-// writes its successors into frame d and recurses at depth d+1.
+// frame is the scratch of one recursion depth: the move set of the state
+// being resolved at it, the enabled guarded moves being fired from it, the
+// successor state being resolved below it and, while that recursion runs,
+// the state's key. Frame 0 serves expand and the top-level resolve; a
+// resolve at depth d writes its successors into frame d and recurses at
+// depth d+1.
 type frame struct {
+	moves   network.MoveSet
+	enabled []int // indices into moves.Guarded
 	succ    network.State
-	enabled []int // indices into the state's CachedMoves.Guarded
+	key     string // set while the state's successors are resolved
 }
 
 // frame returns the scratch of depth d, allocating it on first use.
@@ -232,28 +234,30 @@ func (b *builder) tangible(w weighted) (int, error) {
 // transitions (uniformly probable, maximal progress) until tangible states
 // are reached, which it returns in the order they are first reached. st
 // must already be canonical when a Canon hook is set; depth is the frame
-// its successors are written into. The builder-owned onPath set detects
-// cycles of immediate transitions; each recursion removes its key on
-// unwind, so the set is empty again after every top-level call and never
-// reallocated.
+// its successors are written into. A cycle of immediate transitions
+// revisits a state whose key a shallower frame still holds. A frame's key
+// outlives its resolve only for a state whose resolution was memoized,
+// and the memo is consulted first, so a stale key never reports a cycle.
 func (b *builder) resolve(st *network.State, depth int) ([]weighted, error) {
 	b.keyBuf = appendStateKey(b.keyBuf[:0], st)
 	if cached, ok := b.resolved[string(b.keyBuf)]; ok {
 		return cached, nil
 	}
-	if b.onPath[string(b.keyBuf)] {
-		return nil, fmt.Errorf("ctmc: cycle of immediate transitions through state %s", st.Key())
+	for _, f := range b.frames[:depth] {
+		if f.key == string(b.keyBuf) {
+			return nil, fmt.Errorf("ctmc: cycle of immediate transitions through state %s", st.Key())
+		}
 	}
 	// Materialize the key once: it outlives the recursive calls below,
 	// which clobber the scratch buffer, and it is the key the state is
 	// interned under if it is tangible.
 	key := string(b.keyBuf)
 	b.explored++
-	cm := b.sc.Moves(st)
 	f := b.frame(depth)
+	b.sc.Moves(&f.moves, st)
 	f.enabled = f.enabled[:0]
-	for i := range cm.Guarded {
-		ok, err := b.sc.EnabledAt(st, &cm.Guarded[i])
+	for i, m := range f.moves.Guarded {
+		ok, err := b.sc.EnabledAt(st, m)
 		if err != nil {
 			return nil, err
 		}
@@ -267,13 +271,12 @@ func (b *builder) resolve(st *network.State, depth int) ([]weighted, error) {
 		return out, nil
 	}
 	b.vanishing++
-	b.onPath[key] = true
-	defer delete(b.onPath, key)
+	f.key = key
 
 	var out []weighted
 	share := 1 / float64(len(f.enabled))
 	for _, i := range f.enabled {
-		if err := b.sc.ApplyInto(&f.succ, st, &cm.Guarded[i]); err != nil {
+		if err := b.sc.ApplyInto(&f.succ, st, f.moves.Guarded[i]); err != nil {
 			return nil, err
 		}
 		if b.canon != nil {
@@ -309,10 +312,9 @@ func (b *builder) expand(idx int) error {
 	if err := decodeStateKey(st, b.states[idx], b.kinds); err != nil {
 		return err
 	}
-	cm := b.sc.Moves(st)
 	f := b.frame(0)
-	for i := range cm.Markovian {
-		m := &cm.Markovian[i]
+	b.sc.Moves(&f.moves, st)
+	for _, m := range f.moves.Markovian {
 		if err := b.sc.ApplyInto(&f.succ, st, m); err != nil {
 			return err
 		}

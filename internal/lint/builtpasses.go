@@ -339,7 +339,7 @@ func checkInitialTimelocks(b *model.Built, rep *Reporter) {
 		return
 	}
 	st := rt.NewState()
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	if err := sc.InitialStateInto(&st); err != nil {
 		return
 	}

@@ -77,11 +77,11 @@ func TestErrorPropagationSynchronizes(t *testing.T) {
 	rt, sc, st := mustStart(t, b)
 
 	// Step 1: the Markovian failure of a.
-	cm := sc.Moves(&st)
+	cm := movesOf(sc, &st)
 	if len(cm.Markovian) == 0 {
 		t.Fatal("die move not found")
 	}
-	die := &cm.Markovian[len(cm.Markovian)-1]
+	die := cm.Markovian[len(cm.Markovian)-1]
 	st2 := rt.NewState()
 	if err := sc.ApplyInto(&st2, &st, die); err != nil {
 		t.Fatal(err)
@@ -89,11 +89,11 @@ func TestErrorPropagationSynchronizes(t *testing.T) {
 
 	// Step 2: the propagation must now be a synchronized two-process
 	// move taking b's error model to infected.
-	moves2 := sc.Moves(&st2).Guarded
+	moves2 := movesOf(sc, &st2).Guarded
 	var spread *network.Move
 	for i := range moves2 {
 		if len(moves2[i].Parts) == 2 {
-			spread = &moves2[i]
+			spread = moves2[i]
 		}
 	}
 	if spread == nil {
@@ -125,7 +125,7 @@ func TestErrorPropagationSynchronizes(t *testing.T) {
 	// failed.
 	for i := range cm.Guarded {
 		if len(cm.Guarded[i].Parts) == 2 {
-			ok, err := sc.EnabledAt(&st, &cm.Guarded[i])
+			ok, err := sc.EnabledAt(&st, cm.Guarded[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,12 +186,12 @@ func TestResetEventRecoversHotFault(t *testing.T) {
 	healthy, _ := b.lookupVar("u.healthy")
 
 	// Fire the overheat.
-	markovian := sc.Moves(&st).Markovian
+	markovian := movesOf(sc, &st).Markovian
 	if len(markovian) == 0 {
 		t.Fatal("overheat move not found")
 	}
 	st2 := rt.NewState()
-	if err := sc.ApplyInto(&st2, &st, &markovian[len(markovian)-1]); err != nil {
+	if err := sc.ApplyInto(&st2, &st, markovian[len(markovian)-1]); err != nil {
 		t.Fatal(err)
 	}
 	if st2.Vals[healthy].Bool() {
@@ -200,11 +200,11 @@ func TestResetEventRecoversHotFault(t *testing.T) {
 
 	// The reboot is now a synchronized move between the nominal process
 	// and the error model.
-	moves2 := sc.Moves(&st2).Guarded
+	moves2 := movesOf(sc, &st2).Guarded
 	var reboot *network.Move
 	for i := range moves2 {
 		if len(moves2[i].Parts) == 2 {
-			reboot = &moves2[i]
+			reboot = moves2[i]
 		}
 	}
 	if reboot == nil {
@@ -295,7 +295,7 @@ extend c with Stuck.Imp {
 	next := rt.NewState()
 	fire := func(markovian bool) {
 		t.Helper()
-		cm := sc.Moves(&st)
+		cm := movesOf(sc, &st)
 		moves := cm.Guarded
 		if markovian {
 			moves = cm.Markovian
@@ -303,7 +303,7 @@ extend c with Stuck.Imp {
 		if len(moves) == 0 {
 			t.Fatalf("no move with Markovian=%v", markovian)
 		}
-		if err := sc.ApplyInto(&next, &st, &moves[0]); err != nil {
+		if err := sc.ApplyInto(&next, &st, moves[0]); err != nil {
 			t.Fatal(err)
 		}
 		st, next = next, st

@@ -23,6 +23,13 @@ func mustBuild(t *testing.T, src string) *Built {
 	return b
 }
 
+// movesOf composes st's move set into a fresh set.
+func movesOf(sc *network.Scratch, st *network.State) *network.MoveSet {
+	var ms network.MoveSet
+	sc.Moves(&ms, st)
+	return &ms
+}
+
 // mustStart builds b's runtime and returns it with a scratch and the
 // initial state.
 func mustStart(t *testing.T, b *Built) (*network.Runtime, *network.Scratch, network.State) {
@@ -31,7 +38,7 @@ func mustStart(t *testing.T, b *Built) (*network.Runtime, *network.Scratch, netw
 	if err != nil {
 		t.Fatalf("network.New: %v", err)
 	}
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	st := rt.NewState()
 	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatalf("InitialStateInto: %v", err)
@@ -84,11 +91,11 @@ func TestInstantiateGPS(t *testing.T) {
 	}
 
 	// The activate transition is enabled from 10 s.
-	cm := sc.Moves(&st)
+	cm := movesOf(sc, &st)
 	if len(cm.Guarded) != 1 || len(cm.Markovian) != 0 {
 		t.Fatalf("moves = %d guarded, %d Markovian, want 1 guarded", len(cm.Guarded), len(cm.Markovian))
 	}
-	activate := &cm.Guarded[0]
+	activate := cm.Guarded[0]
 	w, err := sc.Window(&st, activate)
 	if err != nil {
 		t.Fatal(err)
@@ -181,12 +188,12 @@ func TestDataConnectionFlows(t *testing.T) {
 		t.Errorf("initial f.input = %v, want 1 (flows from s.reading)", got)
 	}
 	// Firing the sensor's increment propagates through the connection.
-	moves := sc.Moves(&st).Guarded
+	moves := movesOf(sc, &st).Guarded
 	var sensorMove *network.Move
 	for i := range moves {
-		if enabled, _ := sc.EnabledAt(&st, &moves[i]); enabled {
+		if enabled, _ := sc.EnabledAt(&st, moves[i]); enabled {
 			if moves[i].Label(rt)[0] == 's' {
-				sensorMove = &moves[i]
+				sensorMove = moves[i]
 				break
 			}
 		}
@@ -247,7 +254,7 @@ root Net.Imp;
 func TestEventConnectionSynchronizes(t *testing.T) {
 	b := mustBuild(t, syncSrc)
 	rt, sc, st := mustStart(t, b)
-	cm := sc.Moves(&st)
+	cm := movesOf(sc, &st)
 	if len(cm.Guarded) != 1 || len(cm.Markovian) != 0 {
 		t.Fatalf("moves = %d guarded, %d Markovian, want exactly 1 synchronized move", len(cm.Guarded), len(cm.Markovian))
 	}
@@ -255,7 +262,7 @@ func TestEventConnectionSynchronizes(t *testing.T) {
 		t.Fatalf("parts = %d, want 2 (sender and receiver)", len(cm.Guarded[0].Parts))
 	}
 	st2 := rt.NewState()
-	if err := sc.ApplyInto(&st2, &st, &cm.Guarded[0]); err != nil {
+	if err := sc.ApplyInto(&st2, &st, cm.Guarded[0]); err != nil {
 		t.Fatal(err)
 	}
 	aMode, _ := b.lookupVar("a.@mode")
@@ -328,11 +335,11 @@ func TestModelExtension(t *testing.T) {
 	}
 
 	// Drive the error process into transient via its Markovian move.
-	moves := sc.Moves(&st).Markovian
+	moves := movesOf(sc, &st).Markovian
 	var glitch *network.Move
 	for i := range moves {
 		if math.Abs(moves[i].Rate-0.1) < 1e-12 {
-			glitch = &moves[i]
+			glitch = moves[i]
 		}
 	}
 	if glitch == nil {
@@ -347,11 +354,11 @@ func TestModelExtension(t *testing.T) {
 	}
 
 	// The repair window is [2,3] after entering transient.
-	moves2 := sc.Moves(&st2).Guarded
+	moves2 := movesOf(sc, &st2).Guarded
 	if len(moves2) == 0 {
 		t.Fatal("repair move not found")
 	}
-	repair := &moves2[len(moves2)-1]
+	repair := moves2[len(moves2)-1]
 	w, err := sc.Window(&st2, repair)
 	if err != nil {
 		t.Fatal(err)
@@ -534,7 +541,7 @@ end S;`, 1)
 		t.Errorf("own_in in m1 = %v, want default 0 (connection inactive)", got)
 	}
 	st2 := rt.NewState()
-	if err := sc.ApplyInto(&st2, &st, &sc.Moves(&st).Guarded[0]); err != nil {
+	if err := sc.ApplyInto(&st2, &st, movesOf(sc, &st).Guarded[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := st2.Vals[inID].Int(); got != 7 {

@@ -1,12 +1,14 @@
 package network
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
 	"slimsim/internal/casestudy"
 	"slimsim/internal/expr"
 	"slimsim/internal/model"
+	"slimsim/internal/rng"
 	"slimsim/internal/slim"
 	"slimsim/internal/sta"
 )
@@ -59,29 +61,136 @@ func benchNet(tb testing.TB) (*Runtime, State) {
 		tb.Fatalf("New: %v", err)
 	}
 	st := rt.NewState()
-	if err := rt.NewScratch(0).InitialStateInto(&st); err != nil {
+	if err := rt.NewScratch().InitialStateInto(&st); err != nil {
 		tb.Fatalf("InitialStateInto: %v", err)
 	}
 	return rt, st
 }
 
+// walk is a set of states visited by a random walk through one runtime.
+type walk struct {
+	name   string
+	rt     *Runtime
+	states []State
+}
+
+// walkStates collects n states of a random walk through rt: each step fires
+// a uniformly chosen candidate among the guarded moves enabled now and the
+// Markovian moves or, with none, lets half the invariants' allowance (at
+// most one time unit) pass. A walk that can neither fire nor delay restarts
+// from the initial state.
+func walkStates(tb testing.TB, name string, rt *Runtime, n int) walk {
+	tb.Helper()
+	sc := rt.NewScratch()
+	src := rng.New(1)
+	init, cur, nxt := rt.NewState(), rt.NewState(), rt.NewState()
+	if err := sc.InitialStateInto(&init); err != nil {
+		tb.Fatal(err)
+	}
+	cur.CopyFrom(&init)
+	var ms MoveSet
+	var cands []*Move
+	w := walk{name: name, rt: rt, states: make([]State, 0, n)}
+	for len(w.states) < n {
+		w.states = append(w.states, cur.Clone())
+		sc.Moves(&ms, &cur)
+		cands = cands[:0]
+		for _, m := range ms.Guarded {
+			ok, err := sc.EnabledAt(&cur, m)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if ok {
+				cands = append(cands, m)
+			}
+		}
+		cands = append(cands, ms.Markovian...)
+		d, _, _, err := sc.MaxDelay(&cur)
+		switch {
+		case err != nil:
+		case len(cands) > 0:
+			err = sc.ApplyInto(&nxt, &cur, cands[src.Choose(len(cands))])
+		case d > 0:
+			err = sc.AdvanceInto(&nxt, &cur, math.Min(d, 2)/2)
+		default:
+			nxt.CopyFrom(&init)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cur, nxt = nxt, cur
+	}
+	return w
+}
+
+// moveWalks returns n walked states of the launcher (permanent faults) and
+// of the Table I sensor filter at N=7, the models of the benchmark's
+// sampling workloads.
+func moveWalks(tb testing.TB, n int) []walk {
+	tb.Helper()
+	launcher, err := casestudy.Launcher(casestudy.DefaultLauncher(casestudy.FaultsPermanent))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	filter, err := casestudy.SensorFilter(casestudy.DefaultSensorFilter(7))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []walk{
+		walkStates(tb, "launcher", loadSource(tb, launcher), n),
+		walkStates(tb, "sensorfilter-7", loadSource(tb, filter), n),
+	}
+}
+
+// BenchmarkMoves measures one move-set composition into a warm set,
+// cycling through 4096 walked states of the launcher and of the sensor
+// filter at N=7.
 func BenchmarkMoves(b *testing.B) {
-	rt, st := benchNet(b)
-	sc := rt.NewScratch(0)
-	sc.Moves(&st) // warm the cache: steady state is all hits
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cm := sc.Moves(&st); len(cm.Guarded)+len(cm.Markovian) == 0 {
-			b.Fatal("no moves")
+	for _, w := range moveWalks(b, 4096) {
+		b.Run(w.name, func(b *testing.B) {
+			sc := w.rt.NewScratch()
+			var ms MoveSet
+			for i := range w.states {
+				sc.Moves(&ms, &w.states[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sc.Moves(&ms, &w.states[i%len(w.states)])
+			}
+		})
+	}
+}
+
+// TestMovesAllocs gates move-set composition: once a set's arenas have
+// grown, composing into it must not allocate, on the walked launcher and
+// sensor-filter states and on orderNet's synchronized moves alike.
+func TestMovesAllocs(t *testing.T) {
+	sc, st := orderNet(t)
+	walks := append(moveWalks(t, 512), walk{name: "order", rt: sc.rt, states: []State{st}})
+	for _, w := range walks {
+		sc := w.rt.NewScratch()
+		var ms MoveSet
+		compose := func() {
+			for i := range w.states {
+				sc.Moves(&ms, &w.states[i])
+			}
+		}
+		compose()
+		if w.name == "order" && len(ms.sync) == 0 {
+			t.Fatal("orderNet composed no synchronized move")
+		}
+		if avg := testing.AllocsPerRun(10, compose); avg != 0 {
+			t.Errorf("%s: composing %d states into a warm set allocates %.1f objects, want 0", w.name, len(w.states), avg)
 		}
 	}
 }
 
 func BenchmarkAdvanceApply(b *testing.B) {
 	rt, st := benchNet(b)
-	sc := rt.NewScratch(0)
-	cm := sc.Moves(&st)
+	sc := rt.NewScratch()
+	var ms MoveSet
+	sc.Moves(&ms, &st)
 	nxt := rt.NewState()
 	cur := st.Clone()
 	b.ReportAllocs()
@@ -90,28 +199,10 @@ func BenchmarkAdvanceApply(b *testing.B) {
 		if err := sc.AdvanceInto(&nxt, &cur, 1); err != nil {
 			b.Fatal(err)
 		}
-		if err := sc.ApplyInto(&cur, &nxt, &cm.Guarded[0]); err != nil {
+		if err := sc.ApplyInto(&cur, &nxt, ms.Guarded[0]); err != nil {
 			b.Fatal(err)
 		}
-		cm = sc.Moves(&cur)
-	}
-}
-
-// TestMovesCacheHitAllocs gates the move-memoization fast path: a cache hit
-// must not allocate.
-func TestMovesCacheHitAllocs(t *testing.T) {
-	rt, st := benchNet(t)
-	sc := rt.NewScratch(0)
-	sc.Moves(&st)
-	avg := testing.AllocsPerRun(200, func() {
-		sc.Moves(&st)
-	})
-	if avg != 0 {
-		t.Errorf("Moves cache hit allocates %.1f objects per call, want 0", avg)
-	}
-	hits, misses := sc.CacheStats()
-	if hits == 0 || misses == 0 {
-		t.Errorf("cache counters not moving: hits=%d misses=%d", hits, misses)
+		sc.Moves(&ms, &cur)
 	}
 }
 
@@ -119,18 +210,19 @@ func TestMovesCacheHitAllocs(t *testing.T) {
 // discrete steps into preallocated states must not allocate.
 func TestAdvanceApplyAllocs(t *testing.T) {
 	rt, st := benchNet(t)
-	sc := rt.NewScratch(0)
-	cm := sc.Moves(&st)
+	sc := rt.NewScratch()
+	var ms MoveSet
+	sc.Moves(&ms, &st)
 	nxt := rt.NewState()
 	cur := st.Clone()
 	avg := testing.AllocsPerRun(200, func() {
 		if err := sc.AdvanceInto(&nxt, &cur, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := sc.ApplyInto(&cur, &nxt, &cm.Guarded[0]); err != nil {
+		if err := sc.ApplyInto(&cur, &nxt, ms.Guarded[0]); err != nil {
 			t.Fatal(err)
 		}
-		cm = sc.Moves(&cur)
+		sc.Moves(&ms, &cur)
 	})
 	if avg != 0 {
 		t.Errorf("advance+apply step allocates %.1f objects, want 0", avg)
@@ -179,42 +271,40 @@ func BenchmarkApplySensorFilter(b *testing.B) {
 		b.Fatal(err)
 	}
 	rt := loadSource(b, src)
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	init, out := rt.NewState(), rt.NewState()
 	if err := sc.InitialStateInto(&init); err != nil {
 		b.Fatal(err)
 	}
-	moves := sc.Moves(&init).Markovian
+	var ms MoveSet
+	sc.Moves(&ms, &init)
+	moves := ms.Markovian
 	if len(moves) == 0 {
 		b.Fatal("no Markovian moves")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sc.ApplyInto(&out, &init, &moves[i%len(moves)]); err != nil {
+		if err := sc.ApplyInto(&out, &init, moves[i%len(moves)]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestNewScratchBytes gates the memory a fresh scratch costs before its
-// first lookup. The move cache's capacity is an eviction bound, not a
-// preallocation: on the launcher it is the 65 536-vector maximum, which
-// presized would be a multi-megabyte table per scratch.
+// TestNewScratchBytes gates the memory a fresh scratch costs: the move
+// tables belong to the runtime, so a scratch is one environment, whatever
+// the model's size.
 func TestNewScratchBytes(t *testing.T) {
 	src, err := casestudy.Launcher(casestudy.DefaultLauncher(casestudy.FaultsPermanent))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt := loadSource(t, src)
-	if got := autoCacheCap(rt); got != MaxMoveCacheCap {
-		t.Fatalf("launcher cache capacity %d, want the %d maximum the gate is about", got, MaxMoveCacheCap)
-	}
 	const runs = 16
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if rt.NewScratch(0) == nil {
+		if rt.NewScratch() == nil {
 			t.Fatal("nil scratch")
 		}
 	}
@@ -222,7 +312,7 @@ func TestNewScratchBytes(t *testing.T) {
 	const budget = 64 << 10
 	perScratch := (after.TotalAlloc - before.TotalAlloc) / runs
 	if perScratch > budget {
-		t.Errorf("NewScratch(0) allocates %d bytes, want at most %d", perScratch, budget)
+		t.Errorf("NewScratch() allocates %d bytes, want at most %d", perScratch, budget)
 	}
-	t.Logf("NewScratch(0) allocates %d bytes (budget %d)", perScratch, budget)
+	t.Logf("NewScratch() allocates %d bytes (budget %d)", perScratch, budget)
 }

@@ -241,52 +241,17 @@ func (rt *Runtime) buildDirtySets() {
 }
 
 // Scratch is a reusable per-worker evaluation arena: it owns one expression
-// environment, a move cache and a key buffer, letting a path run perform
-// O(1) allocations after warm-up. A Scratch must only be used by one
-// goroutine at a time; the runtime it wraps stays shared and immutable.
+// environment, letting a path run perform O(1) allocations after warm-up. A
+// Scratch must only be used by one goroutine at a time; the runtime it
+// wraps stays shared and immutable.
 type Scratch struct {
-	rt    *Runtime
-	env   env
-	cache MoveCache
+	rt  *Runtime
+	env env
 }
 
-// Move-cache capacity bounds for NewScratch's automatic sizing. The default
-// capacity is the model's own location-vector count — every reachable vector
-// fits, so steady-state paths never miss — clamped to [DefaultMoveCacheCap,
-// MaxMoveCacheCap] to give small models headroom and bound worst-case
-// memory on combinatorially large ones.
-const (
-	DefaultMoveCacheCap = 256
-	MaxMoveCacheCap     = 1 << 16
-)
-
-// autoCacheCap sizes the move cache for rt: the product of per-process
-// location counts, saturating at MaxMoveCacheCap.
-func autoCacheCap(rt *Runtime) int {
-	vectors := 1
-	for _, p := range rt.net.Processes {
-		vectors *= len(p.Locations)
-		if vectors >= MaxMoveCacheCap || vectors <= 0 {
-			return MaxMoveCacheCap
-		}
-	}
-	if vectors < DefaultMoveCacheCap {
-		return DefaultMoveCacheCap
-	}
-	return vectors
-}
-
-// NewScratch returns a fresh evaluation arena for rt. cacheCap bounds the
-// number of distinct location vectors whose moves are memoized (≤ 0 sizes
-// the cache to the model's location-vector space, see autoCacheCap).
-func (rt *Runtime) NewScratch(cacheCap int) *Scratch {
-	s := &Scratch{rt: rt}
-	s.env.rt = rt
-	if cacheCap <= 0 {
-		cacheCap = autoCacheCap(rt)
-	}
-	s.cache.init(rt, cacheCap)
-	return s
+// NewScratch returns a fresh evaluation arena for rt.
+func (rt *Runtime) NewScratch() *Scratch {
+	return &Scratch{rt: rt, env: env{rt: rt}}
 }
 
 // NewState returns a state with backing arrays sized for rt, for use as an
@@ -369,34 +334,6 @@ func (s *Scratch) AdvanceInto(out, src *State, d float64) error {
 // flow keeps src's value.
 func (s *Scratch) ApplyInto(out, src *State, m *Move) error {
 	return s.rt.applyInto(out, src, m, &s.env)
-}
-
-// Moves returns the memoized candidate moves of st's location vector (see
-// CachedMoves). The returned value is cached and shared: callers must treat
-// it as immutable.
-func (s *Scratch) Moves(st *State) *CachedMoves {
-	return s.cache.lookup(st)
-}
-
-// CacheStats returns the move cache's cumulative hit and miss counts.
-func (s *Scratch) CacheStats() (hits, misses uint64) {
-	return s.cache.hits, s.cache.misses
-}
-
-// RenderedLabels counts the trace labels rendered so far across the move
-// cache's live entries. Labels are rendered only for callers that read them
-// (see CachedMoves.Label), so a sampling run without an observer leaves the
-// count at zero.
-func (s *Scratch) RenderedLabels() int {
-	n := 0
-	for _, e := range s.cache.entries {
-		for _, l := range e.cm.labels {
-			if l != "" {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // maxDelayEnv is Scratch.MaxDelay evaluated through a caller-owned

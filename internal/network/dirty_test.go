@@ -165,7 +165,7 @@ func inOrder(rt *Runtime, ids []expr.VarID) bool {
 func TestDirtyFlowsMatchFullPropagation(t *testing.T) {
 	rt := dirtyNet(t)
 	checked := rt.CheckFlowsOnEveryStep()
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	cur, nxt := rt.NewState(), rt.NewState()
 	if err := sc.InitialStateInto(&cur); err != nil {
 		t.Fatal(err)
@@ -177,9 +177,9 @@ func TestDirtyFlowsMatchFullPropagation(t *testing.T) {
 			t.Fatalf("step %d: advance: %v", k, err)
 		}
 		cur, nxt = nxt, cur
-		cm := sc.Moves(&cur)
+		cm := movesOf(sc, &cur)
 		moves := append(slices.Clone(cm.Guarded), cm.Markovian...)
-		m := &moves[k%len(moves)]
+		m := moves[k%len(moves)]
 		if err := sc.ApplyInto(&nxt, &cur, m); err != nil {
 			t.Fatalf("step %d: apply: %v", k, err)
 		}

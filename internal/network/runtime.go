@@ -3,7 +3,8 @@ package network
 import (
 	"fmt"
 	"math"
-	"sort"
+	"sync"
+	"sync/atomic"
 
 	"slimsim/internal/expr"
 	"slimsim/internal/intervals"
@@ -14,11 +15,9 @@ import (
 // construction and safe for concurrent use; all mutable simulation state
 // lives in State values.
 type Runtime struct {
-	net         *sta.Network
-	flowOrder   []expr.VarID     // topological evaluation order of flow vars
-	actions     map[string][]int // action -> indices of participating processes
-	actionNames []string         // keys of actions, sorted: movesFor's sync order
-	contRates   []*contRate      // per VarID; nil when no location sets its rate
+	net       *sta.Network
+	flowOrder []expr.VarID // topological evaluation order of flow vars
+	contRates []*contRate  // per VarID; nil when no location sets its rate
 
 	// Compiled evaluation programs (see compiled.go): flows in flowOrder,
 	// per-VarID flow rate codes, per-process invariant/guard/effect codes
@@ -36,9 +35,16 @@ type Runtime struct {
 	bounding   []int
 
 	// pruned, when non-nil, marks transitions statically proven unable to
-	// ever fire (or to ever be enumerated); movesFor skips them. Set once by
-	// Prune before simulation starts.
+	// ever fire (or to ever be enumerated); the move tables leave them
+	// out. Set once by Prune before simulation starts.
 	pruned [][]bool
+
+	// moves holds the candidate moves per process location (see
+	// moves.go). labels returns the per-transition trace labels, built on
+	// the first call; labelsBuilt records that call.
+	moves       moveTables
+	labels      func() [][]string
+	labelsBuilt atomic.Bool
 
 	// stepHook, when non-nil, sees every successor applyInto and
 	// advanceInto write, and its error fails the step. Only tests set it,
@@ -56,17 +62,14 @@ func New(net *sta.Network) (*Runtime, error) {
 	}
 	rt := &Runtime{
 		net:       net,
-		actions:   make(map[string][]int),
 		contRates: make([]*contRate, len(net.Vars)),
 	}
+	rt.labels = sync.OnceValue(rt.buildLabels)
 	for pi, p := range net.Processes {
 		// Build the outgoing-transition index now, while construction is
 		// still single-threaded: the lazy build in sta.Outgoing races when
 		// a shared Runtime's first paths run on several goroutines.
 		p.BuildIndex()
-		for a := range p.Alphabet {
-			rt.actions[a] = append(rt.actions[a], pi)
-		}
 		for li := range p.Locations {
 			for v, r := range p.Locations[li].Rates {
 				if v < 0 || int(v) >= len(net.Vars) {
@@ -96,11 +99,6 @@ func New(net *sta.Network) (*Runtime, error) {
 			}
 		}
 	}
-	for a := range rt.actions {
-		sort.Ints(rt.actions[a])
-		rt.actionNames = append(rt.actionNames, a)
-	}
-	sort.Strings(rt.actionNames)
 	order, err := flowOrder(net)
 	if err != nil {
 		return nil, err
@@ -110,6 +108,7 @@ func New(net *sta.Network) (*Runtime, error) {
 		return nil, err
 	}
 	rt.buildPrograms()
+	rt.buildMoveTables()
 	return rt, nil
 }
 
@@ -117,11 +116,12 @@ func New(net *sta.Network) (*Runtime, error) {
 func (rt *Runtime) Net() *sta.Network { return rt.net }
 
 // Prune installs a mask of statically-dead transitions (per process, per
-// transition index) that move enumeration drops. Callers own the
-// soundness argument: a pruned transition must never be able to fire from
-// any reachable state, and dropping it must not mask a guard-evaluation
-// error (see absint.PruneMask). Prune must be called before simulation
-// starts; it is not safe to call concurrently with Scratch.Moves.
+// transition index) and rebuilds the move tables without them. Callers own
+// the soundness argument: a pruned transition must never be able to fire
+// from any reachable state, and dropping it must not mask a
+// guard-evaluation error (see absint.PruneMask). Prune must be called
+// before simulation starts; it is not safe to call concurrently with
+// Scratch.Moves.
 func (rt *Runtime) Prune(dead [][]bool) error {
 	if len(dead) != len(rt.net.Processes) {
 		return fmt.Errorf("network: prune mask has %d processes, network has %d", len(dead), len(rt.net.Processes))
@@ -135,6 +135,7 @@ func (rt *Runtime) Prune(dead [][]bool) error {
 		mask[pi] = append([]bool(nil), dead[pi]...)
 	}
 	rt.pruned = mask
+	rt.buildMoveTables()
 	return nil
 }
 
@@ -283,139 +284,4 @@ func prefixBound(w intervals.Set) (d float64, attained, ok bool) {
 		}
 	}
 	return 0, false, false
-}
-
-// Move is a global discrete step: either a single process's internal or
-// Markovian transition, or a synchronized vector of transitions sharing an
-// action.
-type Move struct {
-	// Action is the shared label, or sta.Tau.
-	Action string
-	// Parts lists the participating (process, transition) pairs in
-	// ascending process order.
-	Parts []Part
-	// Rate is positive for Markovian moves.
-	Rate float64
-}
-
-// Part identifies one process's contribution to a move.
-type Part struct {
-	Proc  int
-	Trans int // index into the process's Transitions
-}
-
-// Markovian reports whether the move fires after an exponential delay.
-func (m *Move) Markovian() bool { return m.Rate > 0 }
-
-// Label renders the move for traces.
-func (m *Move) Label(rt *Runtime) string {
-	if len(m.Parts) == 0 {
-		return m.Action
-	}
-	p := rt.net.Processes[m.Parts[0].Proc]
-	tr := &p.Transitions[m.Parts[0].Trans]
-	from := p.Locations[tr.From].Name
-	to := p.Locations[tr.To].Name
-	if m.Action == sta.Tau {
-		return fmt.Sprintf("%s: %s -> %s", p.Name, from, to)
-	}
-	return fmt.Sprintf("%s (%d procs): %s: %s -> %s", m.Action, len(m.Parts), p.Name, from, to)
-}
-
-// movesFor enumerates the candidate global moves of st's location vector,
-// ignoring guards: every internal (τ) transition of every process
-// individually, every Markovian transition individually, and every
-// combination of transitions sharing a synchronized action (one per
-// participating process). Guard truth is evaluated separately, at a delay,
-// through Scratch.Window or Scratch.EnabledAt, so the candidates are purely
-// structural.
-//
-// The moves share one backing array, guarded moves first: the unrated τ
-// moves in process and transition order, then the synchronized moves in
-// action order, then the Markovian moves in process and transition order.
-func (rt *Runtime) movesFor(st *State) CachedMoves {
-	// τ moves, counted first so they fill exactly sized arrays.
-	tau := 0
-	for pi, p := range rt.net.Processes {
-		for _, ti := range p.Outgoing(st.Locs[pi]) {
-			if p.Transitions[ti].Action == sta.Tau && !rt.isPruned(pi, ti) {
-				tau++
-			}
-		}
-	}
-	moves := make([]Move, 0, tau)
-	// parts backs the Parts of every move. Each move keeps a
-	// capacity-capped window of it, so later appends never write into a
-	// window, and a reallocation leaves the earlier windows where they are.
-	parts := make([]Part, 0, tau)
-	moves, parts = rt.appendTauMoves(moves, parts, st, false)
-	// Synchronized moves: for each action, the cross product of each
-	// participating process's candidate transitions, the first process
-	// varying slowest. cands holds the candidates of all participants
-	// back to back, participant j's run ending at ends[j]; pos is the
-	// odometer over the runs.
-	var cands, ends, pos []int
-	for _, a := range rt.actionNames {
-		procs := rt.actions[a]
-		cands, ends, pos = cands[:0], ends[:0], pos[:0]
-		feasible := true
-		for _, pi := range procs {
-			p := rt.net.Processes[pi]
-			pos = append(pos, len(cands))
-			for _, ti := range p.Outgoing(st.Locs[pi]) {
-				if p.Transitions[ti].Action == a && !rt.isPruned(pi, ti) {
-					cands = append(cands, ti)
-				}
-			}
-			if len(cands) == pos[len(pos)-1] {
-				feasible = false
-				break
-			}
-			ends = append(ends, len(cands))
-		}
-		if !feasible {
-			continue
-		}
-		for {
-			base := len(parts)
-			for j, pi := range procs {
-				parts = append(parts, Part{Proc: pi, Trans: cands[pos[j]]})
-			}
-			n := len(parts)
-			moves = append(moves, Move{Action: a, Parts: parts[base:n:n]})
-			j := len(procs) - 1
-			for ; j >= 0; j-- {
-				if pos[j]++; pos[j] < ends[j] {
-					break
-				}
-				if j > 0 {
-					pos[j] = ends[j-1]
-				}
-			}
-			if j < 0 {
-				break
-			}
-		}
-	}
-	guarded := len(moves)
-	moves, _ = rt.appendTauMoves(moves, parts, st, true)
-	return CachedMoves{Guarded: moves[:guarded:guarded], Markovian: moves[guarded:], rt: rt}
-}
-
-// appendTauMoves appends one single-part move per unpruned τ transition out
-// of st's locations whose Markovian-ness is markovian, in process and
-// transition order.
-func (rt *Runtime) appendTauMoves(moves []Move, parts []Part, st *State, markovian bool) ([]Move, []Part) {
-	for pi, p := range rt.net.Processes {
-		for _, ti := range p.Outgoing(st.Locs[pi]) {
-			tr := &p.Transitions[ti]
-			if tr.Action != sta.Tau || tr.Markovian() != markovian || rt.isPruned(pi, ti) {
-				continue
-			}
-			parts = append(parts, Part{Proc: pi, Trans: ti})
-			n := len(parts)
-			moves = append(moves, Move{Action: sta.Tau, Parts: parts[n-1 : n : n], Rate: tr.Rate})
-		}
-	}
-	return moves, parts
 }

@@ -46,12 +46,19 @@ func gpsNet(t *testing.T) (*Scratch, State) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	st := rt.NewState()
 	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatalf("InitialStateInto: %v", err)
 	}
 	return sc, st
+}
+
+// movesOf composes st's move set into a fresh set.
+func movesOf(sc *Scratch, st *State) *MoveSet {
+	var ms MoveSet
+	sc.Moves(&ms, st)
+	return &ms
 }
 
 func TestMaxDelayFromInvariant(t *testing.T) {
@@ -86,11 +93,11 @@ func TestMaxDelayFromInvariant(t *testing.T) {
 
 func TestGuardWindowAndApply(t *testing.T) {
 	sc, st := gpsNet(t)
-	cm := sc.Moves(&st)
+	cm := movesOf(sc, &st)
 	if len(cm.Guarded) != 1 || len(cm.Markovian) != 0 {
 		t.Fatalf("Moves = %d guarded, %d Markovian, want 1 guarded", len(cm.Guarded), len(cm.Markovian))
 	}
-	m := &cm.Guarded[0]
+	m := cm.Guarded[0]
 	if m.Action != "activate" || m.Markovian() {
 		t.Errorf("unexpected move %+v", m)
 	}
@@ -160,7 +167,7 @@ func syncNet(t *testing.T) (*Scratch, State) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	st := rt.NewState()
 	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatalf("InitialStateInto: %v", err)
@@ -170,7 +177,7 @@ func syncNet(t *testing.T) (*Scratch, State) {
 
 func TestSynchronizedMoves(t *testing.T) {
 	sc, st := syncNet(t)
-	cm := sc.Moves(&st)
+	cm := movesOf(sc, &st)
 	if len(cm.Markovian) != 0 {
 		t.Errorf("%d Markovian moves, want none", len(cm.Markovian))
 	}
@@ -197,7 +204,7 @@ func TestSynchronizedMoves(t *testing.T) {
 			continue
 		}
 		st2 := sc.rt.NewState()
-		if err := sc.ApplyInto(&st2, &st, &moves[i]); err != nil {
+		if err := sc.ApplyInto(&st2, &st, moves[i]); err != nil {
 			t.Fatalf("ApplyInto: %v", err)
 		}
 		if st2.Locs[0] != 1 {
@@ -214,11 +221,11 @@ func TestSyncBlockedWhenPartnerCannot(t *testing.T) {
 	sc, st := syncNet(t)
 	// Move process a to its terminal location; "go" then has no
 	// candidates from a, so no sync moves appear even though b has some.
-	moves := sc.Moves(&st).Guarded
+	moves := movesOf(sc, &st).Guarded
 	var goMove *Move
 	for i := range moves {
 		if moves[i].Action == "go" {
-			goMove = &moves[i]
+			goMove = moves[i]
 			break
 		}
 	}
@@ -226,7 +233,7 @@ func TestSyncBlockedWhenPartnerCannot(t *testing.T) {
 	if err := sc.ApplyInto(&st2, &st, goMove); err != nil {
 		t.Fatalf("ApplyInto: %v", err)
 	}
-	cm := sc.Moves(&st2)
+	cm := movesOf(sc, &st2)
 	if len(cm.Markovian) != 0 {
 		t.Errorf("%d Markovian moves, want none", len(cm.Markovian))
 	}
@@ -251,12 +258,12 @@ func TestMarkovianMoves(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	st := rt.NewState()
 	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatalf("InitialStateInto: %v", err)
 	}
-	cm := sc.Moves(&st)
+	cm := movesOf(sc, &st)
 	if len(cm.Guarded) != 0 {
 		t.Errorf("%d guarded moves, want none", len(cm.Guarded))
 	}
@@ -308,7 +315,7 @@ func TestFlowPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	st := rt.NewState()
 	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatalf("InitialStateInto: %v", err)
@@ -317,7 +324,7 @@ func TestFlowPropagation(t *testing.T) {
 		t.Errorf("initial flow value = %v, want 6", got)
 	}
 	st2 := rt.NewState()
-	if err := sc.ApplyInto(&st2, &st, &sc.Moves(&st).Guarded[0]); err != nil {
+	if err := sc.ApplyInto(&st2, &st, movesOf(sc, &st).Guarded[0]); err != nil {
 		t.Fatalf("ApplyInto: %v", err)
 	}
 	if got := st2.Vals[inID].Int(); got != 12 {
@@ -392,7 +399,7 @@ func TestContinuousTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	st := rt.NewState()
 	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatalf("InitialStateInto: %v", err)
@@ -412,7 +419,7 @@ func TestContinuousTrajectory(t *testing.T) {
 	if got := st2.Vals[eID].Real(); got != 0 {
 		t.Errorf("energy after 50 = %v, want 0", got)
 	}
-	deplete := &sc.Moves(&st2).Guarded[0]
+	deplete := movesOf(sc, &st2).Guarded[0]
 	ok, err := sc.EnabledAt(&st2, deplete)
 	if err != nil || !ok {
 		t.Errorf("deplete transition should be enabled at boundary: (%v,%v)", ok, err)
@@ -444,7 +451,7 @@ func TestUrgentLocationBlocksTime(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	st := rt.NewState()
 	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatalf("InitialStateInto: %v", err)
@@ -476,7 +483,7 @@ func TestInvariantViolatedNow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	st := rt.NewState()
 	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatalf("InitialStateInto: %v", err)
@@ -511,14 +518,14 @@ func TestTypeRangeEnforcedOnEffects(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	st, next := rt.NewState(), rt.NewState()
 	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatalf("InitialStateInto: %v", err)
 	}
 	var applyErr error
 	for i := 0; i < 5; i++ {
-		if applyErr = sc.ApplyInto(&next, &st, &sc.Moves(&st).Guarded[0]); applyErr != nil {
+		if applyErr = sc.ApplyInto(&next, &st, movesOf(sc, &st).Guarded[0]); applyErr != nil {
 			break
 		}
 		st, next = next, st
@@ -530,7 +537,7 @@ func TestTypeRangeEnforcedOnEffects(t *testing.T) {
 
 func TestMoveLabel(t *testing.T) {
 	sc, st := gpsNet(t)
-	label := sc.Moves(&st).Guarded[0].Label(sc.rt)
+	label := movesOf(sc, &st).Guarded[0].Label(sc.rt)
 	if !strings.Contains(label, "gps") || !strings.Contains(label, "acquisition") {
 		t.Errorf("label %q should mention process and source location", label)
 	}
@@ -560,7 +567,7 @@ func TestQuickAdvanceAdditivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	st := rt.NewState()
 	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatal(err)
@@ -604,7 +611,7 @@ func TestUrgentNow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	st := rt.NewState()
 	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatal(err)
@@ -613,7 +620,7 @@ func TestUrgentNow(t *testing.T) {
 		t.Error("initial location is not urgent")
 	}
 	st2 := rt.NewState()
-	if err := sc.ApplyInto(&st2, &st, &sc.Moves(&st).Guarded[0]); err != nil {
+	if err := sc.ApplyInto(&st2, &st, movesOf(sc, &st).Guarded[0]); err != nil {
 		t.Fatal(err)
 	}
 	if !rt.UrgentNow(&st2) {
@@ -621,14 +628,11 @@ func TestUrgentNow(t *testing.T) {
 	}
 }
 
-// TestMovesEnumerationOrder pins the move cache's order on a net with
-// unrated and Markovian τ moves and two synchronized actions of several
-// candidates per participant. Guarded comes first: unrated τ moves by
-// process and transition, then actions in sorted name order, each action's
-// cross product with the first participant varying slowest. Markovian
-// follows, by process and transition, although its first process precedes
-// every other.
-func TestMovesEnumerationOrder(t *testing.T) {
+// orderNet builds the network of TestMovesEnumerationOrder and its initial
+// state: five processes with unrated and Markovian τ moves and two
+// synchronized actions of several candidates per participant.
+func orderNet(t *testing.T) (*Scratch, State) {
+	t.Helper()
 	proc := func(name string, actions ...string) *sta.Process {
 		p := &sta.Process{
 			Name:      name,
@@ -663,11 +667,21 @@ func TestMovesEnumerationOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	st := rt.NewState()
 	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatal(err)
 	}
+	return sc, st
+}
+
+// TestMovesEnumerationOrder pins the composed order on orderNet. Guarded
+// comes first: unrated τ moves by process and transition, then actions in
+// sorted name order, each action's cross product with the first
+// participant varying slowest. Markovian follows, by process and
+// transition, although its first process precedes every other.
+func TestMovesEnumerationOrder(t *testing.T) {
+	sc, st := orderNet(t)
 	var guarded []Move
 	guarded = append(guarded,
 		Move{Action: sta.Tau, Parts: []Part{{Proc: 1, Trans: 2}}},
@@ -689,26 +703,22 @@ func TestMovesEnumerationOrder(t *testing.T) {
 		{Action: sta.Tau, Parts: []Part{{Proc: 0, Trans: 1}}, Rate: 1.5},
 		{Action: sta.Tau, Parts: []Part{{Proc: 4, Trans: 0}}, Rate: 2},
 	}
-	cm := sc.Moves(&st)
+	cm := movesOf(sc, &st)
 	if cap(cm.Guarded) != len(cm.Guarded) {
 		t.Fatalf("Guarded has spare capacity %d, so an append could overwrite Markovian", cap(cm.Guarded)-len(cm.Guarded))
 	}
 	for _, c := range []struct {
-		name      string
-		got, want []Move
+		name string
+		got  []*Move
+		want []Move
 	}{{"guarded", cm.Guarded, guarded}, {"Markovian", cm.Markovian, markovian}} {
 		got, want := c.got, c.want
 		if len(got) != len(want) {
 			t.Fatalf("%d %s moves, want %d: %+v", len(got), c.name, len(want), got)
 		}
 		for i := range want {
-			if got[i].Action != want[i].Action || got[i].Rate != want[i].Rate || len(got[i].Parts) != len(want[i].Parts) {
-				t.Fatalf("%s move %d = %+v, want %+v", c.name, i, got[i], want[i])
-			}
-			for j := range want[i].Parts {
-				if got[i].Parts[j] != want[i].Parts[j] {
-					t.Fatalf("%s move %d = %+v, want %+v", c.name, i, got[i], want[i])
-				}
+			if !sameMove(got[i], &want[i]) {
+				t.Fatalf("%s move %d = %+v, want %+v", c.name, i, *got[i], want[i])
 			}
 			if cap(got[i].Parts) != len(got[i].Parts) {
 				t.Fatalf("%s move %d: Parts has spare capacity %d, so an append could overwrite its neighbour", c.name, i, cap(got[i].Parts))

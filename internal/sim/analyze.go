@@ -54,10 +54,6 @@ type Report struct {
 	// paths. Like the estimate, these counts leave out paths workers
 	// overdrew past the stopping point.
 	TotalSteps int64
-	// CacheHits and CacheMisses are the engine's move-cache counters
-	// summed over all workers (including overdrawn paths, so they vary
-	// with worker timing).
-	CacheHits, CacheMisses uint64
 	// Elapsed is the wall-clock duration of the sampling phase.
 	Elapsed time.Duration
 	// Strategy and Method echo the configuration.
@@ -102,9 +98,9 @@ type workerState struct {
 	src *rng.Source
 	eng *Engine
 	// ps is the worker's own arena, held for the whole run rather than
-	// drawn from the engine's pool per path: its move cache stays warm
-	// across the worker's paths, and it becomes garbage with the run
-	// instead of lingering in a pool of a finished engine.
+	// drawn from the engine's pool per path: its arenas stay grown across
+	// the worker's paths, and it becomes garbage with the run instead of
+	// lingering in a pool of a finished engine.
 	ps  *pathScratch
 	rec *telemetry.PathRecorder
 
@@ -299,9 +295,9 @@ func analyzeCells(rt *network.Runtime, cfg AnalysisConfig, bounds []float64) (Sw
 	start := time.Now()
 	runErr := parallel.RunMulti(me, sampler, popts)
 	elapsed := time.Since(start)
-	engineSteps, cacheHits, cacheMisses := engine.Stats()
 	if tel != nil {
-		tel.SetEngineStats(engineSteps, cacheHits, cacheMisses)
+		engineSteps, _, _ := engine.Stats()
+		tel.SetEngineStats(engineSteps)
 		tel.End(stream, elapsed)
 	}
 	if runErr != nil {
@@ -326,8 +322,6 @@ func analyzeCells(rt *network.Runtime, cfg AnalysisConfig, bounds []float64) (Sw
 			Deadlocks:   sum.deadlocks,
 			Timelocks:   sum.timelocks,
 			TotalSteps:  sum.steps,
-			CacheHits:   cacheHits,
-			CacheMisses: cacheMisses,
 			Elapsed:     elapsed,
 			Strategy:    cfg.Strategy.Name(),
 			Method:      method,

@@ -80,7 +80,7 @@ func benchEngine(tb testing.TB, bound float64) (*Engine, *pathScratch) {
 	return eng, ps
 }
 
-// BenchmarkStep measures one engine step (MaxDelay, memoized Moves, guard
+// BenchmarkStep measures one engine step (MaxDelay, Moves, guard
 // windows, strategy decision, property check, timed+discrete successor) in
 // steady state.
 func BenchmarkStep(b *testing.B) {
@@ -127,8 +127,8 @@ func BenchmarkSamplePath(b *testing.B) {
 
 // stepAllocBudget is the per-step allocation gate. The residual allocations
 // are the interval sets materialized for clock guard windows and the delay
-// clip; everything else (states, moves, labels, contexts, environments) is
-// pooled or memoized.
+// clip; everything else (states, move sets, contexts, environments) is
+// pooled, and labels are read only with an observer.
 const stepAllocBudget = 12
 
 func TestStepAllocs(t *testing.T) {
@@ -139,7 +139,7 @@ func TestStepAllocs(t *testing.T) {
 	}
 	src := rng.New(7)
 	var res PathResult
-	// Warm up: fill the move cache and grow the window scratch.
+	// Warm up: grow the move-set and window scratch.
 	for i := 0; i < 64; i++ {
 		_, newCur, err := eng.step(ps, cur, nxt, src, &res)
 		if err != nil {
@@ -168,9 +168,8 @@ const sensorFilterBound = 150
 
 // sensorFilterConfig compiles the Table I sensor filter at redundancy n and
 // returns its runtime with the Table I property: P(goal within
-// sensorFilterBound) under ASAP. Its location-vector space grows with n, so
-// a fresh engine misses the move cache often — the regime where per-miss
-// work such as label rendering shows.
+// sensorFilterBound) under ASAP. Its location-vector space grows with n:
+// 2^(2n+1) vectors, each path visiting new ones.
 func sensorFilterConfig(tb testing.TB, n int) (*network.Runtime, Config) {
 	tb.Helper()
 	src, err := casestudy.SensorFilter(casestudy.DefaultSensorFilter(n))
@@ -199,8 +198,8 @@ func sensorFilterConfig(tb testing.TB, n int) (*network.Runtime, Config) {
 // BenchmarkAnalyzeSensorFilter measures one Table I simulator query
 // (ε=0.04, δ=0.05) end to end through Analyze: N=5 with 1 and 2 workers,
 // and N=7 with 1 worker, the size class of the perfbench table1-sim p90.
-// Every op builds a fresh engine, so the cold-cache misses of a real query
-// are included.
+// Every op builds a fresh engine, so a real query's arena warm-up is
+// included.
 func BenchmarkAnalyzeSensorFilter(b *testing.B) {
 	for _, c := range []struct{ n, workers int }{{5, 1}, {5, 2}, {7, 1}} {
 		rt, cfg := sensorFilterConfig(b, c.n)
@@ -221,11 +220,11 @@ func BenchmarkAnalyzeSensorFilter(b *testing.B) {
 }
 
 // coldPathAllocBudget gates the allocations of 64 sensor-filter (N=5)
-// paths drawn from a cold arena: a fresh move cache, so many location
-// vectors miss. Measured 2441 (Go 1.24, linux/amd64); the budget leaves
-// ~30% headroom. What remains is per miss — the move enumeration and the
-// cache entry — since no label is rendered without an observer.
-const coldPathAllocBudget = 3200
+// paths drawn from a fresh arena. Measured 961 (Go 1.24, linux/amd64); the
+// budget leaves ~30% headroom. Move sets are composed from the runtime's
+// static tables into the arena's set, so what remains is the arena's
+// warm-up and, per step, the interval sets of the delay clip.
+const coldPathAllocBudget = 1250
 
 func TestColdPathAllocs(t *testing.T) {
 	rt, cfg := sensorFilterConfig(t, 5)
@@ -243,17 +242,17 @@ func TestColdPathAllocs(t *testing.T) {
 		}
 	})
 	if avg > coldPathAllocBudget {
-		t.Errorf("64 cold-cache sensor-filter paths allocate %.0f objects, budget %d", avg, coldPathAllocBudget)
+		t.Errorf("64 fresh-arena sensor-filter paths allocate %.0f objects, budget %d", avg, coldPathAllocBudget)
 	}
 }
 
 // TestNoObserverRendersNoLabels: trace labels exist for observers and the
-// interactive prompt only, so sampling without an observer must leave
-// every move-cache entry unrendered; the same paths with an observer do
-// render them (the check can fail).
+// interactive prompt only, so sampling without an observer must never build
+// the runtime's label table; the same paths with an observer do build it
+// (the check can fail).
 func TestNoObserverRendersNoLabels(t *testing.T) {
-	rt, cfg := sensorFilterConfig(t, 5)
 	for _, obs := range []Observer{nil, &orderObserver{}} {
+		rt, cfg := sensorFilterConfig(t, 5)
 		cfg.Observer = obs
 		eng, err := NewEngine(rt, cfg)
 		if err != nil {
@@ -266,15 +265,11 @@ func TestNoObserverRendersNoLabels(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, misses := ps.net.CacheStats(); misses == 0 {
-			t.Fatal("no move-cache misses: the check below would be vacuous")
-		}
-		n := ps.net.RenderedLabels()
-		switch {
-		case obs == nil && n != 0:
-			t.Errorf("sampling without an observer rendered %d labels, want 0", n)
-		case obs != nil && n == 0:
-			t.Error("sampling with an observer rendered no labels")
+		switch built := rt.LabelTableBuilt(); {
+		case obs == nil && built:
+			t.Error("sampling without an observer built the label table")
+		case obs != nil && !built:
+			t.Error("sampling with an observer built no label table")
 		}
 	}
 }

@@ -77,12 +77,8 @@ type BranchResult struct {
 func (e *Engine) SampleBranch(src *rng.Source, start *network.State, target int, level LevelFunc, promoted *network.State) (BranchResult, error) {
 	ps := e.scratch.Get().(*pathScratch)
 	res := BranchResult{}
-	hits0, misses0 := ps.net.CacheStats()
 	defer func() {
-		hits1, misses1 := ps.net.CacheStats()
 		e.stats.steps.Add(int64(res.Steps))
-		e.stats.cacheHits.Add(hits1 - hits0)
-		e.stats.cacheMisses.Add(misses1 - misses0)
 		e.scratch.Put(ps)
 	}()
 

@@ -161,16 +161,15 @@ type Engine struct {
 // engineStats holds the engine's cumulative counters, updated once per
 // path (not per step) to keep atomics off the hot path.
 type engineStats struct {
-	steps       atomic.Int64
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
+	steps atomic.Int64
 }
 
-// pathScratch is the per-path working set: a network evaluation arena
-// (environment + move cache), two states the step loop ping-pongs between,
+// pathScratch is the per-path working set: a network evaluation arena, the
+// current state's move set, two states the step loop ping-pongs between,
 // the window slice handed to the strategy and the reused strategy context.
 type pathScratch struct {
 	net      *network.Scratch
+	moves    network.MoveSet
 	stA, stB network.State
 	windows  []intervals.Set
 	ctx      strategy.Context
@@ -191,19 +190,24 @@ func NewEngine(rt *network.Runtime, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// newScratch returns a fresh path arena, with a cold move cache.
+// newScratch returns a fresh path arena.
 func (e *Engine) newScratch() *pathScratch {
 	return &pathScratch{
-		net: e.rt.NewScratch(0),
+		net: e.rt.NewScratch(),
 		stA: e.rt.NewState(),
 		stB: e.rt.NewState(),
 	}
 }
 
 // Stats returns the engine's cumulative hot-path counters: simulation steps
-// over all sampled paths, and the move-cache hits and misses.
-func (e *Engine) Stats() (steps int64, cacheHits, cacheMisses uint64) {
-	return e.stats.steps.Load(), e.stats.cacheHits.Load(), e.stats.cacheMisses.Load()
+// over all sampled paths, the move-table reads and the move-table misses.
+// Every step reads the static move tables once and never misses, so the
+// last two results are (steps, 0); they remain for callers that still
+// report a move-cache miss rate, which reads 0, and a later change to the
+// benchmark can retire that metric along with them.
+func (e *Engine) Stats() (steps int64, reads, misses uint64) {
+	n := e.stats.steps.Load()
+	return n, uint64(n), 0
 }
 
 // WithObserver returns a copy of the engine whose paths report to obs.
@@ -249,13 +253,7 @@ func (e *Engine) SamplePath(src *rng.Source) (PathResult, error) {
 // samplePath generates one path in the arena ps.
 func (e *Engine) samplePath(ps *pathScratch, src *rng.Source) (PathResult, error) {
 	res := PathResult{}
-	hits0, misses0 := ps.net.CacheStats()
-	defer func() {
-		hits1, misses1 := ps.net.CacheStats()
-		e.stats.steps.Add(int64(res.Steps))
-		e.stats.cacheHits.Add(hits1 - hits0)
-		e.stats.cacheMisses.Add(misses1 - misses0)
-	}()
+	defer func() { e.stats.steps.Add(int64(res.Steps)) }()
 
 	// The step loop ping-pongs between the two pooled states: each step
 	// reads cur and leaves its successor in the state it returns.
@@ -310,7 +308,7 @@ func (e *Engine) advance(ps *pathScratch, out, src *network.State, d float64) er
 }
 
 // apply wraps Scratch.ApplyInto with the observer hook. label is the move's
-// cached trace label, rendered only when an observer is attached.
+// trace label, read only when an observer is attached.
 func (e *Engine) apply(ps *pathScratch, out, src *network.State, m *network.Move, label string) error {
 	if err := ps.net.ApplyInto(out, src, m); err != nil {
 		return err
@@ -335,11 +333,11 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 			fmt.Errorf("sim: invariant violated at time %g (ill-formed model)", cur.Time))
 	}
 
-	// Memoized enumeration: the guarded/Markovian split and the labels
-	// depend only on the location vector and come from the move cache.
-	// Labels are rendered only when read: by an interactive strategy
-	// through the context, or for the fired move when an observer listens.
-	cm := ps.net.Moves(cur)
+	// The candidate moves, composed from the static move tables. Labels
+	// are read only by an interactive strategy through the context, or
+	// for the fired move when an observer listens.
+	cm := &ps.moves
+	ps.net.Moves(cm, cur)
 	guarded, markovian := cm.Guarded, cm.Markovian
 
 	// Enabling windows of guarded moves, clipped to the allowed delays.
@@ -350,7 +348,7 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 	}
 	windows := ps.windows[:len(guarded)]
 	for i := range guarded {
-		w, werr := ps.net.Window(cur, &guarded[i])
+		w, werr := ps.net.Window(cur, guarded[i])
 		if werr != nil {
 			return 0, nil, werr
 		}
@@ -497,7 +495,7 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 	var firedLabel string
 	switch {
 	case fireExp:
-		fired = &markovian[expWinner]
+		fired = markovian[expWinner]
 		if e.cfg.Observer != nil {
 			firedLabel = cm.MarkLabel(expWinner)
 		}
@@ -505,7 +503,7 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 		// Equiprobability among the moves enabled at the chosen
 		// instant.
 		pick := choice.Enabled[src.Choose(len(choice.Enabled))]
-		fired = &guarded[pick]
+		fired = guarded[pick]
 		if e.cfg.Observer != nil {
 			firedLabel = cm.Label(pick)
 		}

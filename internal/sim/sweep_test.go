@@ -222,7 +222,7 @@ func TestRunSummaryDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Analyze: %v", err)
 		}
-		rep.Elapsed, rep.CacheHits, rep.CacheMisses = 0, 0, 0
+		rep.Elapsed = 0
 		if i == 0 {
 			first = rep
 			if rep.Timelocks == 0 || rep.Timelocks == rep.Paths {
@@ -241,7 +241,7 @@ func TestRunSummaryDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AnalyzeSweep: %v", err)
 		}
-		rep.Elapsed, rep.CacheHits, rep.CacheMisses = 0, 0, 0
+		rep.Elapsed = 0
 		if i == 0 {
 			firstSweep = rep
 			continue

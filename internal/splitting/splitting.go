@@ -121,8 +121,6 @@ type Report struct {
 	MC *sim.Report
 	// TotalSteps is the number of simulation steps over all branches.
 	TotalSteps int64
-	// CacheHits and CacheMisses are the engine's move-cache counters.
-	CacheHits, CacheMisses uint64
 	// Elapsed is the wall-clock duration of the sampling phase.
 	Elapsed time.Duration
 	// Strategy echoes the configuration.
@@ -296,7 +294,7 @@ func Analyze(rt *network.Runtime, cfg Config) (Report, error) {
 		return Report{}, fmt.Errorf("splitting: effort must be nonnegative, got %d", cfg.Effort)
 	}
 	init := rt.NewState()
-	if err := rt.NewScratch(0).InitialStateInto(&init); err != nil {
+	if err := rt.NewScratch().InitialStateInto(&init); err != nil {
 		return Report{}, err
 	}
 	level, maxLevel, source := deriveLevel(rt, cfg.Static, init.Locs)
@@ -313,8 +311,6 @@ func Analyze(rt *network.Runtime, cfg Config) (Report, error) {
 			Degenerate:  true,
 			MC:          &mc,
 			TotalSteps:  mc.TotalSteps,
-			CacheHits:   mc.CacheHits,
-			CacheMisses: mc.CacheMisses,
 			Elapsed:     mc.Elapsed,
 			Strategy:    mc.Strategy,
 		}, nil
@@ -456,12 +452,9 @@ func Analyze(rt *network.Runtime, cfg Config) (Report, error) {
 	}
 	rep.Elapsed = time.Since(start)
 	rep.Probability = estimate
-	engineSteps, cacheHits, cacheMisses := engine.Stats()
-	rep.TotalSteps = engineSteps
-	rep.CacheHits = cacheHits
-	rep.CacheMisses = cacheMisses
+	rep.TotalSteps, _, _ = engine.Stats()
 	if tel != nil {
-		tel.SetEngineStats(engineSteps, cacheHits, cacheMisses)
+		tel.SetEngineStats(rep.TotalSteps)
 		tel.End(rawEst, rep.Elapsed)
 		tel.SetSplitting(rep.Metrics())
 	}

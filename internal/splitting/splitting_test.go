@@ -251,7 +251,7 @@ func TestSplittingCloneAllocs(t *testing.T) {
 	rt := chainNet(t, 4, 0.5, 2)
 	pool := &statePool{rt: rt}
 	src := rt.NewState()
-	if err := rt.NewScratch(0).InitialStateInto(&src); err != nil {
+	if err := rt.NewScratch().InitialStateInto(&src); err != nil {
 		t.Fatal(err)
 	}
 	warm := pool.get()
@@ -270,7 +270,7 @@ func BenchmarkSplittingClone(b *testing.B) {
 	rt := chainNet(b, 4, 0.5, 2)
 	pool := &statePool{rt: rt}
 	src := rt.NewState()
-	if err := rt.NewScratch(0).InitialStateInto(&src); err != nil {
+	if err := rt.NewScratch().InitialStateInto(&src); err != nil {
 		b.Fatal(err)
 	}
 	warm := pool.get()

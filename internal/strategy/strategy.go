@@ -30,7 +30,7 @@ import (
 
 // Labeler renders the label of a candidate move on demand, so a strategy
 // that never displays labels never pays for rendering them. The engine
-// passes its memoized move set (*network.CachedMoves).
+// passes the step's move set (*network.MoveSet).
 type Labeler interface {
 	// Label returns the label of candidate move i, indexed like
 	// Context.Windows.

@@ -38,6 +38,13 @@ func load(t testing.TB, src, goalSrc string) (*network.Runtime, expr.Expr) {
 	return rt, goal
 }
 
+// movesOf composes st's move set into a fresh set.
+func movesOf(sc *network.Scratch, st *network.State) *network.MoveSet {
+	var ms network.MoveSet
+	sc.Moves(&ms, st)
+	return &ms
+}
+
 func sensorFilter(t testing.TB, n int) (*network.Runtime, expr.Expr) {
 	t.Helper()
 	src, err := casestudy.SensorFilter(casestudy.DefaultSensorFilter(n))
@@ -187,7 +194,7 @@ func TestCanonicalizeIdempotent(t *testing.T) {
 		t.Fatal("no symmetry detected")
 	}
 	c := red.NewCanonicalizer()
-	sc := rt.NewScratch(0)
+	sc := rt.NewScratch()
 	st := rt.NewState()
 	if err := sc.InitialStateInto(&st); err != nil {
 		t.Fatal(err)
@@ -198,11 +205,11 @@ func TestCanonicalizeIdempotent(t *testing.T) {
 	// fires the first enabled τ move in process and transition order, or
 	// failing that the first enabled synchronized move.
 	for range 4 {
-		cm := sc.Moves(&st)
+		cm := movesOf(sc, &st)
 		var pick *network.Move
-		for _, moves := range [][]network.Move{cm.Guarded, cm.Markovian} {
+		for _, moves := range [][]*network.Move{cm.Guarded, cm.Markovian} {
 			for i := range moves {
-				m := &moves[i]
+				m := moves[i]
 				if on, err := sc.EnabledAt(&st, m); err != nil || !on {
 					continue
 				}

@@ -67,11 +67,6 @@ type Timing struct {
 	// StepsPerSec is the engine step throughput over the sampling phase,
 	// counting all simulated paths (consumed or overdrawn).
 	StepsPerSec float64 `json:"stepsPerSec,omitempty"`
-	// MoveCacheHits and MoveCacheMisses are the move-memoization counters
-	// summed over all workers; MoveCacheHitRate is hits/(hits+misses).
-	MoveCacheHits    uint64  `json:"moveCacheHits,omitempty"`
-	MoveCacheMisses  uint64  `json:"moveCacheMisses,omitempty"`
-	MoveCacheHitRate float64 `json:"moveCacheHitRate,omitempty"`
 }
 
 // CI is a two-sided confidence interval.
@@ -293,13 +288,9 @@ func (c *Collector) Report() Report {
 		t := &Timing{
 			WallClockMS:   float64(snap.Elapsed) / float64(time.Millisecond),
 			SamplesPerSec: snap.Rate,
-			MoveCacheHits: c.cacheHits, MoveCacheMisses: c.cacheMisses,
 		}
 		if secs := snap.Elapsed.Seconds(); secs > 0 && c.engineSteps > 0 {
 			t.StepsPerSec = float64(c.engineSteps) / secs
-		}
-		if total := c.cacheHits + c.cacheMisses; total > 0 {
-			t.MoveCacheHitRate = float64(c.cacheHits) / float64(total)
 		}
 		rep.Timing = t
 	}

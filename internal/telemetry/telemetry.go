@@ -192,8 +192,6 @@ type Collector struct {
 	// all engine work including overdrawn paths, so they belong to the
 	// non-deterministic Timing section of the report, not to Sampling.
 	engineSteps int64
-	cacheHits   uint64
-	cacheMisses uint64
 
 	// Per-cell results of a multi-bound sweep, set once after the
 	// sampling phase by the sweep driver.
@@ -252,17 +250,14 @@ func (c *Collector) End(est stats.Estimate, elapsed time.Duration) {
 	}
 }
 
-// SetEngineStats records the engine's raw work counters: total simulation
-// steps (including overdrawn paths the generator never consumed) and the
-// move-cache hit/miss counts. Like wall-clock time, these depend on
-// goroutine timing under parallelism, so they surface in the Timing section
-// of the report.
-func (c *Collector) SetEngineStats(steps int64, cacheHits, cacheMisses uint64) {
+// SetEngineStats records the engine's raw work counter: total simulation
+// steps, including overdrawn paths the generator never consumed. Like
+// wall-clock time, it depends on goroutine timing under parallelism, so it
+// surfaces in the Timing section of the report.
+func (c *Collector) SetEngineStats(steps int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.engineSteps = steps
-	c.cacheHits = cacheHits
-	c.cacheMisses = cacheMisses
 }
 
 // SetSweep records the per-cell results table of a multi-bound run; it

@@ -145,7 +145,7 @@ func Analyze(rt *network.Runtime, goal expr.Expr, bound float64, maxStates int) 
 	}
 	a := &analyzer{
 		rt:        rt,
-		sc:        rt.NewScratch(0),
+		sc:        rt.NewScratch(),
 		goal:      goal,
 		bound:     bound,
 		maxStates: maxStates,
@@ -236,6 +236,12 @@ type analyzer struct {
 	maxStates int
 	clockID   expr.VarID // -1 when the model has no clock
 
+	// cascade holds one move set per immediate-cascade depth, for the
+	// fireable moves settleState and resolveJump fire at that depth;
+	// windows serves candWindows, which keeps no move.
+	cascade []*network.MoveSet
+	windows network.MoveSet
+
 	reached  float64
 	dead     float64
 	segments int
@@ -269,11 +275,22 @@ func delayClip(maxD float64, attained bool) intervals.Set {
 	return intervals.FromInterval(intervals.ClosedOpen(0, maxD))
 }
 
+// movesAt returns the move set of cascade depth d, allocating it on first
+// use.
+func (a *analyzer) movesAt(d int) *network.MoveSet {
+	for len(a.cascade) <= d {
+		a.cascade = append(a.cascade, new(network.MoveSet))
+	}
+	return a.cascade[d]
+}
+
 // fireable collects the guarded moves of st that are fireable now, along
-// with the invariant deadline. Windows are clipped by the invariants first,
-// exactly like the engine's step: an open-at-zero window under an expired
-// invariant (maxD = 0) is a timelock, not a firing.
-func (a *analyzer) fireable(st *network.State) ([]network.Move, float64, error) {
+// with the invariant deadline. The moves are composed into the move set of
+// cascade depth depth, so they stay valid while deeper cascades run.
+// Windows are clipped by the invariants first, exactly like the engine's
+// step: an open-at-zero window under an expired invariant (maxD = 0) is a
+// timelock, not a firing.
+func (a *analyzer) fireable(st *network.State, depth int) ([]*network.Move, float64, error) {
 	d, att, nowOK, err := a.sc.MaxDelay(st)
 	if err != nil {
 		return nil, 0, err
@@ -282,15 +299,16 @@ func (a *analyzer) fireable(st *network.State) ([]network.Move, float64, error) 
 		return nil, 0, fmt.Errorf("zone: invariant violated at t=%g", st.Time)
 	}
 	clip := delayClip(d, att)
-	guarded := a.sc.Moves(st).Guarded
-	var out []network.Move
-	for i := range guarded {
-		w, err := a.sc.Window(st, &guarded[i])
+	ms := a.movesAt(depth)
+	a.sc.Moves(ms, st)
+	var out []*network.Move
+	for _, m := range ms.Guarded {
+		w, err := a.sc.Window(st, m)
 		if err != nil {
 			return nil, 0, err
 		}
 		if fireableNow(w.Intersect(clip)) {
-			out = append(out, guarded[i])
+			out = append(out, m)
 		}
 	}
 	return out, d, nil
@@ -354,7 +372,7 @@ func (a *analyzer) settleState(st *network.State, mass float64, out map[string]*
 		a.reached += mass
 		return nil
 	}
-	en, d, err := a.fireable(st)
+	en, d, err := a.fireable(st, depth)
 	if err != nil {
 		return err
 	}
@@ -374,7 +392,7 @@ func (a *analyzer) settleState(st *network.State, mass float64, out map[string]*
 	share := mass / float64(len(en))
 	for i := range en {
 		succ := a.rt.NewState()
-		if err := a.sc.ApplyInto(&succ, st, &en[i]); err != nil {
+		if err := a.sc.ApplyInto(&succ, st, en[i]); err != nil {
 			return err
 		}
 		if err := a.settleState(&succ, share, out, depth+1); err != nil {
@@ -422,9 +440,9 @@ func (c *closure) addCand(t float64) {
 // of st: within a segment the fireable set must not change, so each
 // endpoint subdivides time.
 func (a *analyzer) candWindows(c *closure, st *network.State) error {
-	guarded := a.sc.Moves(st).Guarded
-	for i := range guarded {
-		w, err := a.sc.Window(st, &guarded[i])
+	a.sc.Moves(&a.windows, st)
+	for _, m := range a.windows.Guarded {
+		w, err := a.sc.Window(st, m)
 		if err != nil {
 			return err
 		}
@@ -438,13 +456,16 @@ func (a *analyzer) candWindows(c *closure, st *network.State) error {
 
 // buildClosure explores the segment's CTMC from the settled support:
 // tangible states are interned and expanded through their Markovian moves,
-// whose targets are resolved through interior immediate cascades.
+// whose targets are resolved through interior immediate cascades. The
+// expanded state's moves live in a set of its own: the cascades compose
+// into the analyzer's.
 func (a *analyzer) buildClosure(support []*massState) (*closure, error) {
 	c := &closure{
 		index:   make(map[string]int, len(support)),
 		minCand: math.Inf(1),
 	}
 	resolved := make(map[string][]share)
+	var cm network.MoveSet
 	for _, ms := range support {
 		idx, err := a.intern(c, &ms.st)
 		if err != nil {
@@ -454,9 +475,8 @@ func (a *analyzer) buildClosure(support []*massState) (*closure, error) {
 	}
 	for head := 0; head < len(c.states); head++ {
 		st := &c.states[head]
-		cm := a.sc.Moves(st)
-		for i := range cm.Markovian {
-			m := &cm.Markovian[i]
+		a.sc.Moves(&cm, st)
+		for i, m := range cm.Markovian {
 			if a.assignsClock(m) {
 				return nil, fmt.Errorf("zone: clock reset on Markovian transition %s: %w",
 					cm.MarkLabel(i), ErrIneligible)
@@ -538,7 +558,7 @@ func (a *analyzer) resolveJump(c *closure, resolved map[string][]share, st *netw
 		resolved[key] = out
 		return out, nil
 	}
-	en, d, err := a.fireable(st)
+	en, d, err := a.fireable(st, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -566,12 +586,12 @@ func (a *analyzer) resolveJump(c *closure, resolved map[string][]share, st *netw
 	acc := make(map[int]float64)
 	p := 1 / float64(len(en))
 	for i := range en {
-		if a.assignsClock(&en[i]) {
+		if a.assignsClock(en[i]) {
 			return nil, fmt.Errorf("zone: clock reset on immediate transition %s fired at a stochastic time: %w",
 				en[i].Label(a.rt), ErrIneligible)
 		}
 		succ := a.rt.NewState()
-		if err := a.sc.ApplyInto(&succ, st, &en[i]); err != nil {
+		if err := a.sc.ApplyInto(&succ, st, en[i]); err != nil {
 			return nil, err
 		}
 		sub, err := a.resolveJump(c, resolved, &succ, onPath, depth+1)
