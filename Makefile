@@ -106,9 +106,9 @@ verify: build test
 ci: verify vet staticcheck vulncheck fmtcheck race lint difftest serve-smoke bench-smoke bench-table1-smoke bench-fig5-smoke bench-rare-smoke fuzz-smoke
 
 # BENCH_PKGS are the packages carrying the hot-path micro-benchmarks
-# (engine step, move-set composition, compiled expression evaluation, pooled
-# splitting clones, explicit and quotient CTMC construction, lumping, and
-# the single-clock zone analyzer)
+# (engine step, Table I simulator queries, move-set composition, compiled
+# expression evaluation, pooled splitting clones, explicit and quotient
+# CTMC construction, lumping, and the single-clock zone analyzer)
 # and their AllocsPerRun regression gates.
 BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/expr/ ./internal/splitting/ ./internal/ctmc/ ./internal/symmetry/ ./internal/bisim/ ./internal/zone/
 

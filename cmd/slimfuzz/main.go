@@ -3,13 +3,14 @@
 // through the oracle hierarchy (lint, printer round-trip, strategy
 // agreement, exact CTMC cross-check, exact single-clock zone cross-check,
 // engine invariants), shrinks any model
-// the oracles disagree on to a minimal reproducer, and writes it into the
-// regression corpus.
+// the oracles disagree on to a minimal reproducer, and writes it next to the
+// regression corpus, into internal/difftest/corpus/new, which the corpus
+// replay ignores until the reproducer is moved up and committed.
 //
 // Example:
 //
 //	slimfuzz -class timed -n 500
-//	slimfuzz -class all -seeds 17,42 -corpus internal/difftest/corpus
+//	slimfuzz -class all -seeds 17,42 -corpus repros
 //
 // Exit codes: 0 when all oracles agreed on every model, 2 when at least
 // one discrepancy was found (reproducers written), 1 on usage errors.
@@ -45,7 +46,7 @@ func run(args []string, out *os.File) (found int, err error) {
 		n         = fs.Int("n", 100, "number of seeds to explore per class")
 		base      = fs.Uint64("base", 0, "first seed (default: derived from the current time)")
 		seedsFlag = fs.String("seeds", "", "comma-separated explicit seeds (overrides -n/-base)")
-		corpus    = fs.String("corpus", "internal/difftest/corpus", "directory for shrunk reproducers")
+		corpus    = fs.String("corpus", "internal/difftest/corpus/new", "directory for shrunk reproducers")
 		noShrink  = fs.Bool("no-shrink", false, "report discrepancies without shrinking")
 		quiet     = fs.Bool("q", false, "print only discrepancies and the summary")
 	)

@@ -15,12 +15,22 @@ import (
 )
 
 // corpusDir is where shrunk reproducers of confirmed discrepancies live,
-// committed next to the harness.
+// committed next to the harness; regressionGlob names the ones
+// TestRegressionCorpus replays.
 const corpusDir = "corpus"
 
+var regressionGlob = filepath.Join(corpusDir, "*.slim")
+
+// newReproDir is where checkSeed writes the reproducer of a fresh failure.
+// It lies below corpusDir, so the nightly job uploads it with the corpus,
+// but outside regressionGlob, and .gitignore lists it: one failing run
+// must not fail every later one. A reproducer whose bug is fixed is moved
+// up into corpusDir and committed.
+var newReproDir = filepath.Join(corpusDir, "new")
+
 // checkSeed generates (class, seed), runs the oracle hierarchy, and on a
-// discrepancy shrinks the model, writes the reproducer into the regression
-// corpus and fails the test with a report naming seed, oracle and path.
+// discrepancy shrinks the model, writes the reproducer into newReproDir
+// and fails the test with a report naming seed, oracle and path.
 func checkSeed(t *testing.T, class modelgen.Class, seed uint64) {
 	t.Helper()
 	g, err := modelgen.Generate(class, seed)
@@ -32,7 +42,7 @@ func checkSeed(t *testing.T, class modelgen.Class, seed uint64) {
 		return
 	}
 	d = Shrink(d)
-	if _, err := WriteRepro(corpusDir, d); err != nil {
+	if _, err := WriteRepro(newReproDir, d); err != nil {
 		t.Logf("writing reproducer: %v", err)
 	}
 	t.Errorf("%s", d.Error())
@@ -122,11 +132,33 @@ func TestFreshSeeds(t *testing.T) {
 	}
 }
 
+// TestNewReprosOutsideRegressionGlob: a reproducer checkSeed writes lands
+// below the corpus but is not one TestRegressionCorpus replays, while the
+// same file moved up one level is.
+func TestNewReprosOutsideRegressionGlob(t *testing.T) {
+	for _, c := range []struct {
+		dir    string
+		replay bool
+	}{{newReproDir, false}, {corpusDir, true}} {
+		path := filepath.Join(c.dir, "timed-1.slim")
+		replay, err := filepath.Match(regressionGlob, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replay != c.replay {
+			t.Errorf("%s: replayed %v, want %v", path, replay, c.replay)
+		}
+	}
+	if rel, err := filepath.Rel(corpusDir, newReproDir); err != nil || rel == "." || strings.HasPrefix(rel, "..") {
+		t.Errorf("%s is not below %s", newReproDir, corpusDir)
+	}
+}
+
 // TestRegressionCorpus replays every committed reproducer: models that
 // once exposed an engine discrepancy must load and simulate under every
 // strategy without tripping an internal engine invariant again.
 func TestRegressionCorpus(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join(corpusDir, "*.slim"))
+	paths, err := filepath.Glob(regressionGlob)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,6 +179,17 @@ func FromInterval(iv Interval) Set {
 	return Set{ivs: []Interval{iv}}
 }
 
+// FromIntervalIn returns the set containing exactly iv, stored in buf,
+// which must have length at least 1. The set aliases buf: it stays valid
+// only while the caller leaves buf alone.
+func FromIntervalIn(buf []Interval, iv Interval) Set {
+	if iv.Empty() {
+		return Set{}
+	}
+	buf[0] = iv
+	return Set{ivs: buf[:1:1]}
+}
+
 // EmptySet returns the empty set.
 func EmptySet() Set { return Set{} }
 
@@ -190,6 +201,13 @@ var fullIvs = []Interval{All()}
 
 // FullSet returns the set covering the whole real line.
 func FullSet() Set { return Set{ivs: fullIvs} }
+
+// nonNegIvs is the shared backing of every NonNegative set, safe to share
+// for the same reason as fullIvs.
+var nonNegIvs = []Interval{AtLeast(0)}
+
+// NonNegative returns the set [0, ∞) without allocating.
+func NonNegative() Set { return Set{ivs: nonNegIvs} }
 
 // Empty reports whether the set has no points.
 func (s Set) Empty() bool { return len(s.ivs) == 0 }

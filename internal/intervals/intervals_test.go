@@ -302,3 +302,28 @@ func TestQuickIdempotence(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSharedAndBackedSets: NonNegative and FromIntervalIn equal the
+// allocating FromInterval, allocate nothing, and a set built in a buffer
+// survives an operation that returns a new set.
+func TestSharedAndBackedSets(t *testing.T) {
+	if !NonNegative().Equal(FromInterval(AtLeast(0))) {
+		t.Errorf("NonNegative() = %v", NonNegative())
+	}
+	var buf [1]Interval
+	for _, iv := range []Interval{Closed(0, 2), ClosedOpen(0, 2), ClosedOpen(0, 0)} {
+		if got := FromIntervalIn(buf[:], iv); !got.Equal(FromInterval(iv)) {
+			t.Errorf("FromIntervalIn(%v) = %v", iv, got)
+		}
+	}
+	s := FromIntervalIn(buf[:], Closed(0, 2))
+	if u := s.Union(FromInterval(Closed(3, 4))); !u.Equal(NewSet(Closed(0, 2), Closed(3, 4))) || !s.Equal(FromInterval(Closed(0, 2))) {
+		t.Errorf("union %v changed its receiver %v", u, s)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = NonNegative()
+		_ = FromIntervalIn(buf[:], Closed(0, 1))
+	}); n != 0 {
+		t.Errorf("%.1f allocations, want 0", n)
+	}
+}

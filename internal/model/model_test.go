@@ -96,7 +96,7 @@ func TestInstantiateGPS(t *testing.T) {
 		t.Fatalf("moves = %d guarded, %d Markovian, want 1 guarded", len(cm.Guarded), len(cm.Markovian))
 	}
 	activate := cm.Guarded[0]
-	w, err := sc.Window(&st, activate)
+	w, err := sc.Window(&st, activate, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestModelExtension(t *testing.T) {
 		t.Fatal("repair move not found")
 	}
 	repair := moves2[len(moves2)-1]
-	w, err := sc.Window(&st2, repair)
+	w, err := sc.Window(&st2, repair, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

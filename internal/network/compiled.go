@@ -32,16 +32,23 @@ type transProg struct {
 	effects []expr.Code
 	// dirty holds the flows downstream of the variables the effects
 	// write: the only flows firing the transition can change.
-	dirty flowSet
+	dirty bitset
+	// cached numbers the guard among the time-invariant guards a
+	// GuardCache remembers, or is -1 when the guard reads a timed variable
+	// or the transition has none. stale holds the cached guards firing
+	// the transition can change (see buildGuardSets).
+	cached int
+	stale  bitset
 }
 
-// flowSet is a bitset over flowProgs indices. Iterating its set bits in
-// ascending order visits flows in topological order.
-type flowSet []uint64
+// bitset is a set of small indices: of flowProgs in a flow set, where
+// iterating its set bits in ascending order visits flows in topological
+// order, or of cached guards in a guard set.
+type bitset []uint64
 
-func (s flowSet) add(i int) { s[i>>6] |= 1 << (i & 63) }
+func (s bitset) add(i int) { s[i>>6] |= 1 << (i & 63) }
 
-func (s flowSet) union(o flowSet) {
+func (s bitset) union(o bitset) {
 	for w := range s {
 		s[w] |= o[w]
 	}
@@ -111,6 +118,7 @@ func (rt *Runtime) buildPrograms() {
 	}
 	rt.buildDirtySets()
 	rt.classifyTimed()
+	rt.buildGuardSets()
 	timed := rt.Timed
 	rt.flowRate = make([]expr.AffineCode, len(rt.net.Vars))
 	for _, fp := range rt.flowProgs {
@@ -188,8 +196,8 @@ func (rt *Runtime) buildDirtySets() {
 	// Every set of the runtime, and the scratch closures below, share one
 	// backing array.
 	backing := make([]uint64, words*(len(rt.flowProgs)+ntrans+1))
-	next := func() flowSet {
-		s := flowSet(backing[:words:words])
+	next := func() bitset {
+		s := bitset(backing[:words:words])
 		backing = backing[words:]
 		return s
 	}
@@ -211,7 +219,7 @@ func (rt *Runtime) buildDirtySets() {
 	// down[i] is flow i with everything downstream of it. A reader of flow
 	// i comes after i in topological order, so a reverse pass sees every
 	// reader's closure before it needs it.
-	down := make([]flowSet, len(rt.flowProgs))
+	down := make([]bitset, len(rt.flowProgs))
 	for i := len(rt.flowProgs) - 1; i >= 0; i-- {
 		down[i] = next()
 		down[i].add(i)
@@ -219,7 +227,7 @@ func (rt *Runtime) buildDirtySets() {
 			down[i].union(down[j])
 		}
 	}
-	dirtyOf := func(set flowSet, v expr.VarID) {
+	dirtyOf := func(set bitset, v expr.VarID) {
 		for _, j := range readers[v] {
 			set.union(down[j])
 		}
@@ -238,6 +246,139 @@ func (rt *Runtime) buildDirtySets() {
 	for i := range rt.timedVars {
 		dirtyOf(rt.timedFlows, rt.timedVars[i].id)
 	}
+}
+
+// buildGuardSets numbers the time-invariant guards, the ones that read no
+// timed variable, and gives every transition the set of those its firing
+// can change: the guards that read a variable its effects write or a flow
+// in its dirty set.
+//
+// A GuardCache forgets only these guards after a move, which is sound
+// because a guard's value depends on nothing but the variables it reads
+// (the Ref nodes of its expression, never locations or time). The
+// successor ApplyInto writes differs from its source only in locations,
+// the variables the parts' effects write and the flows recomputed from
+// them, the union of the parts' dirty sets (see buildDirtySets). A delay
+// changes only timed variables and the flows downstream of them, which no
+// numbered guard reads.
+func (rt *Runtime) buildGuardSets() {
+	// readers[v] lists the numbered guards that read v.
+	readers := make([][]int, len(rt.net.Vars))
+	ntrans := 0
+	for pi, p := range rt.net.Processes {
+		ntrans += len(p.Transitions)
+		for ti := range p.Transitions {
+			tp := &rt.procProgs[pi].trans[ti]
+			tp.cached = -1
+			g := p.Transitions[ti].Guard
+			if g == nil {
+				continue
+			}
+			refs := expr.Refs(g)
+			timed := false
+			for v := range refs {
+				timed = timed || rt.timed[v]
+			}
+			if timed {
+				continue
+			}
+			tp.cached = rt.cachedGuards
+			rt.cachedGuards++
+			for v := range refs {
+				readers[v] = append(readers[v], tp.cached)
+			}
+		}
+	}
+	words := rt.guardWords()
+	backing := make([]uint64, words*ntrans)
+	for pi, p := range rt.net.Processes {
+		for ti := range p.Transitions {
+			tp := &rt.procProgs[pi].trans[ti]
+			tp.stale, backing = backing[:words:words], backing[words:]
+			stale := func(v expr.VarID) {
+				for _, g := range readers[v] {
+					tp.stale.add(g)
+				}
+			}
+			for ai := range p.Transitions[ti].Effects {
+				stale(p.Transitions[ti].Effects[ai].Var)
+			}
+			for w, word := range tp.dirty {
+				for ; word != 0; word &= word - 1 {
+					stale(rt.flowProgs[w<<6|bits.TrailingZeros64(word)].id)
+				}
+			}
+		}
+	}
+}
+
+// guardWords is the length of every guard set of the runtime.
+func (rt *Runtime) guardWords() int { return (rt.cachedGuards + 63) / 64 }
+
+// GuardCache remembers, along one sampled path, whether each time-invariant
+// guard holds, so a step evaluates only the guards the previous move could
+// have changed. The cache describes the path's current state: call Reset
+// whenever that state is set other than by a successor of the state it
+// described, and Invalidate after every ApplyInto; a delay keeps every
+// value (see buildGuardSets). A GuardCache must only be used by one
+// goroutine at a time.
+type GuardCache struct {
+	rt *Runtime
+	// enabled and valid hold one bit per numbered guard; an enabled bit
+	// means something only while its valid bit is set.
+	enabled, valid bitset
+	// runs counts the guard programs run on misses.
+	runs int
+}
+
+// NewGuardCache returns a cache for paths of rt that holds no value yet.
+func (rt *Runtime) NewGuardCache() *GuardCache {
+	w := rt.guardWords()
+	b := make(bitset, 2*w)
+	return &GuardCache{rt: rt, enabled: b[:w:w], valid: b[w:]}
+}
+
+// Reset forgets every cached value.
+func (c *GuardCache) Reset() { clear(c.valid) }
+
+// Invalidate forgets the values firing m can change: the word-wise union
+// of its parts' guard sets.
+func (c *GuardCache) Invalidate(m *Move) {
+	procs := c.rt.procProgs
+	for w := range c.valid {
+		var word uint64
+		for _, part := range m.Parts {
+			word |= procs[part.Proc].trans[part.Trans].stale[w]
+		}
+		c.valid[w] &^= word
+	}
+}
+
+// Runs returns the number of guard programs the cache has run on misses.
+func (c *GuardCache) Runs() int { return c.runs }
+
+// lookup returns the cached value of guard g and whether there is one.
+func (c *GuardCache) lookup(g int) (holds, valid bool) {
+	bit := uint64(1) << (g & 63)
+	return c.enabled[g>>6]&bit != 0, c.valid[g>>6]&bit != 0
+}
+
+// fill runs tp's guard program and caches its value. A failing guard is
+// not cached.
+func (c *GuardCache) fill(e *env, tp *transProg) (bool, error) {
+	c.runs++
+	ok, err := tp.guardBool(e)
+	if err != nil {
+		return false, err
+	}
+	w, bit := tp.cached>>6, uint64(1)<<(tp.cached&63)
+	c.valid[w] |= bit
+	if ok {
+		c.enabled[w] |= bit
+	} else {
+		c.enabled[w] &^= bit
+	}
+	return ok, nil
 }
 
 // Scratch is a reusable per-worker evaluation arena: it owns one expression
@@ -303,10 +444,12 @@ func (s *Scratch) MaxDelay(st *State) (d float64, attained, nowOK bool, err erro
 // (see Runtime.Timed) is decided with the value semantics of EnabledAt —
 // integer division and mod, short-circuit and/or, the same errors — and
 // contributes the full or empty set; interval arithmetic is used only where
-// a timed variable is read.
-func (s *Scratch) Window(st *State, m *Move) (intervals.Set, error) {
+// a timed variable is read. A non-nil c answers time-invariant guards from
+// the values it holds for st's path (see GuardCache); nil evaluates every
+// guard.
+func (s *Scratch) Window(st *State, m *Move, c *GuardCache) (intervals.Set, error) {
 	s.env.st = st
-	return s.rt.windowEnv(&s.env, m)
+	return s.rt.windowEnv(&s.env, m, c)
 }
 
 // EnabledAt reports whether the move's guards all hold right now (delay 0).
@@ -371,17 +514,39 @@ func (rt *Runtime) maxDelayEnv(e *env) (d float64, attained, nowOK bool, err err
 }
 
 // windowEnv is Scratch.Window evaluated through a caller-owned environment.
-func (rt *Runtime) windowEnv(e *env, m *Move) (intervals.Set, error) {
+func (rt *Runtime) windowEnv(e *env, m *Move, c *GuardCache) (intervals.Set, error) {
 	if m.Markovian() {
 		return intervals.FullSet(), nil
 	}
+	if c != nil && rt.guardHook != nil {
+		if err := rt.guardHook(c, e.st); err != nil {
+			return intervals.Set{}, err
+		}
+	}
 	w := intervals.FullSet()
 	for _, part := range m.Parts {
-		code := rt.procProgs[part.Proc].trans[part.Trans].guardWin
-		if code == nil {
+		tp := &rt.procProgs[part.Proc].trans[part.Trans]
+		if tp.guardWin == nil {
 			continue
 		}
-		gw, err := code(e)
+		var gw intervals.Set
+		var err error
+		if c != nil && tp.cached >= 0 {
+			// A time-invariant guard's window is the full set, which
+			// leaves w as it is, or the empty set, gw's zero value. Its
+			// compiled window is the guard's Boolean program (see
+			// expr.CompileWindow), so both give the same set and the
+			// same error.
+			ok, valid := c.lookup(tp.cached)
+			if !valid {
+				ok, err = c.fill(e, tp)
+			}
+			if ok {
+				continue
+			}
+		} else {
+			gw, err = tp.guardWin(e)
+		}
 		if err != nil {
 			return intervals.Set{}, Internal(fmt.Errorf("network: guard of %s transition %d: %w",
 				rt.net.Processes[part.Proc].Name, part.Trans, err))
@@ -492,7 +657,7 @@ func (rt *Runtime) applyInto(out, src *State, m *Move, e *env) error {
 	return nil
 }
 
-// flowWords is the length of every flowSet of the runtime.
+// flowWords is the length of every flow set of the runtime.
 func (rt *Runtime) flowWords() int { return len(rt.timedFlows) }
 
 // propagateFlowsEnv recomputes every flow variable of e.st in dependency
@@ -507,7 +672,7 @@ func (rt *Runtime) propagateFlowsEnv(e *env) error {
 }
 
 // evalFlows recomputes the flows whose bits are set in word, the w-th word
-// of a flowSet, in ascending (topological) order.
+// of a flow set, in ascending (topological) order.
 func (rt *Runtime) evalFlows(e *env, w int, word uint64) error {
 	for word != 0 {
 		if err := rt.evalFlow(e, w<<6|bits.TrailingZeros64(word)); err != nil {

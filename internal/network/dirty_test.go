@@ -101,7 +101,7 @@ func dirtyNet(t *testing.T) *Runtime {
 }
 
 // flowVars lists the variables of the flows set in s, in evaluation order.
-func flowVars(rt *Runtime, s flowSet) []expr.VarID {
+func flowVars(rt *Runtime, s bitset) []expr.VarID {
 	var out []expr.VarID
 	for i := range rt.flowProgs {
 		if s[i>>6]&(1<<(i&63)) != 0 {

@@ -30,9 +30,12 @@ type Runtime struct {
 	flowRate   []expr.AffineCode
 	procProgs  []procProg
 	timedVars  []timedVar
-	timedFlows flowSet
+	timedFlows bitset
 	timed      []bool
 	bounding   []int
+	// cachedGuards counts the time-invariant guards a GuardCache
+	// remembers (see buildGuardSets).
+	cachedGuards int
 
 	// pruned, when non-nil, marks transitions statically proven unable to
 	// ever fire (or to ever be enumerated); the move tables leave them
@@ -50,6 +53,10 @@ type Runtime struct {
 	// advanceInto write, and its error fails the step. Only tests set it,
 	// to hold dirty-flow propagation against full propagation.
 	stepHook func(*State) error
+	// guardHook, when non-nil, sees the cache and the state of every
+	// cached window evaluation, and its error fails the evaluation. Only
+	// tests set it, to hold cached guard values against fresh ones.
+	guardHook func(*GuardCache, *State) error
 }
 
 // New validates the network and prepares the runtime: flow variables are

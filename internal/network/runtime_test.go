@@ -102,7 +102,7 @@ func TestGuardWindowAndApply(t *testing.T) {
 		t.Errorf("unexpected move %+v", m)
 	}
 
-	w, err := sc.Window(&st, m)
+	w, err := sc.Window(&st, m, nil)
 	if err != nil {
 		t.Fatalf("Window: %v", err)
 	}

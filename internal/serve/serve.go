@@ -294,7 +294,6 @@ func (j *job) finish(resp *Response) {
 	j.state = "done"
 	j.resp = resp
 	j.mu.Unlock()
-	close(j.done)
 }
 
 func (j *job) fail(status int, err error) {
@@ -303,7 +302,6 @@ func (j *job) fail(status int, err error) {
 	j.status = status
 	j.errMsg = err.Error()
 	j.mu.Unlock()
-	close(j.done)
 }
 
 // Status returns the job's JSON view; running jobs carry a live telemetry
@@ -494,7 +492,10 @@ func (s *Server) runner() {
 	defer s.wg.Done()
 	for j := range s.queue {
 		s.runJob(j)
+		// Retire the job before waking its waiting request, so a client
+		// holding the response finds the job counted in the ledger.
 		s.retire(j)
+		close(j.done)
 	}
 }
 

@@ -90,6 +90,8 @@ func (e *Engine) SampleBranch(src *rng.Source, start *network.State, target int,
 	} else {
 		cur.CopyFrom(start)
 	}
+	// The pooled arena's cache may still describe the previous path.
+	ps.guards.Reset()
 
 	// pr receives the per-step verdict bookkeeping exactly as in
 	// SamplePath, so DecidedAt/Termination semantics stay identical.

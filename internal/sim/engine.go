@@ -165,13 +165,16 @@ type engineStats struct {
 }
 
 // pathScratch is the per-path working set: a network evaluation arena, the
-// current state's move set, two states the step loop ping-pongs between,
-// the window slice handed to the strategy and the reused strategy context.
+// current state's move set and guard cache, two states the step loop
+// ping-pongs between, the window slice handed to the strategy, the backing
+// of a finite delay clip and the reused strategy context.
 type pathScratch struct {
 	net      *network.Scratch
 	moves    network.MoveSet
+	guards   *network.GuardCache
 	stA, stB network.State
 	windows  []intervals.Set
+	clip     [1]intervals.Interval
 	ctx      strategy.Context
 }
 
@@ -193,9 +196,10 @@ func NewEngine(rt *network.Runtime, cfg Config) (*Engine, error) {
 // newScratch returns a fresh path arena.
 func (e *Engine) newScratch() *pathScratch {
 	return &pathScratch{
-		net: e.rt.NewScratch(),
-		stA: e.rt.NewState(),
-		stB: e.rt.NewState(),
+		net:    e.rt.NewScratch(),
+		guards: e.rt.NewGuardCache(),
+		stA:    e.rt.NewState(),
+		stB:    e.rt.NewState(),
 	}
 }
 
@@ -261,6 +265,7 @@ func (e *Engine) samplePath(ps *pathScratch, src *rng.Source) (PathResult, error
 	if err := ps.net.InitialStateInto(cur); err != nil {
 		return PathResult{}, err
 	}
+	ps.guards.Reset()
 
 	verdict, err := e.eval.AtState(ps.net.Env(cur), cur.Time)
 	if err != nil {
@@ -307,12 +312,14 @@ func (e *Engine) advance(ps *pathScratch, out, src *network.State, d float64) er
 	return nil
 }
 
-// apply wraps Scratch.ApplyInto with the observer hook. label is the move's
-// trace label, read only when an observer is attached.
+// apply wraps Scratch.ApplyInto with the guard cache's invalidation and the
+// observer hook. label is the move's trace label, read only when an
+// observer is attached.
 func (e *Engine) apply(ps *pathScratch, out, src *network.State, m *network.Move, label string) error {
 	if err := ps.net.ApplyInto(out, src, m); err != nil {
 		return err
 	}
+	ps.guards.Invalidate(m)
 	if e.cfg.Observer != nil {
 		e.cfg.Observer.OnMove(out.Time, label)
 	}
@@ -341,14 +348,15 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 	guarded, markovian := cm.Guarded, cm.Markovian
 
 	// Enabling windows of guarded moves, clipped to the allowed delays.
+	// Time-invariant guards are answered by the path's guard cache.
 	horizonLeft := math.Max(0, e.cfg.Property.Bound-cur.Time)
-	clip := delayClip(maxD, attained)
+	clip := delayClip(ps, maxD, attained)
 	if cap(ps.windows) < len(guarded) {
 		ps.windows = make([]intervals.Set, len(guarded))
 	}
 	windows := ps.windows[:len(guarded)]
 	for i := range guarded {
-		w, werr := ps.net.Window(cur, guarded[i])
+		w, werr := ps.net.Window(cur, guarded[i], ps.guards)
 		if werr != nil {
 			return 0, nil, werr
 		}
@@ -529,13 +537,17 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 }
 
 // delayClip returns the delay set the invariants allow: [0, maxD] when the
-// bound is attainable, [0, maxD) otherwise.
-func delayClip(maxD float64, attained bool) intervals.Set {
+// bound is attainable, [0, maxD) otherwise. Neither allocates: [0, ∞) has a
+// shared backing, and a finite clip is stored in ps.clip, which the next
+// step overwrites. That is safe because no window outlives its step: the
+// windows a clip may back are recomputed every step, and neither the
+// strategy's Choice nor the observer keeps one.
+func delayClip(ps *pathScratch, maxD float64, attained bool) intervals.Set {
 	if math.IsInf(maxD, 1) {
-		return intervals.FromInterval(intervals.AtLeast(0))
+		return intervals.NonNegative()
 	}
 	if attained {
-		return intervals.FromInterval(intervals.Closed(0, maxD))
+		return intervals.FromIntervalIn(ps.clip[:], intervals.Closed(0, maxD))
 	}
-	return intervals.FromInterval(intervals.ClosedOpen(0, maxD))
+	return intervals.FromIntervalIn(ps.clip[:], intervals.ClosedOpen(0, maxD))
 }

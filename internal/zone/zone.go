@@ -303,7 +303,7 @@ func (a *analyzer) fireable(st *network.State, depth int) ([]*network.Move, floa
 	a.sc.Moves(ms, st)
 	var out []*network.Move
 	for _, m := range ms.Guarded {
-		w, err := a.sc.Window(st, m)
+		w, err := a.sc.Window(st, m, nil)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -442,7 +442,7 @@ func (c *closure) addCand(t float64) {
 func (a *analyzer) candWindows(c *closure, st *network.State) error {
 	a.sc.Moves(&a.windows, st)
 	for _, m := range a.windows.Guarded {
-		w, err := a.sc.Window(st, m)
+		w, err := a.sc.Window(st, m, nil)
 		if err != nil {
 			return err
 		}
