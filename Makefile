@@ -18,7 +18,7 @@ vet: nopanic
 # nopanic is the repo-local vet pass: no new panic calls in the packages
 # that run inside sampling workers (see tools/analyzers/nopanic).
 nopanic:
-	$(GO) run ./tools/analyzers/nopanic internal/rng internal/stats internal/network internal/sim
+	$(GO) run ./tools/analyzers/nopanic internal/rng internal/stats internal/network internal/sim internal/strategy internal/splitting internal/prop internal/intervals
 
 # staticcheck / vulncheck run the external Go analyzers when they are on
 # PATH and degrade to a notice when they are not: nothing is installed on

@@ -107,26 +107,30 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	// One set of options for every mode, so the trace modes resolve the
+	// strategy, seed and lock policy exactly as the analysis does.
+	opts := slimsim.Options{
+		Pattern:    *pattern,
+		Kind:       slimsim.PropertyKind(*kind),
+		Goal:       *goal,
+		Constraint: *constraint,
+		Bound:      *bound,
+		Strategy:   *strat,
+		Delta:      *delta,
+		Epsilon:    *eps,
+		Method:     *method,
+		RelErr:     *relErr,
+		Workers:    *workers,
+		Seed:       *seed,
+		OnLock:     *onLock,
+		Levels:     *levels,
+		Effort:     *effort,
+	}
 	if *interactive {
-		return runInteractive(m, slimsim.Options{
-			Pattern:    *pattern,
-			Kind:       slimsim.PropertyKind(*kind),
-			Goal:       *goal,
-			Constraint: *constraint,
-			Bound:      *bound,
-			Seed:       *seed,
-		})
+		return runInteractive(m, opts)
 	}
 	if *simulate > 0 {
-		traces, err := m.Simulate(slimsim.Options{
-			Pattern:    *pattern,
-			Kind:       slimsim.PropertyKind(*kind),
-			Goal:       *goal,
-			Constraint: *constraint,
-			Bound:      *bound,
-			Strategy:   *strat,
-			Seed:       *seed,
-		}, *simulate)
+		traces, err := m.Simulate(opts, *simulate)
 		if err != nil {
 			return err
 		}
@@ -148,17 +152,11 @@ func run(args []string) error {
 	// from static reachability), so a decided sweep is the same 0/1 answer
 	// for every bound.
 	if !*noStatic {
-		staticBound := *bound
+		static := opts
 		if len(sweepBounds) > 0 {
-			staticBound = sweepBounds[len(sweepBounds)-1]
+			static.Bound = sweepBounds[len(sweepBounds)-1]
 		}
-		srep, err := m.CheckStatic(slimsim.Options{
-			Pattern:    *pattern,
-			Kind:       slimsim.PropertyKind(*kind),
-			Goal:       *goal,
-			Constraint: *constraint,
-			Bound:      staticBound,
-		})
+		srep, err := m.CheckStatic(static)
 		if err != nil {
 			return err
 		}
@@ -203,24 +201,7 @@ func run(args []string) error {
 	if *progress {
 		stopProgress = tel.StartProgress(os.Stderr, 0)
 	}
-	opts := slimsim.Options{
-		Pattern:    *pattern,
-		Kind:       slimsim.PropertyKind(*kind),
-		Goal:       *goal,
-		Constraint: *constraint,
-		Bound:      *bound,
-		Strategy:   *strat,
-		Delta:      *delta,
-		Epsilon:    *eps,
-		Method:     *method,
-		RelErr:     *relErr,
-		Workers:    *workers,
-		Seed:       *seed,
-		OnLock:     *onLock,
-		Levels:     *levels,
-		Effort:     *effort,
-		Telemetry:  tel,
-	}
+	opts.Telemetry = tel
 	if len(sweepBounds) > 0 {
 		rep, err := m.AnalyzeSweep(opts, sweepBounds)
 		stopProgress()
@@ -336,10 +317,7 @@ func verdictWord(sat bool) string {
 func runInteractive(m *slimsim.Model, opts slimsim.Options) error {
 	in := bufio.NewScanner(os.Stdin)
 	tr, err := m.SimulateInteractive(opts, func(p slimsim.Prompt) (slimsim.Decision, error) {
-		fmt.Printf("\ndecision point (max delay %g):\n", p.MaxDelay)
-		if len(p.Moves) == 0 {
-			fmt.Println("  no guarded moves; enter a delay")
-		}
+		fmt.Printf("\ndecision point at t=%g (max delay %g):\n", p.Now, p.MaxDelay)
 		for i, mv := range p.Moves {
 			fmt.Printf("  [%d] %s  enabled at %s\n", i, mv.Label, mv.Window)
 		}

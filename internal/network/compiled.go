@@ -548,8 +548,7 @@ func (rt *Runtime) windowEnv(e *env, m *Move, c *GuardCache) (intervals.Set, err
 			gw, err = tp.guardWin(e)
 		}
 		if err != nil {
-			return intervals.Set{}, Internal(fmt.Errorf("network: guard of %s transition %d: %w",
-				rt.net.Processes[part.Proc].Name, part.Trans, err))
+			return intervals.Set{}, rt.guardError(part, err)
 		}
 		w = w.Intersect(gw)
 		if w.Empty() {
@@ -557,6 +556,13 @@ func (rt *Runtime) windowEnv(e *env, m *Move, c *GuardCache) (intervals.Set, err
 		}
 	}
 	return w, nil
+}
+
+// guardError classifies a failure of part's guard as an engine error and
+// names the guard.
+func (rt *Runtime) guardError(part Part, err error) error {
+	return Internal(fmt.Errorf("network: guard of %s transition %d: %w",
+		rt.net.Processes[part.Proc].Name, part.Trans, err))
 }
 
 // enabledAtEnv is Scratch.EnabledAt evaluated through a caller-owned
@@ -572,7 +578,7 @@ func (rt *Runtime) enabledAtEnv(e *env, m *Move) (bool, error) {
 		}
 		ok, err := code(e)
 		if err != nil {
-			return false, err
+			return false, rt.guardError(part, err)
 		}
 		if !ok {
 			return false, nil

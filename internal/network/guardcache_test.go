@@ -165,11 +165,11 @@ func restartBranches(rt *network.Runtime, eng *sim.Engine, src *rng.Source) erro
 	var entries []network.State
 	for i := 0; i < 40 && len(entries) < 8; i++ {
 		promoted := rt.NewState()
-		res, err := eng.SampleBranch(src, nil, level(init.Locs)+1, level, &promoted)
+		_, ok, err := eng.SampleBranch(src, nil, level(init.Locs)+1, level, &promoted)
 		if err != nil {
 			return fmt.Errorf("branch %d: %w", i, err)
 		}
-		if res.Outcome == sim.BranchPromoted {
+		if ok {
 			entries = append(entries, promoted)
 		}
 	}
@@ -177,7 +177,7 @@ func restartBranches(rt *network.Runtime, eng *sim.Engine, src *rng.Source) erro
 		if _, err := eng.SamplePath(src); err != nil {
 			return fmt.Errorf("path before restart %d: %w", i, err)
 		}
-		if _, err := eng.SampleBranch(src, &entries[i], sim.NoPromotion, level, nil); err != nil {
+		if _, _, err := eng.SampleBranch(src, &entries[i], sim.NoPromotion, level, nil); err != nil {
 			return fmt.Errorf("restart %d: %w", i, err)
 		}
 	}

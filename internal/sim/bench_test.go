@@ -249,19 +249,6 @@ func TestColdPathAllocs(t *testing.T) {
 	}
 }
 
-// countWindows wraps a strategy and sums the candidate guarded moves it is
-// shown: the guard evaluations a step loop without a guard cache runs on a
-// model whose moves have one part each.
-type countWindows struct {
-	strategy.Strategy
-	windows int
-}
-
-func (c *countWindows) Choose(ctx *strategy.Context) (strategy.Choice, error) {
-	c.windows += len(ctx.Windows)
-	return c.Strategy.Choose(ctx)
-}
-
 // Guard programs that 200 seed-1 sensor-filter (N=7) paths run on guard
 // cache misses, and the guard evaluations the same paths need without the
 // cache (Go 1.24, linux/amd64; the counts are deterministic).
@@ -273,29 +260,43 @@ const (
 // TestGuardCacheRuns gates the guard cache's hit rate exactly: on a fixed
 // seed the guard programs run on misses and the uncached evaluation count
 // are pinned, and the cache must save at least two thirds of the
-// evaluations.
+// evaluations. The paths are stepped here as samplePath steps them, so the
+// uncached count, the guarded candidate moves of every step, can be summed;
+// on this model every move has one part.
 func TestGuardCacheRuns(t *testing.T) {
 	rt, cfg := sensorFilterConfig(t, 7)
-	count := &countWindows{Strategy: cfg.Strategy}
-	cfg.Strategy = count
 	eng, err := NewEngine(rt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ps := eng.newScratch()
+	cur, nxt := &ps.stA, &ps.stB
 	src := rng.New(1)
+	windows := 0
 	for i := 0; i < 200; i++ {
-		if _, err := eng.samplePath(ps, src); err != nil {
+		if err := ps.net.InitialStateInto(cur); err != nil {
 			t.Fatal(err)
+		}
+		ps.guards.Reset()
+		var res PathResult
+		for v := prop.Undecided; v == prop.Undecided; {
+			var newCur *network.State
+			if v, newCur, err = eng.step(ps, cur, nxt, src, &res); err != nil {
+				t.Fatal(err)
+			}
+			if newCur != cur {
+				cur, nxt = newCur, cur
+			}
+			windows += len(ps.moves.Guarded)
 		}
 	}
 	runs := ps.guards.Runs()
-	if runs != sensorFilterGuardRuns || count.windows != sensorFilterGuardWindows {
+	if runs != sensorFilterGuardRuns || windows != sensorFilterGuardWindows {
 		t.Errorf("guard cache ran %d guard programs for %d uncached evaluations, want %d for %d",
-			runs, count.windows, sensorFilterGuardRuns, sensorFilterGuardWindows)
+			runs, windows, sensorFilterGuardRuns, sensorFilterGuardWindows)
 	}
-	if 3*runs > count.windows {
-		t.Errorf("guard cache ran %d guard programs, more than a third of %d", runs, count.windows)
+	if 3*runs > windows {
+		t.Errorf("guard cache ran %d guard programs, more than a third of %d", runs, windows)
 	}
 }
 

@@ -59,8 +59,6 @@ const (
 	// TermTimelock means invariants block the passage of time but no
 	// move is enabled before the bound.
 	TermTimelock
-	// TermMaxSteps means the step safety valve fired.
-	TermMaxSteps
 )
 
 // String returns the reason's name.
@@ -72,8 +70,6 @@ func (t Termination) String() string {
 		return "deadlock"
 	case TermTimelock:
 		return "timelock"
-	case TermMaxSteps:
-		return "max-steps"
 	default:
 		return "invalid"
 	}
@@ -166,14 +162,13 @@ type engineStats struct {
 
 // pathScratch is the per-path working set: a network evaluation arena, the
 // current state's move set and guard cache, two states the step loop
-// ping-pongs between, the window slice handed to the strategy, the backing
-// of a finite delay clip and the reused strategy context.
+// ping-pongs between, the backing of a finite delay clip and the reused
+// strategy context, whose Windows slice backs the step's windows.
 type pathScratch struct {
 	net      *network.Scratch
 	moves    network.MoveSet
 	guards   *network.GuardCache
 	stA, stB network.State
-	windows  []intervals.Set
 	clip     [1]intervals.Interval
 	ctx      strategy.Context
 }
@@ -254,29 +249,51 @@ func (e *Engine) SamplePath(src *rng.Source) (PathResult, error) {
 	return e.samplePath(ps, src)
 }
 
-// samplePath generates one path in the arena ps.
+// samplePath generates one path from the initial state in the arena ps.
 func (e *Engine) samplePath(ps *pathScratch, src *rng.Source) (PathResult, error) {
+	res, _, err := e.walk(ps, src, nil, NoPromotion, nil, nil)
+	return res, err
+}
+
+// walk is the step loop of every sampled path and branch, in the arena ps.
+// It starts from start (nil means the initial state) and runs until the
+// property decides or, with a non-nil level, until the current state's
+// level reaches target. On that promotion it copies the state into
+// promoted and reports true; the result then holds only Steps and EndTime,
+// the crossing time.
+func (e *Engine) walk(ps *pathScratch, src *rng.Source, start *network.State, target int, level LevelFunc, promoted *network.State) (PathResult, bool, error) {
 	res := PathResult{}
 	defer func() { e.stats.steps.Add(int64(res.Steps)) }()
 
 	// The step loop ping-pongs between the two pooled states: each step
 	// reads cur and leaves its successor in the state it returns.
 	cur, nxt := &ps.stA, &ps.stB
-	if err := ps.net.InitialStateInto(cur); err != nil {
-		return PathResult{}, err
+	if start == nil {
+		if err := ps.net.InitialStateInto(cur); err != nil {
+			return PathResult{}, false, err
+		}
+	} else {
+		cur.CopyFrom(start)
 	}
+	// The pooled arena's cache may still describe the previous path.
 	ps.guards.Reset()
 
 	verdict, err := e.eval.AtState(ps.net.Env(cur), cur.Time)
 	if err != nil {
-		return PathResult{}, err
+		return PathResult{}, false, err
 	}
 	res.DecidedAt = cur.Time
 	for verdict == prop.Undecided {
-		if res.Steps >= e.cfg.MaxSteps {
-			res.Termination = TermMaxSteps
+		// A crossing is seen only while the property is undecided, so a
+		// verdict wins over a crossing at the same state. The start
+		// state itself may already be at or above the target.
+		if level != nil && level(cur.Locs) >= target {
+			promoted.CopyFrom(cur)
 			res.EndTime = cur.Time
-			return res, fmt.Errorf("sim: path exceeded %d steps at time %g (Zeno or divergent model?)",
+			return res, true, nil
+		}
+		if res.Steps >= e.cfg.MaxSteps {
+			return PathResult{}, false, fmt.Errorf("sim: path exceeded %d steps at time %g (Zeno or divergent model?)",
 				e.cfg.MaxSteps, cur.Time)
 		}
 		res.Steps++
@@ -284,7 +301,7 @@ func (e *Engine) samplePath(ps *pathScratch, src *rng.Source) (PathResult, error
 		var newCur *network.State
 		verdict, newCur, err = e.step(ps, cur, nxt, src, &res)
 		if err != nil {
-			return PathResult{}, err
+			return PathResult{}, false, err
 		}
 		if newCur != cur {
 			cur, nxt = newCur, cur
@@ -298,7 +315,7 @@ func (e *Engine) samplePath(ps *pathScratch, src *rng.Source) (PathResult, error
 	if e.cfg.Observer != nil {
 		e.cfg.Observer.OnVerdict(cur.Time, fmt.Sprintf("%s (%s)", verdict, res.Termination))
 	}
-	return res, nil
+	return res, false, nil
 }
 
 // advance wraps Scratch.AdvanceInto with the observer hook.
@@ -349,18 +366,19 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 
 	// Enabling windows of guarded moves, clipped to the allowed delays.
 	// Time-invariant guards are answered by the path's guard cache.
-	horizonLeft := math.Max(0, e.cfg.Property.Bound-cur.Time)
 	clip := delayClip(ps, maxD, attained)
-	if cap(ps.windows) < len(guarded) {
-		ps.windows = make([]intervals.Set, len(guarded))
+	if cap(ps.ctx.Windows) < len(guarded) {
+		ps.ctx.Windows = make([]intervals.Set, len(guarded))
 	}
-	windows := ps.windows[:len(guarded)]
+	windows := ps.ctx.Windows[:len(guarded)]
+	open := false
 	for i := range guarded {
 		w, werr := ps.net.Window(cur, guarded[i], ps.guards)
 		if werr != nil {
 			return 0, nil, werr
 		}
 		windows[i] = w.Intersect(clip)
+		open = open || !windows[i].Empty()
 	}
 
 	// Exponential race among Markovian moves.
@@ -375,127 +393,42 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 	}
 
 	// Strategy decision for the guarded moves, through the reused context.
+	// When no window is open nothing guarded will ever fire: the strategy
+	// has nothing to decide, and the wait is the longest one allowed.
+	ps.ctx.Now = cur.Time
 	ps.ctx.MaxDelay = maxD
 	ps.ctx.MaxAttained = attained
-	ps.ctx.Horizon = horizonLeft
+	ps.ctx.Horizon = math.Max(0, e.cfg.Property.Bound-cur.Time)
 	ps.ctx.Windows = windows
 	ps.ctx.Labels = cm
 	ps.ctx.Rng = src
-	choice, err := e.cfg.Strategy.Choose(&ps.ctx)
-	if err != nil {
-		return 0, nil, err
-	}
-
-	// Detect dead/timelocks: nothing guarded will ever fire and no
-	// exponential competitor exists.
-	if choice.Timelocked && expWinner == -1 {
-		// Zero-delay locks in urgent locations are deadlocks (no
-		// action, time frozen by urgency); locks at an invariant
-		// boundary are timelocks.
-		lockKind := TermTimelock
-		if maxD == 0 && e.rt.UrgentNow(cur) {
-			lockKind = TermDeadlock
+	choice := strategy.Choice{Delay: ps.ctx.Cap(), Timelocked: true}
+	if open {
+		if choice, err = e.cfg.Strategy.Choose(&ps.ctx); err != nil {
+			return 0, nil, err
 		}
-		if math.IsInf(maxD, 1) {
-			// Time diverges with no event: the bounded property
-			// decides at its bound.
-			v, at, derr := e.eval.DuringDelay(ps.net.Env(cur), cur.Time, horizonLeft+1)
-			if derr != nil {
-				return 0, nil, derr
-			}
-			if v != prop.Undecided {
-				if aerr := e.advance(ps, nxt, cur, horizonLeft+1); aerr != nil {
-					return 0, nil, aerr
-				}
-				res.Termination = TermDecided
-				res.DecidedAt = at
-				return v, nxt, nil
-			}
-		}
-		if e.cfg.Locks == LockErrors {
-			return 0, nil, fmt.Errorf("sim: %s at time %g", lockKind, cur.Time)
-		}
-		// Let the permitted time pass (the property may still decide
-		// during it), then close the path.
-		v, at, derr := e.eval.DuringDelay(ps.net.Env(cur), cur.Time, choice.Delay)
-		if derr != nil {
-			return 0, nil, derr
-		}
-		if aerr := e.advance(ps, nxt, cur, choice.Delay); aerr != nil {
-			return 0, nil, aerr
-		}
-		if v != prop.Undecided {
-			res.Termination = TermDecided
-			res.DecidedAt = at
-			return v, nxt, nil
-		}
-		v, perr := e.eval.AtPathEnd(ps.net.Env(nxt), nxt.Time)
-		if perr != nil {
-			return 0, nil, perr
-		}
-		res.Termination = lockKind
-		res.DecidedAt = nxt.Time
-		return v, nxt, nil
 	}
 
 	// The actual delay is the earlier of the exponential winner and the
-	// strategy's schedule.
+	// strategy's schedule; an exponential due after the invariant
+	// deadline loses the race.
 	delay := choice.Delay
-	fireExp := false
-	if expWinner >= 0 && (choice.Timelocked || expDelay < delay) {
-		if expDelay <= maxD || math.IsInf(maxD, 1) {
-			delay = expDelay
-			fireExp = true
-		} else {
-			// The exponential would fire after the invariant
-			// deadline; it loses the race.
-			if choice.Timelocked {
-				// ... but nothing else can fire either: wait
-				// to the deadline and lock.
-				if e.cfg.Locks == LockErrors {
-					return 0, nil, fmt.Errorf("sim: timelock at time %g", cur.Time)
-				}
-				v, at, derr := e.eval.DuringDelay(ps.net.Env(cur), cur.Time, maxD)
-				if derr != nil {
-					return 0, nil, derr
-				}
-				if aerr := e.advance(ps, nxt, cur, maxD); aerr != nil {
-					return 0, nil, aerr
-				}
-				if v != prop.Undecided {
-					res.Termination = TermDecided
-					res.DecidedAt = at
-					return v, nxt, nil
-				}
-				v, perr := e.eval.AtPathEnd(ps.net.Env(nxt), nxt.Time)
-				if perr != nil {
-					return 0, nil, perr
-				}
-				res.Termination = TermTimelock
-				res.DecidedAt = nxt.Time
-				return v, nxt, nil
-			}
+	fireExp := expWinner >= 0 && (choice.Timelocked || expDelay < delay) && expDelay <= maxD
+	if fireExp {
+		delay = expDelay
+	} else if choice.Timelocked {
+		// Nothing can fire: a lock. Zero-delay locks in urgent
+		// locations are deadlocks (no action, time frozen by urgency);
+		// locks at an invariant boundary are timelocks.
+		lock := TermTimelock
+		if maxD == 0 && e.rt.UrgentNow(cur) {
+			lock = TermDeadlock
 		}
+		v, err := e.wait(ps, cur, nxt, delay, lock, res)
+		return v, nxt, err
 	}
-
-	// Check the property throughout the delay before committing to it.
-	if delay > 0 {
-		v, at, derr := e.eval.DuringDelay(ps.net.Env(cur), cur.Time, delay)
-		if derr != nil {
-			return 0, nil, derr
-		}
-		if v != prop.Undecided {
-			if aerr := e.advance(ps, nxt, cur, delay); aerr != nil {
-				return 0, nil, aerr
-			}
-			res.Termination = TermDecided
-			res.DecidedAt = at
-			return v, nxt, nil
-		}
-	}
-
-	if err := e.advance(ps, nxt, cur, delay); err != nil {
-		return 0, nil, err
+	if v, err := e.wait(ps, cur, nxt, delay, 0, res); err != nil || v != prop.Undecided {
+		return v, nxt, err
 	}
 
 	// Fire the discrete move, if any.
@@ -534,6 +467,49 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 		res.DecidedAt = newCur.Time
 	}
 	return v, newCur, nil
+}
+
+// wait lets d pass from cur into nxt, checking the property throughout. A
+// verdict reached during the wait ends the path as decided. Otherwise a
+// wait with lock set is the last one of a path on which nothing can fire
+// any more: the lock policy either aborts the analysis or ends the path as
+// that lock once d has passed. A wait that no invariant and no property
+// bound limits (d = +Inf) lasts only until the property decides; a path
+// it never decides is dead where it stands.
+func (e *Engine) wait(ps *pathScratch, cur, nxt *network.State, d float64, lock Termination, res *PathResult) (prop.Verdict, error) {
+	v, at := prop.Undecided, 0.0
+	if d > 0 {
+		var err error
+		if v, at, err = e.eval.DuringDelay(ps.net.Env(cur), cur.Time, d); err != nil {
+			return 0, err
+		}
+	}
+	if math.IsInf(d, 1) {
+		if v == prop.Undecided {
+			d, lock = 0, TermDeadlock
+		} else {
+			d = at - cur.Time
+		}
+	}
+	if v == prop.Undecided && lock != 0 && e.cfg.Locks == LockErrors {
+		return 0, fmt.Errorf("sim: %s at time %g", lock, cur.Time)
+	}
+	if err := e.advance(ps, nxt, cur, d); err != nil {
+		return 0, err
+	}
+	switch {
+	case v != prop.Undecided:
+		res.Termination = TermDecided
+		res.DecidedAt = at
+	case lock != 0:
+		var err error
+		if v, err = e.eval.AtPathEnd(ps.net.Env(nxt), nxt.Time); err != nil {
+			return 0, err
+		}
+		res.Termination = lock
+		res.DecidedAt = nxt.Time
+	}
+	return v, nil
 }
 
 // delayClip returns the delay set the invariants allow: [0, maxD] when the

@@ -278,8 +278,8 @@ func thresholds(maxLevel, want int) []int {
 
 // branchSample is one collected branch outcome.
 type branchSample struct {
-	outcome sim.BranchOutcome
-	state   *network.State // promoted crossing state, nil otherwise
+	satisfied bool
+	state     *network.State // promoted crossing state, nil otherwise
 }
 
 // Analyze runs the fixed-effort splitting estimator for the configured
@@ -381,13 +381,13 @@ func Analyze(rt *network.Runtime, cfg Config) (Report, error) {
 				entry = stageEntries[src.IntN(len(stageEntries))]
 			}
 			dest := pool.get()
-			br, err := engine.SampleBranch(src, entry, target, level, dest)
+			res, promoted, err := engine.SampleBranch(src, entry, target, level, dest)
 			if err != nil {
 				pool.put(dest)
 				return branchSample{}, err
 			}
-			bs := branchSample{outcome: br.Outcome}
-			if br.Outcome == sim.BranchPromoted {
+			bs := branchSample{satisfied: res.Satisfied}
+			if promoted {
 				bs.state = dest
 			} else {
 				pool.put(dest)
@@ -402,7 +402,7 @@ func Analyze(rt *network.Runtime, cfg Config) (Report, error) {
 			popts.OnResult = func(i int) {
 				// Safe: outcomes[i] was written by the producing worker
 				// before the channel send the collector received.
-				tel.Commit(0, base+i, outcomes[i].outcome == sim.BranchSatisfied)
+				tel.Commit(0, base+i, outcomes[i].satisfied)
 			}
 		}
 		results, runErr := parallel.RunFixed(effort, sample, popts)
@@ -418,11 +418,11 @@ func Analyze(rt *network.Runtime, cfg Config) (Report, error) {
 		st := StageReport{Target: reported, Entries: len(stageEntries), Branches: effort, Weight: weight}
 		next := make([]*network.State, 0, effort/4)
 		for _, r := range results {
-			switch r.outcome {
-			case sim.BranchPromoted:
+			switch {
+			case r.state != nil:
 				st.Promoted++
 				next = append(next, r.state)
-			case sim.BranchSatisfied:
+			case r.satisfied:
 				st.Satisfied++
 				rawEst.Successes++
 			default:

@@ -94,44 +94,6 @@ func TestLocalSamplesInvariantRange(t *testing.T) {
 	}
 }
 
-func TestTimelockWhenNoWindows(t *testing.T) {
-	ctx := &Context{
-		MaxDelay:    50,
-		MaxAttained: true,
-		Horizon:     100,
-		Windows:     []intervals.Set{intervals.EmptySet()},
-		Rng:         rng.New(3),
-	}
-	for _, s := range []Strategy{ASAP{}, Progressive{}, Local{}, MaxTime{}} {
-		c, err := s.Choose(ctx)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		if !c.Timelocked {
-			t.Errorf("%s should report timelock", s.Name())
-		}
-		if c.Delay != 50 {
-			t.Errorf("%s timelock delay = %v, want invariant bound 50", s.Name(), c.Delay)
-		}
-	}
-}
-
-func TestUnboundedInvariantUsesHorizon(t *testing.T) {
-	ctx := &Context{
-		MaxDelay: math.Inf(1),
-		Horizon:  10,
-		Windows:  []intervals.Set{intervals.EmptySet()},
-		Rng:      rng.New(3),
-	}
-	c, err := ASAP{}.Choose(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Timelocked || c.Delay <= 10 {
-		t.Errorf("expected timelock with delay beyond horizon, got %+v", c)
-	}
-}
-
 func TestASAPOpenWindowNudges(t *testing.T) {
 	ctx := &Context{
 		MaxDelay:    10,
@@ -223,11 +185,23 @@ func TestInputStrategy(t *testing.T) {
 		{Ask: func(c *Context) (float64, int, error) { return 100, 0, nil }}, // move not enabled at 100
 		{Ask: func(c *Context) (float64, int, error) { return 250, 7, nil }}, // out of range
 		{Ask: func(c *Context) (float64, int, error) { return 0, -1, errors.New("nope") }},
+		{Ask: func(c *Context) (float64, int, error) { return 301, -1, nil }}, // beyond the invariant bound 300
+		{Ask: func(c *Context) (float64, int, error) { return math.NaN(), -1, nil }},
+		{Ask: func(c *Context) (float64, int, error) { return math.Inf(1), -1, nil }},
 	}
 	for i, s := range bad {
 		if _, err := s.Choose(ctx); err == nil {
 			t.Errorf("bad input %d should fail", i)
 		}
+	}
+	// The invariant bound itself is allowed only when it is attained.
+	atBound := Input{Ask: func(c *Context) (float64, int, error) { return 300, 0, nil }}
+	if _, err := atBound.Choose(ctx); err != nil {
+		t.Errorf("delay 300 under the attained bound 300: %v", err)
+	}
+	ctx.MaxAttained = false
+	if _, err := atBound.Choose(ctx); err == nil {
+		t.Error("delay 300 under the unattained bound 300 should fail")
 	}
 }
 

@@ -651,38 +651,17 @@ type PathTrace struct {
 }
 
 // Simulate generates n paths under opts and returns their traces — the
-// library counterpart of the tool's step-by-step simulation view.
+// library counterpart of the tool's step-by-step simulation view. The
+// strategy, seed, lock policy and step limit resolve as in Analyze.
 func (m *Model) Simulate(opts Options, n int) ([]PathTrace, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("slimsim: need at least one path, got %d", n)
 	}
-	p, err := m.CompileProperty(opts)
-	if err != nil {
-		return nil, err
-	}
-	stratName := opts.Strategy
-	if stratName == "" {
-		stratName = "progressive"
-	}
-	strat, err := strategy.ByName(stratName)
-	if err != nil {
-		return nil, err
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	rec := &trace.Recorder{MaxEvents: 10000}
-	engine, err := sim.NewEngine(m.rt, sim.Config{
-		Strategy: strat,
-		Property: p,
-		MaxSteps: opts.MaxSteps,
-		Observer: rec,
-	})
+	engine, src, err := m.traceEngine(opts, nil, rec)
 	if err != nil {
 		return nil, err
 	}
-	src := rng.New(seed)
 	out := make([]PathTrace, 0, n)
 	for i := 0; i < n; i++ {
 		rec.Reset()
@@ -690,23 +669,52 @@ func (m *Model) Simulate(opts Options, n int) ([]PathTrace, error) {
 		if err != nil {
 			return nil, err
 		}
-		events := make([]string, len(rec.Events))
-		for j, e := range rec.Events {
-			events[j] = e.String()
-		}
-		out = append(out, PathTrace{
-			Satisfied:   res.Satisfied,
-			Termination: res.Termination.String(),
-			EndTime:     res.EndTime,
-			Events:      events,
-		})
+		out = append(out, pathTrace(res, rec))
 	}
 	return out, nil
 }
 
+// traceEngine returns the engine of a trace mode, reporting to obs, and its
+// random stream: the property and run knobs of opts resolve exactly as in
+// Analyze, and a non-nil strat replaces the named strategy.
+func (m *Model) traceEngine(opts Options, strat strategy.Strategy, obs sim.Observer) (*sim.Engine, *rng.Source, error) {
+	p, err := m.CompileProperty(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg, err := m.analysisConfig(opts, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	if strat != nil {
+		cfg.Strategy = strat
+	}
+	cfg.Observer = obs
+	engine, err := sim.NewEngine(m.rt, cfg.Config)
+	if err != nil {
+		return nil, nil, err
+	}
+	return engine, rng.New(cfg.Seed), nil
+}
+
+// pathTrace renders a sampled path and the events rec recorded for it.
+func pathTrace(res sim.PathResult, rec *trace.Recorder) PathTrace {
+	events := make([]string, len(rec.Events))
+	for j, e := range rec.Events {
+		events[j] = e.String()
+	}
+	return PathTrace{
+		Satisfied:   res.Satisfied,
+		Termination: res.Termination.String(),
+		EndTime:     res.EndTime,
+		Events:      events,
+	}
+}
+
 // Decision is an interactive scheduling choice: wait Delay time units,
 // then fire candidate Move (or -1 to let the engine pick uniformly among
-// the moves enabled at that instant).
+// the moves enabled at that instant). Delay must be finite and within the
+// invariant bound the prompt shows.
 type Decision struct {
 	Delay float64
 	Move  int
@@ -734,18 +742,14 @@ type PromptMove struct {
 // SimulateInteractive generates one path with the Input strategy: every
 // time the model underspecifies what happens next, ask is consulted — the
 // paper's interactive mode, CLI-style. Exponential (Markovian) transitions
-// still race the chosen delays.
+// still race the chosen delays. When no guarded move can become enabled
+// the path ends without a prompt, as under every other strategy.
 func (m *Model) SimulateInteractive(opts Options, ask func(Prompt) (Decision, error)) (PathTrace, error) {
 	if ask == nil {
 		return PathTrace{}, fmt.Errorf("slimsim: SimulateInteractive needs a callback")
 	}
-	p, err := m.CompileProperty(opts)
-	if err != nil {
-		return PathTrace{}, err
-	}
-	rec := &trace.Recorder{MaxEvents: 10000}
 	input := strategy.Input{Ask: func(ctx *strategy.Context) (float64, int, error) {
-		pr := Prompt{Now: -1, MaxDelay: ctx.MaxDelay}
+		pr := Prompt{Now: ctx.Now, MaxDelay: ctx.MaxDelay}
 		for i, w := range ctx.Windows {
 			pr.Moves = append(pr.Moves, PromptMove{Label: ctx.Labels.Label(i), Window: w.String()})
 		}
@@ -755,31 +759,14 @@ func (m *Model) SimulateInteractive(opts Options, ask func(Prompt) (Decision, er
 		}
 		return d.Delay, d.Move, nil
 	}}
-	engine, err := sim.NewEngine(m.rt, sim.Config{
-		Strategy: input,
-		Property: p,
-		MaxSteps: opts.MaxSteps,
-		Observer: rec,
-	})
+	rec := &trace.Recorder{MaxEvents: 10000}
+	engine, src, err := m.traceEngine(opts, input, rec)
 	if err != nil {
 		return PathTrace{}, err
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	res, err := engine.SamplePath(rng.New(seed))
+	res, err := engine.SamplePath(src)
 	if err != nil {
 		return PathTrace{}, err
 	}
-	events := make([]string, len(rec.Events))
-	for j, e := range rec.Events {
-		events[j] = e.String()
-	}
-	return PathTrace{
-		Satisfied:   res.Satisfied,
-		Termination: res.Termination.String(),
-		EndTime:     res.EndTime,
-		Events:      events,
-	}, nil
+	return pathTrace(res, rec), nil
 }
