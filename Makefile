@@ -16,9 +16,12 @@ vet: nopanic
 	$(GO) vet ./...
 
 # nopanic is the repo-local vet pass: no new panic calls in the packages
-# that run inside sampling workers (see tools/analyzers/nopanic).
+# that run inside sampling workers (see tools/analyzers/nopanic), nor in
+# the daemon's front end (parse, instantiate, abstract interpretation,
+# lint, request handling): nothing recovers, so one panicking request
+# would take slimserve down.
 nopanic:
-	$(GO) run ./tools/analyzers/nopanic internal/rng internal/stats internal/network internal/sim internal/strategy internal/splitting internal/prop internal/intervals
+	$(GO) run ./tools/analyzers/nopanic internal/rng internal/stats internal/network internal/sim internal/strategy internal/splitting internal/prop internal/intervals internal/lint internal/absint internal/model internal/slim internal/serve
 
 # staticcheck / vulncheck run the external Go analyzers when they are on
 # PATH and degrade to a notice when they are not: nothing is installed on
@@ -53,11 +56,12 @@ lint: build
 # pipelines and estimators it feeds), plus the daemon package whose caches
 # share compiled models across request-handling goroutines, and the
 # runtime and exact back ends whose immutable network.Runtime every worker
-# shares, and the concurrent CheckCTMC calls that share one model's
-# symmetry reduction.
+# shares, the concurrent CheckCTMC calls that share one model's
+# symmetry reduction, and the concurrent Lint calls that share one
+# model's diagnostics.
 race:
 	$(GO) test -race ./internal/parallel/ ./internal/sim/ ./internal/splitting/ ./internal/stats/ ./internal/serve/ ./internal/network/ ./internal/ctmc/ ./internal/symmetry/
-	$(GO) test -race -run CheckCTMC .
+	$(GO) test -race -run 'CheckCTMC|CompiledLintConcurrent' .
 
 # serve-smoke boots the slimserve daemon on an ephemeral port, POSTs the
 # same model twice and asserts the second response reports a

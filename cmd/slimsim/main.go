@@ -98,12 +98,7 @@ func run(args []string) error {
 		return fmt.Errorf("-splitting cannot be combined with -bounds")
 	}
 
-	if !*noLint {
-		if err := lintGate(*modelPath); err != nil {
-			return err
-		}
-	}
-	m, err := slimsim.LoadModelFile(*modelPath)
+	m, err := loadModel(*modelPath, *noLint)
 	if err != nil {
 		return err
 	}
@@ -284,13 +279,31 @@ func parseBounds(s string) ([]float64, error) {
 	return bounds, nil
 }
 
-// lintGate statically analyzes the model file and fails fast when it has
-// error-severity diagnostics, printing them to stderr.
-func lintGate(path string) error {
-	diags, err := slimsim.LintFile(path)
-	if err != nil {
-		return err
+// loadModel loads the model file and, unless noLint, refuses it when the
+// loaded model has error-severity diagnostics. A file that does not load
+// is linted only for the refusal's text.
+func loadModel(path string, noLint bool) (*slimsim.Model, error) {
+	m, err := slimsim.LoadModelFile(path)
+	if noLint {
+		return m, err
 	}
+	if err != nil {
+		if diags, lerr := slimsim.LintFile(path); lerr == nil {
+			if gerr := lintGate(path, diags); gerr != nil {
+				return nil, gerr
+			}
+		}
+		return nil, err
+	}
+	if err := lintGate(path, m.Lint()); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// lintGate fails when diags has error-severity diagnostics, printing them
+// to stderr.
+func lintGate(path string, diags []slimsim.Diagnostic) error {
 	errs := 0
 	for _, d := range diags {
 		if d.Severity == slimsim.SeverityError {

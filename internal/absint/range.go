@@ -9,13 +9,13 @@ import (
 
 // This file is the expression-evaluation layer of the abstract interpreter:
 // interval bounds and three-valued truth for expressions over an abstract
-// store, generalizing the declared-range-only machinery of the lint
-// package's deadness check. Two extensions matter here. First, ranges come
-// from a store lookup (per-mode propagated values) instead of declared
-// types, so every operation must stay sound when the lookup reports
-// "unknown". Second, Booleans are encoded as sub-intervals of [0,1]
-// (false = 0, true = 1), which lets stores track Boolean variables and
-// lets comparisons against Boolean literals participate in the analysis.
+// store. Two properties matter here. First, ranges come from a store
+// lookup (per-mode propagated values, or declared types alone for
+// DeclaredUnsat), so every operation must stay sound when the lookup
+// reports "unknown". Second, Booleans are encoded as sub-intervals of
+// [0,1] (false = 0, true = 1), which lets stores track Boolean variables
+// and lets comparisons against Boolean literals participate in the
+// analysis.
 
 // lookFn reports the interval of values a variable may hold in the current
 // abstract context. ok is false when nothing is known (the caller must
@@ -64,6 +64,21 @@ func declaredRange(t expr.Type) intervals.Interval {
 	default:
 		return intervals.All()
 	}
+}
+
+// DeclaredUnsat reports whether e cannot hold at any valuation within the
+// declared ranges of its variables (Booleans as 0/1, clocks non-negative).
+// Nothing is propagated and flow variables are bounded by their declared
+// type, not their defining expressions, so the verdict holds for every
+// state the runtime admits.
+func DeclaredUnsat(e expr.Expr, decls expr.Decls) bool {
+	return satisfy(e, func(v expr.VarID) (intervals.Interval, bool) {
+		t, ok := decls.VarType(v)
+		if !ok {
+			return intervals.Interval{}, false
+		}
+		return declaredRange(t), true
+	}) == vFalse
 }
 
 // valInterval encodes a concrete value as a point interval (Booleans as

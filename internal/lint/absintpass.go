@@ -9,21 +9,9 @@ import (
 	"slimsim/internal/sta"
 )
 
-// analyzeBuilt runs the abstract interpreter over the instantiated model
-// and pairs every network process with the instance it was lowered from.
-// It returns nil when the model has no analyzable network (no processes)
-// or the fixpoint did not converge — both mean "nothing to report", not an
-// error: whatever made the network unbuildable is some other pass's
-// finding.
-func analyzeBuilt(b *model.Built) (*absint.Result, map[int]*model.Instance) {
-	rt, err := network.New(b.Net)
-	if err != nil {
-		return nil, nil
-	}
-	res := absint.Analyze(rt)
-	if !res.Converged {
-		return nil, nil
-	}
+// instancesOf pairs every network process with the instance it was
+// lowered from.
+func instancesOf(b *model.Built) map[int]*model.Instance {
 	byProc := make(map[*sta.Process]*model.Instance)
 	for _, inst := range b.Instances() {
 		if p := b.Process(inst); p != nil {
@@ -36,7 +24,7 @@ func analyzeBuilt(b *model.Built) (*absint.Result, map[int]*model.Instance) {
 			instOf[pi] = inst
 		}
 	}
-	return res, instOf
+	return instOf
 }
 
 // checkAbsintBuilt reports what the whole-model abstract interpretation
@@ -50,11 +38,13 @@ func analyzeBuilt(b *model.Built) (*absint.Result, map[int]*model.Instance) {
 // Processes woven in by error-model extension have no source instance and
 // are skipped; so are modes and transitions beyond the instance's surface
 // lists (error-model weaving appends to both).
-func checkAbsintBuilt(b *model.Built, rep *Reporter) {
-	res, instOf := analyzeBuilt(b)
-	if res == nil {
+func checkAbsintBuilt(b *model.Built, _ *network.Runtime, res *absint.Result, rep *Reporter) {
+	// A nil fixpoint means the network did not build, which is some other
+	// pass's finding; one that did not converge proves nothing.
+	if res == nil || !res.Converged {
 		return
 	}
+	instOf := instancesOf(b)
 	for pi := range b.Net.Processes {
 		inst := instOf[pi]
 		if inst == nil {
@@ -99,7 +89,7 @@ func checkAbsintBuilt(b *model.Built, rep *Reporter) {
 // of rates and clocks), or an invariance goal that every reachable
 // valuation satisfies (exactly 1). Both usually mean the property tests
 // something other than what was intended.
-func checkPropertyVacuity(b *model.Built, pattern string, rep *Reporter) {
+func checkPropertyVacuity(b *model.Built, res *absint.Result, pattern string, rep *Reporter) {
 	spec, err := prop.ParsePattern(pattern)
 	if err != nil {
 		rep.Errorf("SL701", slim.Pos{}, "property %q does not parse: %v", pattern, err)
@@ -124,8 +114,7 @@ func checkPropertyVacuity(b *model.Built, pattern string, rep *Reporter) {
 	default:
 		p = prop.Reach(spec.Bound, goal)
 	}
-	res, _ := analyzeBuilt(b)
-	if res == nil {
+	if res == nil || !res.Converged {
 		return
 	}
 	verdict := res.Decide(p)

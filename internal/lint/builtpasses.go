@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 
+	"slimsim/internal/absint"
 	"slimsim/internal/expr"
 	"slimsim/internal/intervals"
 	"slimsim/internal/model"
@@ -62,7 +63,7 @@ func checkMsg(err error) string {
 // (SL103), assignments to driven ports (SL104) and timed-nonlinear
 // expressions (SL105). It front-runs the same checks the network runtime
 // performs at simulation start, but with positions.
-func checkTypesBuilt(b *model.Built, rep *Reporter) {
+func checkTypesBuilt(b *model.Built, _ *network.Runtime, _ *absint.Result, rep *Reporter) {
 	c := &typeChecker{b: b, rep: rep, decls: b.Net.DeclMap()}
 	for _, inst := range b.Instances() {
 		c.checkComputedPorts(inst)
@@ -239,7 +240,7 @@ func assignedVars(net *sta.Network, skip func(p *sta.Process, ti int) bool) map[
 // assigned (SL201): they hold their type default forever. Ports with an
 // explicit default are considered deliberate parameters; event ports are
 // free environment inputs by design and stay exempt.
-func checkPortsBuilt(b *model.Built, rep *Reporter) {
+func checkPortsBuilt(b *model.Built, _ *network.Runtime, _ *absint.Result, rep *Reporter) {
 	assigned := assignedVars(b.Net, nil)
 	for _, inst := range b.Instances() {
 		for _, f := range inst.Type.Features {
@@ -262,8 +263,9 @@ func checkPortsBuilt(b *model.Built, rep *Reporter) {
 }
 
 // checkDeadTransitionsBuilt flags transitions whose guards cannot hold for
-// any valuation within the declared variable ranges (SL305).
-func checkDeadTransitionsBuilt(b *model.Built, rep *Reporter) {
+// any valuation within the declared variable ranges (SL305), as bounded by
+// the abstract interpreter's expression evaluator.
+func checkDeadTransitionsBuilt(b *model.Built, _ *network.Runtime, _ *absint.Result, rep *Reporter) {
 	decls := b.Net.DeclMap()
 	for _, inst := range b.Instances() {
 		p := b.Process(inst)
@@ -274,7 +276,7 @@ func checkDeadTransitionsBuilt(b *model.Built, rep *Reporter) {
 			if tr.Guard == nil || i >= len(inst.Impl.Transitions) {
 				continue
 			}
-			if satisfy(tr.Guard, decls) == vFalse {
+			if absint.DeclaredUnsat(tr.Guard, decls) {
 				src := inst.Impl.Transitions[i]
 				rep.Warnf("SL305", src.Pos,
 					"transition %s -> %s can never fire: its guard is unsatisfiable under declared variable ranges",
@@ -290,7 +292,7 @@ func checkDeadTransitionsBuilt(b *model.Built, rep *Reporter) {
 // exact for the initial configuration: using the runtime's initial state it
 // computes the invariant window of each process's initial location and
 // warns when the invariant forces an exit no transition can take.
-func checkTimelocksBuilt(b *model.Built, rep *Reporter) {
+func checkTimelocksBuilt(b *model.Built, rt *network.Runtime, _ *absint.Result, rep *Reporter) {
 	for _, inst := range b.Instances() {
 		p := b.Process(inst)
 		if p == nil {
@@ -309,7 +311,9 @@ func checkTimelocksBuilt(b *model.Built, rep *Reporter) {
 		}
 	}
 
-	checkInitialTimelocks(b, rep)
+	if rt != nil {
+		checkInitialTimelocks(b, rt, rep)
+	}
 }
 
 // invariantTimed reports whether a location's invariant depends on a
@@ -331,13 +335,9 @@ func invariantTimed(b *model.Built, loc *sta.Location) bool {
 // network's propagated initial state (SL502). The analysis is restricted to
 // invariants and guards whose discrete inputs are provably constant, so a
 // warning cannot be invalidated by another process changing a variable
-// first.
-func checkInitialTimelocks(b *model.Built, rep *Reporter) {
-	rt, err := network.New(b.Net)
-	if err != nil {
-		// The typecheck pass has already reported why.
-		return
-	}
+// first. Of rt it reads only the initial state and the timed variables,
+// which pruning leaves alone.
+func checkInitialTimelocks(b *model.Built, rt *network.Runtime, rep *Reporter) {
 	st := rt.NewState()
 	sc := rt.NewScratch()
 	if err := sc.InitialStateInto(&st); err != nil {

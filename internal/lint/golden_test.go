@@ -74,9 +74,9 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestFixtureCodes checks that every slNNN fixture actually triggers the
-// diagnostic code it is named after, and that the clean fixture triggers
-// nothing at all.
+// TestFixtureCodes checks that every slNNN fixture (or slNNN_variant)
+// actually triggers the diagnostic code it is named after, and that the
+// clean fixture triggers nothing at all.
 func TestFixtureCodes(t *testing.T) {
 	fixtures, err := filepath.Glob(filepath.Join("testdata", "sl*.slim"))
 	if err != nil {
@@ -84,7 +84,8 @@ func TestFixtureCodes(t *testing.T) {
 	}
 	for _, path := range fixtures {
 		name := strings.TrimSuffix(filepath.Base(path), ".slim")
-		code := "SL" + strings.TrimPrefix(name, "sl")
+		num, _, _ := strings.Cut(strings.TrimPrefix(name, "sl"), "_")
+		code := "SL" + num
 		t.Run(name, func(t *testing.T) {
 			src, err := os.ReadFile(path)
 			if err != nil {

@@ -7,9 +7,13 @@
 // Passes fall into two phases. AST passes see only the parsed slim.Model
 // and therefore work even on models that cannot be instantiated; they cover
 // name-level well-formedness (connections, modes, error models). Built
-// passes see the instantiated model.Built and cover everything that needs
-// resolved variables: whole-model type checking, unconnected ports, dead
-// transitions under declared ranges, and timelock heuristics.
+// passes see the instantiated model.Built together with the network
+// runtime and abstract-interpretation fixpoint compiled from it, and cover
+// everything that needs resolved variables: whole-model type checking,
+// unconnected ports, dead transitions, timelock heuristics and semantic
+// reachability. The runtime and the fixpoint are built once per run and
+// shared by every pass; Run takes them from a compile that already built
+// them.
 package lint
 
 import (
@@ -19,7 +23,9 @@ import (
 	"sort"
 	"strings"
 
+	"slimsim/internal/absint"
 	"slimsim/internal/model"
+	"slimsim/internal/network"
 	"slimsim/internal/slim"
 )
 
@@ -211,8 +217,11 @@ type Pass struct {
 	Doc string
 	// AST analyzes the parsed model.
 	AST func(m *slim.Model, r *Reporter)
-	// Built analyzes the instantiated model.
-	Built func(b *model.Built, r *Reporter)
+	// Built analyzes the instantiated model. rt is the network runtime
+	// of b.Net, nil when the network does not build (the typecheck pass
+	// reports why); res is the abstract-interpretation fixpoint of rt,
+	// nil exactly when rt is.
+	Built func(b *model.Built, rt *network.Runtime, res *absint.Result, r *Reporter)
 }
 
 // Passes is the registry of analyzer passes, in execution order.
@@ -250,7 +259,7 @@ var Passes = []Pass{
 	},
 	{
 		Name:  "deadcode",
-		Doc:   "dead transitions: guards unsatisfiable under declared variable ranges",
+		Doc:   "dead transitions: guards unsatisfiable under declared variable ranges (Booleans as 0/1, bounds through / and mod)",
 		Built: checkDeadTransitionsBuilt,
 	},
 	{
@@ -269,22 +278,46 @@ var Passes = []Pass{
 // error strings ("model: 3:7: ...").
 var modelErrPos = regexp.MustCompile(`^model: (\d+):(\d+): (.*)$`)
 
-// Run lints a parsed model: all AST passes, then — if the model
-// instantiates — all built passes. Instantiation failures surface as an
-// SL002 diagnostic unless an AST pass already reported an error for the
-// same model (the AST finding is the actionable one).
-func Run(m *slim.Model) []Diag { return run(m, nil) }
-
-// run is the shared driver behind Run and RunWithProperty; extra, when
-// non-nil, runs after the registered built passes on the instantiated
-// model.
-func run(m *slim.Model, extra func(b *model.Built, r *Reporter)) []Diag {
+// Run lints an instantiated model through the artifacts its compile
+// already built: the AST passes run on b.Source() and the built passes on
+// b, rt and res. rt must be network.New(b.Net) (nil when that failed) and
+// res absint.Analyze(rt) taken before any pruning of rt (nil when rt is);
+// pruning itself does not change the findings. On such artifacts Run
+// returns exactly what RunSource returns for the source b was built from.
+func Run(b *model.Built, rt *network.Runtime, res *absint.Result) []Diag {
 	r := &Reporter{}
+	runAST(b.Source(), r)
+	runBuilt(b, rt, res, r)
+	return r.finish()
+}
+
+// runAST runs every AST pass on m.
+func runAST(m *slim.Model, r *Reporter) {
 	for _, p := range Passes {
 		if p.AST != nil {
 			p.AST(m, r)
 		}
 	}
+}
+
+// runBuilt runs every built pass on the instantiated model's artifacts.
+func runBuilt(b *model.Built, rt *network.Runtime, res *absint.Result, r *Reporter) {
+	for _, p := range Passes {
+		if p.Built != nil {
+			p.Built(b, rt, res, r)
+		}
+	}
+}
+
+// run is the shared driver behind RunSource and RunSourceWithProperty: all
+// AST passes, then — if the model instantiates — one network runtime and
+// one fixpoint shared by all built passes and, when non-nil, extra.
+// Instantiation failures surface as an SL002 diagnostic unless an AST pass
+// already reported an error for the same model (the AST finding is the
+// actionable one).
+func run(m *slim.Model, extra func(b *model.Built, res *absint.Result, r *Reporter)) []Diag {
+	r := &Reporter{}
+	runAST(m, r)
 	b, err := model.Instantiate(m)
 	if err != nil {
 		if !r.hasErrors() {
@@ -299,44 +332,36 @@ func run(m *slim.Model, extra func(b *model.Built, r *Reporter)) []Diag {
 		}
 		return r.finish()
 	}
-	for _, p := range Passes {
-		if p.Built != nil {
-			p.Built(b, r)
-		}
+	var res *absint.Result
+	rt, err := network.New(b.Net)
+	if err == nil {
+		res = absint.Analyze(rt)
 	}
+	runBuilt(b, rt, res, r)
 	if extra != nil {
-		extra(b, r)
+		extra(b, res, r)
 	}
 	return r.finish()
 }
 
-// RunWithProperty lints the model like Run and additionally checks the
-// given property pattern (e.g. "P(<> [0,100] sys.fail)") against the
+// RunSourceWithProperty lints src like RunSource and additionally checks
+// the given property pattern (e.g. "P(<> [0,100] sys.fail)") against the
 // abstract-interpretation fixpoint, reporting SL701 when the property is
 // ill-formed for the model or its verdict does not depend on the model's
 // stochastic behavior at all (a statically unreachable goal, or an
 // invariance that no reachable valuation can violate).
-func RunWithProperty(m *slim.Model, pattern string) []Diag {
-	return run(m, func(b *model.Built, r *Reporter) {
-		checkPropertyVacuity(b, pattern, r)
-	})
-}
-
-// RunSourceWithProperty is RunWithProperty on SLIM source text.
 func RunSourceWithProperty(src, pattern string) []Diag {
-	m, err := slim.Parse(src)
-	if err != nil {
-		pos, _ := slim.PosOf(err)
-		msg := strings.TrimPrefix(err.Error(), "slim: "+pos.String()+": ")
-		msg = strings.TrimPrefix(msg, "slim: ")
-		return []Diag{{Code: "SL001", Severity: SevError, Pos: pos, Msg: msg}}
-	}
-	return RunWithProperty(m, pattern)
+	return runSource(src, func(b *model.Built, res *absint.Result, r *Reporter) {
+		checkPropertyVacuity(b, res, pattern, r)
+	})
 }
 
 // RunSource lints SLIM source text. Parse failures become a single SL001
 // diagnostic.
-func RunSource(src string) []Diag {
+func RunSource(src string) []Diag { return runSource(src, nil) }
+
+// runSource parses src and runs the shared driver on it.
+func runSource(src string, extra func(b *model.Built, res *absint.Result, r *Reporter)) []Diag {
 	m, err := slim.Parse(src)
 	if err != nil {
 		pos, _ := slim.PosOf(err)
@@ -344,7 +369,7 @@ func RunSource(src string) []Diag {
 		msg = strings.TrimPrefix(msg, "slim: ")
 		return []Diag{{Code: "SL001", Severity: SevError, Pos: pos, Msg: msg}}
 	}
-	return Run(m)
+	return run(m, extra)
 }
 
 // Errors filters the error-severity subset of diags.

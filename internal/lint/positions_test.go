@@ -113,7 +113,7 @@ func TestRateDiagnostics(t *testing.T) {
 			},
 		},
 	}
-	diags := Run(m)
+	diags := run(m, nil)
 	wantMsgs := map[string]bool{
 		"error event crash has non-positive occurrence rate -2": false,
 		"invalid timing window [5..1]":                          false,

@@ -33,7 +33,7 @@ func TestGeneratedModelsAreWellFormed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: generated source does not parse: %v\n%s", class, seed, err, g.Source)
 			}
-			if diags := lint.Run(parsed); len(diags) != 0 {
+			if diags := lint.RunSource(g.Source); len(diags) != 0 {
 				t.Fatalf("%s/%d: generated model has %d lint diagnostics, first: %s\n%s",
 					class, seed, len(diags), diags[0].Render("gen"), g.Source)
 			}

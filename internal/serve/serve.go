@@ -1,11 +1,11 @@
 // Package serve is the long-running analysis service behind the slimserve
 // daemon. It amortizes everything expensive about an analysis across
-// requests: compiled models (parse → lint → instantiate → abstract
-// interpretation → expression compilation) are cached by content hash and
-// shared between concurrent runs — they are immutable, only per-worker
-// scratch arenas mutate — and finished reports are memoized by the full
-// request key, so repeating a request returns byte-identical bytes without
-// sampling a single path.
+// requests: compiled models (parse → instantiate → abstract interpretation
+// → expression compilation, then lint on the same artifacts) are cached by
+// content hash and shared between concurrent runs — they are immutable,
+// only per-worker scratch arenas mutate — and finished reports are memoized
+// by the full request key, so repeating a request returns byte-identical
+// bytes without sampling a single path.
 //
 // The HTTP surface (documented in docs/SERVE.md):
 //
@@ -515,53 +515,59 @@ func (s *Server) retire(j *job) {
 	}
 }
 
-// cachedModel is one entry of the compiled-model cache: the compiled model
-// together with its lint verdict, computed once on the compiling miss, so
-// that a model first compiled under noLint still fails every later
-// lint-gated request for the same bytes.
-type cachedModel struct {
-	cm *slimsim.CompiledModel
-	// lintErrs counts the source's error-severity diagnostics;
-	// lintFirst renders the first of them.
-	lintErrs  int
-	lintFirst string
-}
-
 // compiled resolves the request's model through the compiled-model cache:
-// on a miss the source is linted and compiled, then shared with every later
-// request for the same bytes. Unless the request sets noLint, a model with
-// lint errors is refused, whether it was cached or not.
+// on a miss the source is compiled and, if admitted, shared with every
+// later request for the same bytes. Unless the request sets noLint, a
+// model with lint errors is refused, whether it was cached or not; the
+// verdict comes from the compiled model itself, so a model first cached
+// under noLint still fails every later lint-gated request, and a refused
+// miss leaves nothing in the cache.
 func (s *Server) compiled(req *Request) (*slimsim.CompiledModel, bool, error) {
 	hash := slimsim.ContentHash(req.Model)
 	v, hit := s.models.get(hash)
-	var entry *cachedModel
+	var cm *slimsim.CompiledModel
 	if hit {
-		entry = v.(*cachedModel)
+		cm = v.(*slimsim.CompiledModel)
 	} else {
-		entry = &cachedModel{}
-		for _, d := range slimsim.Lint(req.Model) {
-			if d.Severity == slimsim.SeverityError {
-				if entry.lintErrs == 0 {
-					entry.lintFirst = d.Render("model")
+		var err error
+		if cm, err = slimsim.Compile(req.Model); err != nil {
+			// A source that does not compile is linted only for the
+			// refusal's text.
+			if !req.NoLint {
+				if lerr := lintRefusal(slimsim.Lint(req.Model)); lerr != nil {
+					return nil, false, lerr
 				}
-				entry.lintErrs++
 			}
+			return nil, false, err
 		}
 	}
-	if !req.NoLint && entry.lintErrs > 0 {
-		return nil, false, fmt.Errorf("model has %d lint error(s), first: %s (set noLint to override)",
-			entry.lintErrs, entry.lintFirst)
+	if !req.NoLint {
+		if err := lintRefusal(cm.Lint()); err != nil {
+			return nil, false, err
+		}
 	}
-	if hit {
-		return entry.cm, true, nil
+	if !hit {
+		s.models.add(hash, cm)
 	}
-	cm, err := slimsim.Compile(req.Model)
-	if err != nil {
-		return nil, false, err
+	return cm, hit, nil
+}
+
+// lintRefusal returns the error that refuses a model with error-severity
+// diagnostics, nil when diags has none.
+func lintRefusal(diags []slimsim.Diagnostic) error {
+	errs, first := 0, ""
+	for _, d := range diags {
+		if d.Severity == slimsim.SeverityError {
+			if errs == 0 {
+				first = d.Render("model")
+			}
+			errs++
+		}
 	}
-	entry.cm = cm
-	s.models.add(hash, entry)
-	return cm, false, nil
+	if errs > 0 {
+		return fmt.Errorf("model has %d lint error(s), first: %s (set noLint to override)", errs, first)
+	}
+	return nil
 }
 
 // claim waits until no other job holds result key, takes it, and returns

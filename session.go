@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"slimsim/internal/absint"
+	"slimsim/internal/lint"
 	"slimsim/internal/model"
 	"slimsim/internal/network"
 	"slimsim/internal/prop"
@@ -41,6 +42,9 @@ type CompiledModel struct {
 	// no group certifies) and every quotient build makes its own
 	// canonicalizer scratch.
 	reduction func() *symmetry.Reduction
+	// lint runs the static analyzer once, on the first Lint call, over
+	// the artifacts above.
+	lint func() []Diagnostic
 }
 
 // ContentHash returns the cache key Compile assigns to src under opts:
@@ -94,8 +98,15 @@ func Compile(src string, opts ...LoadOption) (*CompiledModel, error) {
 		}
 	}
 	cm.reduction = sync.OnceValue(func() *symmetry.Reduction { return symmetry.Detect(rt) })
+	cm.lint = sync.OnceValue(func() []Diagnostic { return lint.Run(built, rt, cm.analysis) })
 	return cm, nil
 }
+
+// Lint returns the static-analysis diagnostics of the compiled source,
+// exactly as Lint(src) reports them, without parsing or building anything
+// again: the analyzer runs on this compile's own artifacts, once, on the
+// first call. Callers must not modify the returned slice.
+func (c *CompiledModel) Lint() []Diagnostic { return c.lint() }
 
 // Hash returns the content hash identifying this compile artifact.
 func (c *CompiledModel) Hash() string { return c.hash }
