@@ -110,7 +110,8 @@ verify: build test
 ci: verify vet staticcheck vulncheck fmtcheck race lint difftest serve-smoke bench-smoke bench-table1-smoke bench-fig5-smoke bench-rare-smoke fuzz-smoke
 
 # BENCH_PKGS are the packages carrying the hot-path micro-benchmarks
-# (engine step, Table I simulator queries, move-set composition, compiled
+# (engine step, Table I simulator queries, Fig. 5 launcher sweeps at one
+# and two workers, move-set composition, compiled
 # expression evaluation, pooled splitting clones, explicit and quotient
 # CTMC construction, lumping, and the single-clock zone analyzer)
 # and their AllocsPerRun regression gates.

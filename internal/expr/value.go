@@ -113,6 +113,15 @@ func (v Value) Equal(o Value) bool {
 	return v.AsFloat() == o.AsFloat()
 }
 
+// Identical reports whether v and o are the same value bit for bit: the
+// same kind and the same payload, a real compared by its IEEE-754 bits. So
+// -0 and +0 differ, a NaN is identical to a NaN with the same bits, and an
+// int is never identical to a real, whatever Equal says of them.
+func (v Value) Identical(o Value) bool {
+	return v.kind == o.kind && v.b == o.b && v.i == o.i &&
+		math.Float64bits(v.r) == math.Float64bits(o.r)
+}
+
 // AppendText appends the value's literal rendering to buf, avoiding the
 // allocations of String — used by hot paths such as state hashing.
 func (v Value) AppendText(buf []byte) []byte {

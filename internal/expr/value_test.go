@@ -29,3 +29,38 @@ func TestCompareTextMatchesAppendText(t *testing.T) {
 		}
 	}
 }
+
+// TestIdentical checks bit identity on pairs that Equal and == get wrong
+// for it: signed zeros, NaNs with the same and with different bits, and an
+// int against the real of the same number.
+func TestIdentical(t *testing.T) {
+	nan := math.NaN()
+	otherNaN := math.Float64frombits(math.Float64bits(nan) ^ 1)
+	negZero := math.Copysign(0, -1)
+	for _, c := range []struct {
+		a, b Value
+		want bool
+	}{
+		{RealVal(0), RealVal(0), true},
+		{RealVal(0), RealVal(negZero), false},
+		{RealVal(negZero), RealVal(negZero), true},
+		{RealVal(nan), RealVal(nan), true},
+		{RealVal(nan), RealVal(otherNaN), false},
+		{RealVal(1.5), RealVal(1.5), true},
+		{RealVal(1.5), RealVal(math.Nextafter(1.5, 2)), false},
+		{IntVal(2), RealVal(2), false},
+		{IntVal(-3), IntVal(-3), true},
+		{IntVal(0), BoolVal(false), false},
+		{BoolVal(true), BoolVal(true), true},
+		{BoolVal(true), BoolVal(false), false},
+		{Value{}, Value{}, true},
+		{Value{}, RealVal(0), false},
+	} {
+		if got := c.a.Identical(c.b); got != c.want {
+			t.Errorf("%s.Identical(%s) = %v, want %v", c.a, c.b, got, c.want)
+		}
+		if got := c.b.Identical(c.a); got != c.want {
+			t.Errorf("%s.Identical(%s) = %v, want %v", c.b, c.a, got, c.want)
+		}
+	}
+}

@@ -223,6 +223,18 @@ func (s Set) Intervals() []Interval {
 	return out
 }
 
+// Each calls yield on the set's constituent intervals in ascending order
+// until yield returns false. Unlike Intervals it copies nothing, so read-only
+// loops on the simulation hot path allocate nothing. s.Each has the shape of
+// an iter.Seq[Interval].
+func (s Set) Each(yield func(Interval) bool) {
+	for _, iv := range s.ivs {
+		if !yield(iv) {
+			return
+		}
+	}
+}
+
 // Contains reports whether x lies in the set.
 func (s Set) Contains(x float64) bool {
 	for _, iv := range s.ivs {

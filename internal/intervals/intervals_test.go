@@ -327,3 +327,41 @@ func TestSharedAndBackedSets(t *testing.T) {
 		t.Errorf("%.1f allocations, want 0", n)
 	}
 }
+
+// TestEach: Each visits the same intervals as Intervals in the same order,
+// stops when yield returns false, and allocates nothing.
+func TestEach(t *testing.T) {
+	s := NewSet(Closed(5, 6), Open(0, 1), Point(3))
+	var got []Interval
+	s.Each(func(iv Interval) bool {
+		got = append(got, iv)
+		return true
+	})
+	want := s.Intervals()
+	if len(got) != len(want) {
+		t.Fatalf("Each visited %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Each visited %v, want %v", got, want)
+		}
+	}
+	n := 0
+	s.Each(func(Interval) bool {
+		n++
+		return n < 2
+	})
+	if n != 2 {
+		t.Errorf("Each went on for %d intervals after yield returned false at 2", n)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		hi := 0.0
+		s.Each(func(iv Interval) bool {
+			hi = iv.Hi
+			return true
+		})
+		_ = hi
+	}); a != 0 {
+		t.Errorf("Each allocates %.1f objects, want 0", a)
+	}
+}

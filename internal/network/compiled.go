@@ -30,9 +30,6 @@ type transProg struct {
 	// effects holds one compiled right-hand side per effect, parallel to
 	// the transition's Effects.
 	effects []expr.Code
-	// dirty holds the flows downstream of the variables the effects
-	// write: the only flows firing the transition can change.
-	dirty bitset
 	// cached numbers the guard among the time-invariant guards a
 	// GuardCache remembers, or is -1 when the guard reads a timed variable
 	// or the transition has none. stale holds the cached guards firing
@@ -51,6 +48,15 @@ func (s bitset) add(i int) { s[i>>6] |= 1 << (i & 63) }
 func (s bitset) union(o bitset) {
 	for w := range s {
 		s[w] |= o[w]
+	}
+}
+
+// each calls f on every index in s, in ascending order.
+func (s bitset) each(f func(int)) {
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			f(w<<6 | bits.TrailingZeros64(word))
+		}
 	}
 }
 
@@ -75,7 +81,7 @@ type timedVar struct {
 
 // buildPrograms compiles every expression of the network. Called once from
 // New, after static checking. Windows and flow rates compile last, once
-// the dirty sets have classified every variable as timed or not.
+// the downstream closures have classified every variable as timed or not.
 func (rt *Runtime) buildPrograms() {
 	rt.flowProgs = make([]flowProg, 0, len(rt.flowOrder))
 	for _, v := range rt.flowOrder {
@@ -117,8 +123,9 @@ func (rt *Runtime) buildPrograms() {
 		rt.timedVars = append(rt.timedVars, tv)
 	}
 	rt.buildDirtySets()
-	rt.classifyTimed()
-	rt.buildGuardSets()
+	trans, timedFlows := rt.downstream()
+	rt.classifyTimed(timedFlows)
+	rt.buildGuardSets(trans)
 	timed := rt.Timed
 	rt.flowRate = make([]expr.AffineCode, len(rt.net.Vars))
 	for _, fp := range rt.flowProgs {
@@ -150,19 +157,15 @@ func (rt *Runtime) buildPrograms() {
 }
 
 // classifyTimed marks every variable whose value can change while time
-// passes: the timed variables AdvanceInto moves and the flows downstream of
-// them. Every other variable keeps its value across a delay, so its rate is
-// 0 in every state.
-func (rt *Runtime) classifyTimed() {
+// passes: the timed variables AdvanceInto moves and timedFlows, the flows
+// downstream of them. Every other variable keeps its value across a delay,
+// so its rate is 0 in every state.
+func (rt *Runtime) classifyTimed(timedFlows bitset) {
 	rt.timed = make([]bool, len(rt.net.Vars))
 	for i := range rt.timedVars {
 		rt.timed[rt.timedVars[i].id] = true
 	}
-	for w, word := range rt.timedFlows {
-		for ; word != 0; word &= word - 1 {
-			rt.timed[rt.flowProgs[w<<6|bits.TrailingZeros64(word)].id] = true
-		}
-	}
+	timedFlows.each(func(i int) { rt.timed[rt.flowProgs[i].id] = true })
 }
 
 // Timed reports whether variable id can change value while time passes:
@@ -172,96 +175,89 @@ func (rt *Runtime) classifyTimed() {
 // variable as a value (see expr.Timed).
 func (rt *Runtime) Timed(id expr.VarID) bool { return rt.timed[id] }
 
-// buildDirtySets gives every transition the set of flows downstream of the
-// variables its effects write, and the runtime the set of flows downstream
-// of its timed variables. Downstream means reading the variable directly or
-// through other flows.
+// buildDirtySets gives every variable the set of flows whose defining
+// expression reads it directly (its readers). AdvanceInto and ApplyInto
+// recompute flows through these sets only (see propagate): a step marks
+// the readers of the variables it changes, and a recomputed flow marks its
+// own readers only when its value changed.
 //
-// applyInto and advanceInto re-evaluate only these sets. That is sound
-// because flows read variables only (the Ref nodes of their expressions,
-// never locations or time), effects never assign flows (checkStatic rejects
-// it), and every state the runtime hands out has consistent flows: initial
-// states are fully propagated, and each successor of a consistent state
-// recomputes every flow whose inputs changed. A flow none of whose inputs
-// was written therefore keeps its value and its earlier successful type
-// check. States rebuilt outside the runtime keep this as long as they copy
-// a consistent state exactly: a decoded CTMC key or a certified replica
-// permutation.
+// That is exact. A flow is a pure function of the variables it reads: the
+// Ref nodes of its expression, never locations or time. Effects never
+// assign flows (checkStatic rejects it), and every state the runtime hands
+// out has consistent flows: the initial state is fully propagated, and
+// each successor of a consistent state recomputes every flow one of whose
+// inputs is not bit-identical to its value in the source. A flow all of
+// whose inputs are bit-identical would recompute to the same value and
+// pass the same Admits check, so keeping its value changes nothing. States
+// rebuilt outside the runtime keep this as long as they copy a consistent
+// state exactly: a decoded CTMC key or a certified replica permutation.
 func (rt *Runtime) buildDirtySets() {
 	words := (len(rt.flowProgs) + 63) / 64
-	ntrans := 0
-	for _, p := range rt.net.Processes {
-		ntrans += len(p.Transitions)
+	backing := make([]uint64, words*len(rt.net.Vars))
+	rt.readers = make([]bitset, len(rt.net.Vars))
+	for v := range rt.readers {
+		rt.readers[v], backing = backing[:words:words], backing[words:]
 	}
-	// Every set of the runtime, and the scratch closures below, share one
-	// backing array.
-	backing := make([]uint64, words*(len(rt.flowProgs)+ntrans+1))
-	next := func() bitset {
-		s := bitset(backing[:words:words])
-		backing = backing[words:]
-		return s
-	}
-	// readers[v] lists the flows whose defining expression reads v, each
-	// once: flow i's references are walked together, so a repeat of v is
-	// always the last entry.
-	readers := make([][]int, len(rt.net.Vars))
-	i := 0
-	collect := func(n expr.Expr) {
-		if r, ok := n.(*expr.Ref); ok && r.ID != expr.NoVar {
-			if rs := readers[r.ID]; len(rs) == 0 || rs[len(rs)-1] != i {
-				readers[r.ID] = append(rs, i)
+	for i := range rt.flowProgs {
+		expr.Walk(rt.net.Vars[rt.flowProgs[i].id].FlowExpr, func(n expr.Expr) {
+			if r, ok := n.(*expr.Ref); ok && r.ID != expr.NoVar {
+				rt.readers[r.ID].add(i)
 			}
-		}
+		})
 	}
-	for i = range rt.flowProgs {
-		expr.Walk(rt.net.Vars[rt.flowProgs[i].id].FlowExpr, collect)
-	}
+}
+
+// downstream returns the flows a step can change at all, whatever values it
+// writes: per process and transition the flows downstream of the variables
+// its effects write, and the flows downstream of the timed variables.
+// Downstream means reading the variable directly or through other flows.
+// Construction uses these closures to classify timed variables and to
+// build guard sets; stepping uses the readers instead.
+func (rt *Runtime) downstream() (trans [][]bitset, timed bitset) {
+	words := (len(rt.flowProgs) + 63) / 64
 	// down[i] is flow i with everything downstream of it. A reader of flow
 	// i comes after i in topological order, so a reverse pass sees every
 	// reader's closure before it needs it.
 	down := make([]bitset, len(rt.flowProgs))
-	for i := len(rt.flowProgs) - 1; i >= 0; i-- {
-		down[i] = next()
+	for i := len(down) - 1; i >= 0; i-- {
+		down[i] = make(bitset, words)
 		down[i].add(i)
-		for _, j := range readers[rt.flowProgs[i].id] {
-			down[i].union(down[j])
-		}
+		rt.readers[rt.flowProgs[i].id].each(func(j int) { down[i].union(down[j]) })
 	}
-	dirtyOf := func(set bitset, v expr.VarID) {
-		for _, j := range readers[v] {
-			set.union(down[j])
-		}
+	addDown := func(set bitset, v expr.VarID) {
+		rt.readers[v].each(func(j int) { set.union(down[j]) })
 	}
-	for pi := range rt.net.Processes {
-		p := rt.net.Processes[pi]
+	trans = make([][]bitset, len(rt.net.Processes))
+	for pi, p := range rt.net.Processes {
+		trans[pi] = make([]bitset, len(p.Transitions))
 		for ti := range p.Transitions {
-			tp := &rt.procProgs[pi].trans[ti]
-			tp.dirty = next()
-			for ai := range p.Transitions[ti].Effects {
-				dirtyOf(tp.dirty, p.Transitions[ti].Effects[ai].Var)
+			trans[pi][ti] = make(bitset, words)
+			for _, as := range p.Transitions[ti].Effects {
+				addDown(trans[pi][ti], as.Var)
 			}
 		}
 	}
-	rt.timedFlows = next()
-	for i := range rt.timedVars {
-		dirtyOf(rt.timedFlows, rt.timedVars[i].id)
+	timed = make(bitset, words)
+	for _, tv := range rt.timedVars {
+		addDown(timed, tv.id)
 	}
+	return trans, timed
 }
 
 // buildGuardSets numbers the time-invariant guards, the ones that read no
 // timed variable, and gives every transition the set of those its firing
 // can change: the guards that read a variable its effects write or a flow
-// in its dirty set.
+// in its closure dirty[process][transition] (see downstream).
 //
 // A GuardCache forgets only these guards after a move, which is sound
 // because a guard's value depends on nothing but the variables it reads
 // (the Ref nodes of its expression, never locations or time). The
 // successor ApplyInto writes differs from its source only in locations,
-// the variables the parts' effects write and the flows recomputed from
-// them, the union of the parts' dirty sets (see buildDirtySets). A delay
-// changes only timed variables and the flows downstream of them, which no
-// numbered guard reads.
-func (rt *Runtime) buildGuardSets() {
+// the variables the parts' effects write and flows downstream of them,
+// which lie in the union of the parts' closures. A delay changes only
+// timed variables and the flows downstream of them, which no numbered
+// guard reads.
+func (rt *Runtime) buildGuardSets(dirty [][]bitset) {
 	// readers[v] lists the numbered guards that read v.
 	readers := make([][]int, len(rt.net.Vars))
 	ntrans := 0
@@ -303,11 +299,7 @@ func (rt *Runtime) buildGuardSets() {
 			for ai := range p.Transitions[ti].Effects {
 				stale(p.Transitions[ti].Effects[ai].Var)
 			}
-			for w, word := range tp.dirty {
-				for ; word != 0; word &= word - 1 {
-					stale(rt.flowProgs[w<<6|bits.TrailingZeros64(word)].id)
-				}
-			}
+			dirty[pi][ti].each(func(i int) { stale(rt.flowProgs[i].id) })
 		}
 	}
 }
@@ -392,7 +384,7 @@ type Scratch struct {
 
 // NewScratch returns a fresh evaluation arena for rt.
 func (rt *Runtime) NewScratch() *Scratch {
-	return &Scratch{rt: rt, env: env{rt: rt}}
+	return &Scratch{rt: rt, env: env{rt: rt, pending: make(bitset, (len(rt.flowProgs)+63)/64)}}
 }
 
 // NewState returns a state with backing arrays sized for rt, for use as an
@@ -414,17 +406,31 @@ func (s *Scratch) Env(st *State) expr.RateEnv {
 
 // InitialStateInto resets st to the network's initial configuration with
 // every flow variable propagated. st must have been created by NewState (or
-// have matching backing array lengths).
+// have matching backing array lengths). The runtime propagates the initial
+// state once, on the first call of any of its scratches, and every call
+// copies it; when that propagation fails, every call returns its error and
+// leaves st as it was.
 func (s *Scratch) InitialStateInto(st *State) error {
-	for i := range s.rt.net.Processes {
-		st.Locs[i] = s.rt.net.Processes[i].Initial
+	init, err := s.rt.initial()
+	if err != nil {
+		return err
 	}
-	for i := range s.rt.net.Vars {
-		st.Vals[i] = s.rt.net.Vars[i].Init
+	st.CopyFrom(init)
+	return nil
+}
+
+// buildInitial returns the network's initial configuration with every flow
+// propagated. It runs once per runtime (see Runtime.initial); the state it
+// returns is shared and never written.
+func (rt *Runtime) buildInitial() (*State, error) {
+	st := rt.NewState()
+	for i := range rt.net.Processes {
+		st.Locs[i] = rt.net.Processes[i].Initial
 	}
-	st.Time = 0
-	s.env.st = st
-	return s.rt.propagateFlowsEnv(&s.env)
+	for i := range rt.net.Vars {
+		st.Vals[i] = rt.net.Vars[i].Init
+	}
+	return &st, rt.propagateFlowsEnv(&env{rt: rt, st: &st})
 }
 
 // MaxDelay returns the largest delay permitted by all location invariants
@@ -459,12 +465,13 @@ func (s *Scratch) EnabledAt(st *State, m *Move) (bool, error) {
 }
 
 // AdvanceInto writes the state after letting d time units pass from src
-// into out, which must not alias src: timed variables move along their
-// trajectories, the flows downstream of them are recomputed, and Time
-// increases. It does not check invariants; callers bound d by MaxDelay.
-// src must come from the runtime (InitialStateInto, AdvanceInto or
-// ApplyInto) or be an exact copy of such a state, so its flows are
-// consistent: flows that read no timed variable keep src's values.
+// into out, which must not alias src: timed variables with a nonzero rate
+// move along their trajectories, Time increases, and a flow is recomputed
+// only when one of its inputs changed value (see buildDirtySets). It does
+// not check invariants; callers bound d by MaxDelay. src must come from the
+// runtime (InitialStateInto, AdvanceInto or ApplyInto) or be an exact copy
+// of such a state, so its flows are consistent: every flow that is not
+// recomputed keeps src's value.
 func (s *Scratch) AdvanceInto(out, src *State, d float64) error {
 	return s.rt.advanceInto(out, src, &s.env, d)
 }
@@ -472,9 +479,11 @@ func (s *Scratch) AdvanceInto(out, src *State, d float64) error {
 // ApplyInto writes the successor of firing m from src (whose guards are
 // assumed enabled) into out, which must not alias src. Effects of the
 // participating processes apply sequentially in ascending process order;
-// afterwards the flows downstream of the written variables are recomputed.
-// Like AdvanceInto, it requires src to come from the runtime: every other
-// flow keeps src's value.
+// afterwards a flow is recomputed only when one of its inputs changed
+// value: a variable an effect wrote to a value not bit-identical to the one
+// it held, or a flow recomputed to such a value. Like AdvanceInto, it
+// requires src to come from the runtime: every other flow keeps src's
+// value.
 func (s *Scratch) ApplyInto(out, src *State, m *Move) error {
 	return s.rt.applyInto(out, src, m, &s.env)
 }
@@ -605,19 +614,12 @@ func (rt *Runtime) advanceInto(out, src *State, e *env, d float64) error {
 		}
 		if rate != 0 {
 			out.Vals[tv.id] = expr.RealVal(src.Vals[tv.id].Real() + rate*d)
+			e.pending.union(rt.readers[tv.id])
 		}
 	}
 	out.Time += d
 	e.st = out
-	for w, word := range rt.timedFlows {
-		if err := rt.evalFlows(e, w, word); err != nil {
-			return err
-		}
-	}
-	if rt.stepHook != nil {
-		return rt.stepHook(out)
-	}
-	return nil
+	return rt.propagate(e)
 }
 
 // applyInto implements Scratch.ApplyInto. out must not alias src; e is
@@ -625,6 +627,17 @@ func (rt *Runtime) advanceInto(out, src *State, e *env, d float64) error {
 func (rt *Runtime) applyInto(out, src *State, m *Move, e *env) error {
 	out.CopyFrom(src)
 	e.st = out
+	if err := rt.applyEffects(e, m); err != nil {
+		clear(e.pending)
+		return err
+	}
+	return rt.propagate(e)
+}
+
+// applyEffects runs the effects of m's parts on e.st, sequentially in part
+// order, moves each part to its target location, and adds to e.pending the
+// readers of every variable an effect changes.
+func (rt *Runtime) applyEffects(e *env, m *Move) error {
 	for _, part := range m.Parts {
 		p := rt.net.Processes[part.Proc]
 		tr := &p.Transitions[part.Trans]
@@ -643,68 +656,74 @@ func (rt *Runtime) applyInto(out, src *State, m *Move, e *env) error {
 				return Internal(fmt.Errorf("network: effect %s := %s violates type %s of %s",
 					as.Name, val, decl.Type, decl.Name))
 			}
-			out.Vals[as.Var] = val
+			if !val.Identical(e.st.Vals[as.Var]) {
+				e.st.Vals[as.Var] = val
+				e.pending.union(rt.readers[as.Var])
+			}
 		}
-		out.Locs[part.Proc] = tr.To
-	}
-	// Recompute the union of the parts' dirty sets, one word at a time.
-	for w := 0; w < rt.flowWords(); w++ {
-		var word uint64
-		for _, part := range m.Parts {
-			word |= rt.procProgs[part.Proc].trans[part.Trans].dirty[w]
-		}
-		if err := rt.evalFlows(e, w, word); err != nil {
-			return err
-		}
-	}
-	if rt.stepHook != nil {
-		return rt.stepHook(out)
+		e.st.Locs[part.Proc] = tr.To
 	}
 	return nil
 }
 
-// flowWords is the length of every flow set of the runtime.
-func (rt *Runtime) flowWords() int { return len(rt.timedFlows) }
+// propagate recomputes the pending flows of e.st in ascending (topological)
+// order and leaves e.pending empty, also when it fails. A recomputed flow
+// whose value is not bit-identical to the one the state held adds its
+// readers, which come after it in that order, so one pass settles every
+// flow. The step hook sees the result.
+func (rt *Runtime) propagate(e *env) error {
+	p := e.pending
+	for w := range p {
+		for p[w] != 0 {
+			b := bits.TrailingZeros64(p[w])
+			p[w] &^= 1 << b
+			i := w<<6 | b
+			changed, err := rt.evalFlow(e, i)
+			if err != nil {
+				clear(p)
+				return err
+			}
+			if changed {
+				p.union(rt.readers[rt.flowProgs[i].id])
+			}
+		}
+	}
+	if rt.stepHook != nil {
+		return rt.stepHook(e.st)
+	}
+	return nil
+}
 
 // propagateFlowsEnv recomputes every flow variable of e.st in dependency
 // order through the compiled flow programs.
 func (rt *Runtime) propagateFlowsEnv(e *env) error {
 	for i := range rt.flowProgs {
-		if err := rt.evalFlow(e, i); err != nil {
+		if _, err := rt.evalFlow(e, i); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// evalFlows recomputes the flows whose bits are set in word, the w-th word
-// of a flow set, in ascending (topological) order.
-func (rt *Runtime) evalFlows(e *env, w int, word uint64) error {
-	for word != 0 {
-		if err := rt.evalFlow(e, w<<6|bits.TrailingZeros64(word)); err != nil {
-			return err
-		}
-		word &= word - 1
 	}
 	return nil
 }
 
 // evalFlow recomputes flow i of flowProgs in e.st, coercing an integer
-// result of a real flow and checking it against the declared type.
-func (rt *Runtime) evalFlow(e *env, i int) error {
+// result of a real flow and checking it against the declared type, and
+// reports whether the value it stores is not bit-identical to the one it
+// replaces.
+func (rt *Runtime) evalFlow(e *env, i int) (changed bool, err error) {
 	fp := &rt.flowProgs[i]
 	decl := &rt.net.Vars[fp.id]
 	val, err := fp.code(e)
 	if err != nil {
-		return Internal(fmt.Errorf("network: evaluating flow %s: %w", decl.Name, err))
+		return false, Internal(fmt.Errorf("network: evaluating flow %s: %w", decl.Name, err))
 	}
 	if decl.Type.Kind == expr.KindReal && val.Kind() == expr.KindInt {
 		val = expr.RealVal(val.AsFloat())
 	}
 	if !decl.Type.Admits(val) {
-		return Internal(fmt.Errorf("network: flow %s value %s violates type %s",
+		return false, Internal(fmt.Errorf("network: flow %s value %s violates type %s",
 			decl.Name, val, decl.Type))
 	}
+	changed = !val.Identical(e.st.Vals[fp.id])
 	e.st.Vals[fp.id] = val
-	return nil
+	return changed, nil
 }

@@ -243,3 +243,50 @@ func oracleMask(rt *network.Runtime) [][]bool {
 	}
 	return mask
 }
+
+// TestLauncherFlowRuns counts the flow programs the recoverable launcher
+// runs. The initial state is propagated once per runtime: the first
+// InitialStateInto runs every flow and later calls, from any scratch, run
+// none. A delay from it changes only the two PCDU energy levels, whose
+// direct readers are the two power@nom flows; their values stay true, so
+// the delay runs exactly those two, not the 51 flows downstream of energy.
+func TestLauncherFlowRuns(t *testing.T) {
+	src, err := casestudy.Launcher(casestudy.DefaultLauncher(casestudy.FaultsRecoverable))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, _ := loadCorpusModel(t, corpusModel{"launcher", src, casestudy.LauncherGoal, 1000})
+	runs := rt.CountFlowRuns()
+	flows := 0
+	for _, d := range rt.Net().Vars {
+		if d.Flow {
+			flows++
+		}
+	}
+	sc := rt.NewScratch()
+	init, nxt := rt.NewState(), rt.NewState()
+	if err := sc.InitialStateInto(&init); err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Load(); got != int64(flows) {
+		t.Fatalf("first InitialStateInto ran %d flow programs, want all %d", got, flows)
+	}
+	for _, s := range []*network.Scratch{sc, rt.NewScratch()} {
+		if err := s.InitialStateInto(&nxt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := runs.Load() - int64(flows); got != 0 {
+		t.Fatalf("later InitialStateInto calls ran %d flow programs, want 0", got)
+	}
+	runs.Store(0)
+	if err := sc.AdvanceInto(&nxt, &init, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Load(); got != 2 {
+		t.Errorf("a delay from the initial state ran %d flow programs, want 2", got)
+	}
+	if err := rt.CheckFlows(&nxt); err != nil {
+		t.Error(err)
+	}
+}

@@ -2,14 +2,13 @@ package network
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"slimsim/internal/expr"
 )
 
 // CheckFlows re-propagates every flow of a copy of st and reports the first
-// variable whose bits differ from st's: the oracle dirty-flow propagation
+// variable whose bits differ from st's: the oracle change-driven propagation
 // must match. st itself is left untouched.
 func (rt *Runtime) CheckFlows(st *State) error {
 	full := st.Clone()
@@ -17,7 +16,7 @@ func (rt *Runtime) CheckFlows(st *State) error {
 		return fmt.Errorf("full propagation: %w", err)
 	}
 	for i := range st.Vals {
-		if !sameBits(st.Vals[i], full.Vals[i]) {
+		if !st.Vals[i].Identical(full.Vals[i]) {
 			return fmt.Errorf("flow %s holds %s, full propagation gives %s (state %s)",
 				rt.net.Vars[i].Name, st.Vals[i], full.Vals[i], st.Key())
 		}
@@ -37,21 +36,20 @@ func (rt *Runtime) CheckFlowsOnEveryStep() *atomic.Int64 {
 	return n
 }
 
-// sameBits reports whether a and b are the same value bit for bit: a real
-// compares by its IEEE-754 bits, so −0 differs from 0.
-func sameBits(a, b expr.Value) bool {
-	if a.Kind() != b.Kind() {
-		return false
+// CountFlowRuns wraps every flow program of rt so that it counts its runs,
+// and returns the counter; it is safe to read while several goroutines step
+// the runtime. Call it before the runtime's first InitialStateInto to count
+// the initial propagation too.
+func (rt *Runtime) CountFlowRuns() *atomic.Int64 {
+	n := new(atomic.Int64)
+	for i := range rt.flowProgs {
+		code := rt.flowProgs[i].code
+		rt.flowProgs[i].code = func(e expr.Env) (expr.Value, error) {
+			n.Add(1)
+			return code(e)
+		}
 	}
-	switch a.Kind() {
-	case expr.KindBool:
-		return a.Bool() == b.Bool()
-	case expr.KindInt:
-		return a.Int() == b.Int()
-	case expr.KindReal:
-		return math.Float64bits(a.Real()) == math.Float64bits(b.Real())
-	}
-	return true
+	return n
 }
 
 // checkGuardCache compares every valid bit of c with a fresh run of its

@@ -21,18 +21,18 @@ type Runtime struct {
 
 	// Compiled evaluation programs (see compiled.go): flows in flowOrder,
 	// per-VarID flow rate codes, per-process invariant/guard/effect codes
-	// and the precomputed non-flow timed variables for AdvanceInto, with the
-	// flows downstream of them (the only flows a delay can change). timed
-	// marks both per VarID (see Timed), and bounding lists the processes
-	// with an urgent location or an invariant, the only ones that can bound
-	// a delay.
-	flowProgs  []flowProg
-	flowRate   []expr.AffineCode
-	procProgs  []procProg
-	timedVars  []timedVar
-	timedFlows bitset
-	timed      []bool
-	bounding   []int
+	// and the precomputed non-flow timed variables for AdvanceInto. readers
+	// holds per VarID the flows that read the variable directly (see
+	// buildDirtySets). timed marks per VarID the variables a delay can
+	// change (see Timed), and bounding lists the processes with an urgent
+	// location or an invariant, the only ones that can bound a delay.
+	flowProgs []flowProg
+	flowRate  []expr.AffineCode
+	procProgs []procProg
+	timedVars []timedVar
+	readers   []bitset
+	timed     []bool
+	bounding  []int
 	// cachedGuards counts the time-invariant guards a GuardCache
 	// remembers (see buildGuardSets).
 	cachedGuards int
@@ -44,14 +44,16 @@ type Runtime struct {
 
 	// moves holds the candidate moves per process location (see
 	// moves.go). labels returns the per-transition trace labels, built on
-	// the first call; labelsBuilt records that call.
+	// the first call; labelsBuilt records that call. initial returns the
+	// propagated initial state, built on the first call (see buildInitial).
 	moves       moveTables
 	labels      func() [][]string
 	labelsBuilt atomic.Bool
+	initial     func() (*State, error)
 
 	// stepHook, when non-nil, sees every successor applyInto and
 	// advanceInto write, and its error fails the step. Only tests set it,
-	// to hold dirty-flow propagation against full propagation.
+	// to hold change-driven propagation against full propagation.
 	stepHook func(*State) error
 	// guardHook, when non-nil, sees the cache and the state of every
 	// cached window evaluation, and its error fails the evaluation. Only
@@ -72,6 +74,7 @@ func New(net *sta.Network) (*Runtime, error) {
 		contRates: make([]*contRate, len(net.Vars)),
 	}
 	rt.labels = sync.OnceValue(rt.buildLabels)
+	rt.initial = sync.OnceValues(rt.buildInitial)
 	for pi, p := range net.Processes {
 		// Build the outgoing-transition index now, while construction is
 		// still single-threaded: the lazy build in sta.Outgoing races when
@@ -285,10 +288,11 @@ func (rt *Runtime) UrgentNow(st *State) bool {
 // prefixBound returns the largest D such that [0, D] ⊆ w (or [0, D) if the
 // component is right-open). ok is false when 0 ∉ w.
 func prefixBound(w intervals.Set) (d float64, attained, ok bool) {
-	for _, iv := range w.Intervals() {
+	w.Each(func(iv intervals.Interval) bool {
 		if iv.Contains(0) {
-			return iv.Hi, !iv.HiOpen && !math.IsInf(iv.Hi, 1), true
+			d, attained, ok = iv.Hi, !iv.HiOpen && !math.IsInf(iv.Hi, 1), true
 		}
-	}
-	return 0, false, false
+		return !ok && iv.Lo <= 0
+	})
+	return d, attained, ok
 }

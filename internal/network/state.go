@@ -73,10 +73,13 @@ func (s *State) AppendKey(buf []byte) []byte {
 	return buf
 }
 
-// env adapts a State to expr.Env / expr.RateEnv for a given runtime.
+// env adapts a State to expr.Env / expr.RateEnv for a given runtime. A
+// Scratch's env also holds pending, the flows its current step still has to
+// recompute (see Runtime.propagate); it is empty between steps.
 type env struct {
-	rt *Runtime
-	st *State
+	rt      *Runtime
+	st      *State
+	pending bitset
 }
 
 var _ expr.RateEnv = (*env)(nil)

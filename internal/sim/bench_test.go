@@ -177,6 +177,29 @@ func sensorFilterConfig(tb testing.TB, n int) (*network.Runtime, Config) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return compileConfig(tb, src, casestudy.SensorFilterGoal, sensorFilterBound, strategy.ASAP{})
+}
+
+// launcherBounds are the time bounds of the committed Fig. 5 sweep.
+var launcherBounds = []float64{200, 400, 600, 800, 1000, 1200}
+
+// launcherConfig compiles the Fig. 5 launcher with recoverable faults and
+// returns its runtime with the Fig. 5 property under strat: P(control of
+// the thrusters is lost within the sweep horizon). 51 of its 57 flows lie
+// downstream of the two PCDU batteries' continuous energy levels.
+func launcherConfig(tb testing.TB, strat strategy.Strategy) (*network.Runtime, Config) {
+	tb.Helper()
+	src, err := casestudy.Launcher(casestudy.DefaultLauncher(casestudy.FaultsRecoverable))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return compileConfig(tb, src, casestudy.LauncherGoal, launcherBounds[len(launcherBounds)-1], strat)
+}
+
+// compileConfig compiles a SLIM model and returns its runtime with the
+// property P(goal within bound) under strat.
+func compileConfig(tb testing.TB, src, goalSrc string, bound float64, strat strategy.Strategy) (*network.Runtime, Config) {
+	tb.Helper()
 	m, err := slim.Parse(src)
 	if err != nil {
 		tb.Fatal(err)
@@ -189,11 +212,11 @@ func sensorFilterConfig(tb testing.TB, n int) (*network.Runtime, Config) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	goal, err := b.CompileExpr(casestudy.SensorFilterGoal)
+	goal, err := b.CompileExpr(goalSrc)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return rt, Config{Strategy: strategy.ASAP{}, Property: prop.Reach(sensorFilterBound, goal)}
+	return rt, Config{Strategy: strat, Property: prop.Reach(bound, goal)}
 }
 
 // BenchmarkAnalyzeSensorFilter measures one Table I simulator query
@@ -365,5 +388,100 @@ func TestNoObserverRendersNoLabels(t *testing.T) {
 		case obs != nil && !built:
 			t.Error("sampling with an observer built no label table")
 		}
+	}
+}
+
+// launcherStepAllocBudget gates the allocations of a warm recoverable
+// launcher step, averaged over the four strategies. Measured 9.75 (Go 1.24,
+// linux/amd64: 9 under asap, local and maxtime, 12 under progressive); the
+// budget leaves ~30% headroom. What remains are the interval sets of clock
+// guard windows and their intersections.
+const launcherStepAllocBudget = 12.5
+
+// TestLauncherStepAllocs gates the timed step path: on the launcher every
+// delay moves two continuous variables and most steps evaluate clock guard
+// windows and an invariant bound. Once the arena has warmed up, steps run
+// under each Fig. 5 strategy, and a path that ends restarts from the
+// initial state, as samplePath would.
+func TestLauncherStepAllocs(t *testing.T) {
+	total := 0.0
+	for _, name := range []string{"asap", "progressive", "local", "maxtime"} {
+		strat, err := strategy.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, cfg := launcherConfig(t, strat)
+		eng, err := NewEngine(rt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := eng.newScratch()
+		cur, nxt := &ps.stA, &ps.stB
+		src := rng.New(7)
+		var res PathResult
+		step := func() {
+			v, newCur, err := eng.step(ps, cur, nxt, src, &res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if newCur != cur {
+				cur, nxt = newCur, cur
+			}
+			if v != prop.Undecided {
+				if err := ps.net.InitialStateInto(cur); err != nil {
+					t.Fatal(err)
+				}
+				ps.guards.Reset()
+				res = PathResult{}
+			}
+		}
+		if err := ps.net.InitialStateInto(cur); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 256; i++ {
+			step()
+		}
+		avg := testing.AllocsPerRun(1000, step)
+		t.Logf("%s: %.3f allocs per step", name, avg)
+		total += avg
+	}
+	if avg := total / 4; avg > launcherStepAllocBudget {
+		t.Errorf("a warm launcher step allocates %.2f objects on average over the strategies, budget %.1f", avg, launcherStepAllocBudget)
+	}
+}
+
+// BenchmarkAnalyzeLauncher measures one Fig. 5 sweep per strategy on the
+// recoverable launcher (ε=0.06, δ=0.05, the loose class of the perfbench
+// launcher-sweep workload) end to end through AnalyzeSweep, with 1 and 2
+// workers. Unlike the sensor filter, the launcher's delays move continuous
+// variables that most of its flows read. Every op builds fresh engines, so
+// a real query's arena warm-up is included.
+func BenchmarkAnalyzeLauncher(b *testing.B) {
+	rt, cfg := launcherConfig(b, nil) // the strategy is set per sweep
+	var strategies []strategy.Strategy
+	for _, name := range []string{"asap", "progressive", "local", "maxtime"} {
+		strat, err := strategy.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		strategies = append(strategies, strat)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, strat := range strategies {
+					cfg.Strategy = strat
+					if _, err := AnalyzeSweep(rt, AnalysisConfig{
+						Config:  cfg,
+						Params:  stats.Params{Delta: 0.05, Epsilon: 0.06},
+						Workers: workers,
+						Seed:    uint64(i + 1),
+					}, launcherBounds); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

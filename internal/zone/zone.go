@@ -254,14 +254,15 @@ type analyzer struct {
 // components ending now are already past — the engine's strict bound
 // excludes the endpoint. Open-at-zero components are the engine's ε-nudge
 // case, fired here at the infimum exactly.
-func fireableNow(w intervals.Set) bool {
-	for _, iv := range w.Intervals() {
+func fireableNow(w intervals.Set) (fire bool) {
+	w.Each(func(iv intervals.Interval) bool {
 		if iv.Hi < -timeEps || (iv.HiOpen && iv.Hi <= timeEps) {
-			continue
+			return true
 		}
-		return iv.Lo <= timeEps
-	}
-	return false
+		fire = iv.Lo <= timeEps
+		return false
+	})
+	return fire
 }
 
 // delayClip mirrors sim's invariant clip: the delays the invariants allow.
@@ -446,10 +447,11 @@ func (a *analyzer) candWindows(c *closure, st *network.State) error {
 		if err != nil {
 			return err
 		}
-		for _, iv := range w.Intervals() {
+		w.Each(func(iv intervals.Interval) bool {
 			c.addCand(iv.Lo)
 			c.addCand(iv.Hi)
-		}
+			return true
+		})
 	}
 	return nil
 }
