@@ -18,10 +18,13 @@ vet: nopanic
 # nopanic is the repo-local vet pass: no new panic calls in the packages
 # that run inside sampling workers (see tools/analyzers/nopanic), nor in
 # the daemon's front end (parse, instantiate, abstract interpretation,
-# lint, request handling): nothing recovers, so one panicking request
-# would take slimserve down.
+# lint, request handling), nor in the exact back ends (zone, CTMC build,
+# lumping, symmetry quotient) that serve CheckCTMC and CheckZone queries:
+# nothing recovers, so one panicking request would take slimserve down.
+# internal/expr stays out: its Value accessors panic on a kind mismatch on
+# purpose (TestValuePanics).
 nopanic:
-	$(GO) run ./tools/analyzers/nopanic internal/rng internal/stats internal/network internal/sim internal/strategy internal/splitting internal/prop internal/intervals internal/lint internal/absint internal/model internal/slim internal/serve
+	$(GO) run ./tools/analyzers/nopanic internal/rng internal/stats internal/network internal/sim internal/strategy internal/splitting internal/prop internal/intervals internal/lint internal/absint internal/model internal/slim internal/serve internal/zone internal/ctmc internal/bisim internal/symmetry
 
 # staticcheck / vulncheck run the external Go analyzers when they are on
 # PATH and degrade to a notice when they are not: nothing is installed on

@@ -134,7 +134,7 @@ func (r *Result) evalInitial(goal expr.Expr) (bool, bool) {
 	if err := sc.InitialStateInto(&st); err != nil {
 		return false, false
 	}
-	v, err := expr.EvalBool(goal, sc.Env(&st))
+	v, err := expr.CompileBool(goal)(sc.Env(&st))
 	if err != nil {
 		return false, false
 	}

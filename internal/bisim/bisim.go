@@ -172,10 +172,16 @@ type sigEntry struct {
 
 // quantize rounds r to 40 significant mantissa bits. Signatures compare
 // rates at this relative precision so that ulp-level noise from edge
-// ordering cannot split bisimilar states.
+// ordering cannot split bisimilar states. A mantissa just below 1 can round
+// up to 2^40; it is renormalized to the form the next power of two takes
+// (4-ε and 4 must quantize equal).
 func quantize(r float64) (int64, int) {
 	mant, exp := math.Frexp(r)
-	return int64(math.Round(mant * (1 << 40))), exp
+	m := int64(math.Round(mant * (1 << 40)))
+	if m == 1<<40 || m == -(1<<40) {
+		return m / 2, exp + 1
+	}
+	return m, exp
 }
 
 // FNV-1a constants, applied word-wise rather than byte-wise: the mix only

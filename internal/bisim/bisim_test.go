@@ -181,3 +181,31 @@ func TestLumpEmptyChainRejected(t *testing.T) {
 		t.Error("expected error for empty chain")
 	}
 }
+
+// TestQuantizeCarriesAtPowerOfTwo pins the carry of quantize's rounding: a
+// sum that lands one ulp below a power of two must quantize like the power
+// itself, or summing the same rates in another order splits bisimilar
+// states.
+func TestQuantizeCarriesAtPowerOfTwo(t *testing.T) {
+	// Summed at run time: Go folds constant expressions exactly.
+	sum := func(rates ...float64) float64 {
+		acc := 0.0
+		for _, r := range rates {
+			acc += r
+		}
+		return acc
+	}
+	below := sum(0.8, 1.5, 0.8, 0.9) // 3.9999999999999996
+	exact := sum(0.9, 0.8, 1.5, 0.8) // 4
+	if below == exact {
+		t.Fatalf("sums %v and %v should differ in the last ulp", below, exact)
+	}
+	bm, be := quantize(below)
+	em, ee := quantize(exact)
+	if bm != em || be != ee {
+		t.Errorf("quantize(%v) = (%d, %d), quantize(%v) = (%d, %d); want equal", below, bm, be, exact, em, ee)
+	}
+	if em != 1<<39 || ee != 3 {
+		t.Errorf("quantize(4) = (%d, %d), want (%d, 3)", em, ee, int64(1)<<39)
+	}
+}

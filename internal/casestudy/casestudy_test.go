@@ -7,6 +7,7 @@ import (
 
 	"slimsim/internal/bisim"
 	"slimsim/internal/ctmc"
+	"slimsim/internal/expr"
 	"slimsim/internal/model"
 	"slimsim/internal/network"
 	"slimsim/internal/prop"
@@ -133,7 +134,7 @@ func TestLauncherGenerates(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Initially everything is healthy: both thrusters powered.
-		v, err := goal.Eval(sc.Env(&st))
+		v, err := expr.Compile(goal)(sc.Env(&st))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -139,12 +139,12 @@ type Discrepancy struct {
 	// reproduces it.
 	Class modelgen.Class
 	Seed  uint64
-	// Oracle names the oracle that failed: load, lint, roundtrip,
+	// Oracle names the oracle that failed: load, lint, roundtrip, goal,
 	// absint, strategies, exact, zone, splitting, symmetry, engine or
-	// simulate. engine means an internal engine invariant tripped
+	// simulate. goal means the property's goal does not resolve against
+	// the loaded model; engine means an internal engine invariant tripped
 	// (slimsim.ErrEngine), whichever check hit it; simulate means the
-	// timed-class run failed with an ordinary error, such as a goal that
-	// no longer compiles.
+	// timed-class run failed with an ordinary error.
 	Oracle string
 	// Detail describes the disagreement.
 	Detail string
@@ -195,6 +195,12 @@ func Check(g *modelgen.Generated) *Discrepancy {
 	m, err := slimsim.LoadModel(g.Source)
 	if err != nil {
 		return fail("load", "lint-clean model fails to load: %v", err)
+	}
+	// Resolve the goal before any oracle runs, so a model that lost the
+	// goal's variables fails here under one name, not under whichever
+	// oracle happens to compile the goal first.
+	if _, err := m.CompileProperty(opts(g, "", 0)); err != nil {
+		return fail("goal", "goal %q: %v", g.Goal, err)
 	}
 	if d := checkAbsint(g, m, fail); d != nil {
 		return d
@@ -270,10 +276,7 @@ func checkAbsint(g *modelgen.Generated, m *slimsim.Model, fail failf) *Discrepan
 	if g.KnownVerdict {
 		rep, err := m.CheckStatic(opts(g, "", 0))
 		if err != nil {
-			// A goal that no longer compiles is a load-level defect, not
-			// an absint one — keeping the oracles distinct stops the
-			// shrinker from drifting into models without the goal.
-			return fail("load", "CheckStatic: %v", err)
+			return fail("goal", "CheckStatic: %v", err)
 		}
 		if rep.Decided {
 			want := 0.0

@@ -4,11 +4,12 @@
 // drop a subcomponent with everything referencing it, drop an extension, a
 // connection, a mode, a transition, an effect, clear a guard or an
 // invariant — applied largest-first and restarted after every success
-// until a fixed point (or the attempt budget) is reached. Because a
-// candidate only survives when Check reports the *same* oracle, shrinking
-// cannot drift into trivially broken models: a reduction that breaks the
-// goal reference or introduces lint noise changes the failing oracle and
-// is rejected.
+// until a fixed point (or the attempt budget) is reached. A candidate only
+// survives when Check reports the *same* oracle, and Check resolves the
+// goal before any oracle that compiles it: a reduction that deletes a
+// variable the goal names fails under the goal oracle, one that introduces
+// lint noise fails under lint, and either is rejected. So shrinking cannot
+// drift into trivially broken models, whichever oracle it started from.
 package difftest
 
 import (

@@ -128,7 +128,7 @@ func TestShrinkNewShapes(t *testing.T) {
 // failure: a generated continuous ramp that trips "invariant violated" under
 // the maxtime strategy. Shrinking may only accept candidates that still fail
 // with slimsim.ErrEngine; a candidate that deleted the goal's component
-// fails with an ordinary error under the simulate oracle and is rejected.
+// fails under the goal oracle and is rejected.
 func TestShrinkKeepsEngineFailure(t *testing.T) {
 	g, err := modelgen.Generate(modelgen.Timed, 1792291155031506312)
 	if err != nil {
@@ -144,5 +144,49 @@ func TestShrinkKeepsEngineFailure(t *testing.T) {
 	}
 	if len(shrunk.Source) > len(d.Source) {
 		t.Fatalf("shrinking grew the model: %d -> %d bytes", len(d.Source), len(shrunk.Source))
+	}
+}
+
+// TestShrinkKeepsGoalComponent pins the goal oracle on the shrinker: a
+// discrepancy whose goal names a droppable component must shrink to a
+// model that keeps that component and fails with the original message.
+// Check resolves the goal before the exact oracle runs, so a candidate
+// that drops the component fails under the goal oracle and is rejected,
+// rather than failing CheckCTMC under the exact oracle and being accepted.
+func TestShrinkKeepsGoalComponent(t *testing.T) {
+	const notRare = "rare-event model is not rare"
+	g, err := modelgen.Generate(modelgen.Markovian, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Checked as a rare-event model, a Markovian model with a likely goal
+	// fails the exact oracle's rarity check: a stable discrepancy that
+	// every reduction keeping the goal's component can preserve.
+	g.Class = modelgen.RareEvent
+	comp, _, ok := strings.Cut(g.Goal, ".")
+	if !ok {
+		t.Fatalf("goal %q names no component", g.Goal)
+	}
+	d := Check(g)
+	if d == nil || d.Oracle != "exact" || !strings.HasPrefix(d.Detail, notRare) {
+		t.Fatalf("Check = %v, want the exact oracle's %q", d, notRare)
+	}
+	shrunk := Shrink(d)
+	if shrunk.Oracle != "exact" || !strings.HasPrefix(shrunk.Detail, notRare) {
+		t.Fatalf("shrunk reproducer fails %s with %q, want exact with %q", shrunk.Oracle, shrunk.Detail, notRare)
+	}
+	if len(shrunk.Source) >= len(d.Source) {
+		t.Fatalf("nothing shrank: %d -> %d bytes", len(d.Source), len(shrunk.Source))
+	}
+	parsed, err := slim.Parse(shrunk.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := false
+	for _, s := range parsed.ComponentImpls[parsed.Root].Subcomponents {
+		kept = kept || s.Name == comp
+	}
+	if !kept {
+		t.Fatalf("shrinking dropped the goal's component %s:\n%s", comp, shrunk.Source)
 	}
 }

@@ -45,12 +45,12 @@ func TestEvalAffine(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := EvalAffine(tt.e, env, env.timed)
+			got, err := CompileAffine(tt.e, env.timed)(env)
 			if err != nil {
-				t.Fatalf("EvalAffine: %v", err)
+				t.Fatalf("CompileAffine: %v", err)
 			}
 			if got != tt.want {
-				t.Errorf("EvalAffine = %+v, want %+v", got, tt.want)
+				t.Errorf("CompileAffine = %+v, want %+v", got, tt.want)
 			}
 		})
 	}
@@ -66,8 +66,8 @@ func TestEvalAffineRejectsNonLinear(t *testing.T) {
 		b,
 		Not(b),
 	} {
-		if _, err := EvalAffine(e, env, env.timed); err == nil {
-			t.Errorf("EvalAffine(%s) should fail", e)
+		if _, err := CompileAffine(e, env.timed)(env); err == nil {
+			t.Errorf("CompileAffine(%s) should fail", e)
 		}
 	}
 }
@@ -99,9 +99,9 @@ func TestWindowComparisons(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			set, err := Window(tt.e, env, env.timed)
+			set, err := CompileWindow(tt.e, env.timed)(env)
 			if err != nil {
-				t.Fatalf("Window: %v", err)
+				t.Fatalf("CompileWindow: %v", err)
 			}
 			for _, d := range tt.in {
 				if !set.Contains(d) {
@@ -120,24 +120,24 @@ func TestWindowComparisons(t *testing.T) {
 func TestWindowBooleanConstants(t *testing.T) {
 	env := affEnv()
 	b := Var("b", 3)
-	set, err := Window(b, env, env.timed)
+	set, err := CompileWindow(b, env.timed)(env)
 	if err != nil {
-		t.Fatalf("Window: %v", err)
+		t.Fatalf("CompileWindow: %v", err)
 	}
 	if !set.Equal(intervals.FullSet()) {
 		t.Errorf("window of true bool var = %v, want full set", set)
 	}
-	set, err = Window(Not(b), env, env.timed)
+	set, err = CompileWindow(Not(b), env.timed)(env)
 	if err != nil {
-		t.Fatalf("Window: %v", err)
+		t.Fatalf("CompileWindow: %v", err)
 	}
 	if !set.Empty() {
 		t.Errorf("window of negated true bool = %v, want empty", set)
 	}
 	// Boolean equality with a literal.
-	set, err = Window(Bin(OpEq, b, False()), env, env.timed)
+	set, err = CompileWindow(Bin(OpEq, b, False()), env.timed)(env)
 	if err != nil {
-		t.Fatalf("Window: %v", err)
+		t.Fatalf("CompileWindow: %v", err)
 	}
 	if !set.Empty() {
 		t.Errorf("window of b = false with b true = %v, want empty", set)
@@ -147,23 +147,23 @@ func TestWindowBooleanConstants(t *testing.T) {
 func TestWindowConstantComparison(t *testing.T) {
 	env := affEnv()
 	n := Var("n", 2) // constant 3
-	set, err := Window(Bin(OpLt, n, Literal(IntVal(5))), env, env.timed)
+	set, err := CompileWindow(Bin(OpLt, n, Literal(IntVal(5))), env.timed)(env)
 	if err != nil {
-		t.Fatalf("Window: %v", err)
+		t.Fatalf("CompileWindow: %v", err)
 	}
 	if !set.Equal(intervals.FullSet()) {
 		t.Errorf("constant-true comparison window = %v, want full", set)
 	}
-	set, err = Window(Bin(OpGt, n, Literal(IntVal(5))), env, env.timed)
+	set, err = CompileWindow(Bin(OpGt, n, Literal(IntVal(5))), env.timed)(env)
 	if err != nil {
-		t.Fatalf("Window: %v", err)
+		t.Fatalf("CompileWindow: %v", err)
 	}
 	if !set.Empty() {
 		t.Errorf("constant-false comparison window = %v, want empty", set)
 	}
 }
 
-// TestQuickWindowAgreesWithPointEval cross-validates Window against direct
+// TestQuickWindowAgreesWithPointEval cross-validates CompileWindow against direct
 // evaluation with manually advanced variable values at random delays.
 func TestQuickWindowAgreesWithPointEval(t *testing.T) {
 	x, v, n := Var("x", 0), Var("v", 1), Var("n", 2)
@@ -190,7 +190,7 @@ func TestQuickWindowAgreesWithPointEval(t *testing.T) {
 			},
 		}
 		e := exprs[r.Intn(len(exprs))]
-		set, err := Window(e, env, env.timed)
+		set, err := CompileWindow(e, env.timed)(env)
 		if err != nil {
 			return false
 		}
@@ -202,7 +202,7 @@ func TestQuickWindowAgreesWithPointEval(t *testing.T) {
 				1: RealVal(env.vals[1].Real() + d*env.rates[1]),
 				2: env.vals[2],
 			}}
-			want, err := EvalBool(e, adv)
+			want, err := CompileBool(e)(adv)
 			if err != nil {
 				return false
 			}
@@ -259,9 +259,9 @@ func TestWindowValueSemantics(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := Window(tt.e, env, env.timed)
+			got, err := refWindow(tt.e, env, env.timed)
 			if err != nil || !got.Equal(tt.want) {
-				t.Errorf("Window = (%v, %v), want %v", got, err, tt.want)
+				t.Errorf("refWindow = (%v, %v), want %v", got, err, tt.want)
 			}
 			got, err = CompileWindow(tt.e, env.timed)(env)
 			if err != nil || !got.Equal(tt.want) {

@@ -173,7 +173,7 @@ func CheckBool(e Expr, decls Decls) error {
 // TimedLinear verifies that every multiplication, division and modulo in e
 // has at most one operand that (transitively) depends on a timed variable,
 // so the expression is affine in the delay. It is a static counterpart of
-// EvalAffine's dynamic check, used during model validation.
+// CompileAffine's dynamic check, used during model validation.
 func TimedLinear(e Expr, decls Decls) error {
 	_, err := timedDeps(e, decls)
 	return err
@@ -232,9 +232,9 @@ func timedDeps(e Expr, decls Decls) (bool, error) {
 			return false, err
 		}
 		// A time-dependent condition makes the value piecewise affine,
-		// which EvalAffine cannot represent; reject it in numeric
-		// contexts. (Window handles it exactly, but TimedLinear guards
-		// the numeric path.)
+		// which CompileAffine cannot represent; reject it in numeric
+		// contexts. (CompileWindow handles it exactly, but TimedLinear
+		// guards the numeric path.)
 		if c && (tb || eb || n.branchesNumeric(decls)) {
 			return false, checkErrf(n, fmt.Sprintf("timed condition in conditional %s", n))
 		}

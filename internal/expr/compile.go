@@ -6,20 +6,27 @@ import (
 	"slimsim/internal/intervals"
 )
 
-// This file implements closure compilation of expression ASTs. Compiling
-// replaces the per-evaluation AST walk — a type switch and interface
-// dispatch at every node — with a tree of closures specialized once, at
-// compile time, per node. Constant subtrees collapse to their value, and
-// the operator dispatch, reference resolution and kind checks that do not
-// depend on the environment are hoisted out of the evaluation path.
+// This file implements closure compilation of expression ASTs, the only
+// way the program evaluates an expression. Compiling replaces a
+// per-evaluation AST walk — a type switch and interface dispatch at every
+// node — with a tree of closures specialized once, at compile time, per
+// node. Constant subtrees collapse to their value, and the operator
+// dispatch, reference resolution and kind checks that do not depend on the
+// environment are hoisted out of the evaluation path.
 //
-// Compiled forms are behaviorally identical to the interpreted ones: the
-// same evaluation order, the same short-circuiting, the same error
-// messages produced at the same points. Constant folding only replaces a
-// subtree whose evaluation succeeds without an environment; a constant
-// subtree that would error (e.g. a division by zero) compiles to the
-// ordinary lazy closure so the error still surfaces exactly when — and
-// only when — evaluation reaches it.
+// The semantics are those of a plain left-to-right tree walk: operands in
+// source order, short-circuit and/or, and each error produced at the point
+// the walk would reach it. reference_test.go keeps such a walk as the
+// tests' oracle, and the compiled forms match it value for value and
+// error for error. Constant folding only replaces a subtree whose
+// evaluation succeeds without an environment; a constant subtree that
+// would error (e.g. a division by zero) compiles to the ordinary lazy
+// closure so the error still surfaces exactly when — and only when —
+// evaluation reaches it.
+//
+// Expr is sealed by its unexported walk method, so the default branches of
+// the type switches below are unreachable; they return the "unsupported
+// node" errors a walk over a foreign node type would report.
 
 // Code is a compiled expression: call it with an environment to evaluate.
 type Code func(env Env) (Value, error)
@@ -27,15 +34,16 @@ type Code func(env Env) (Value, error)
 // BoolCode is a compiled Boolean expression.
 type BoolCode func(env Env) (bool, error)
 
-// AffineCode is a compiled timed numeric expression; it mirrors
-// EvalAffine.
+// AffineCode is a compiled timed numeric expression: it returns the
+// expression's value as an affine function of the delay.
 type AffineCode func(env RateEnv) (Affine, error)
 
-// WindowCode is a compiled timed guard; it mirrors Window.
+// WindowCode is a compiled timed guard: it returns the set of delays at
+// which the guard holds.
 type WindowCode func(env RateEnv) (intervals.Set, error)
 
 // Compile builds the closure form of e. The result is immutable and safe
-// for concurrent use (assuming, like Eval, that e is not mutated).
+// for concurrent use (assuming e is not mutated).
 func Compile(e Expr) Code {
 	code, _ := compile(e)
 	return code
@@ -64,7 +72,9 @@ func compile(e Expr) (Code, bool) {
 	case *Cond:
 		return compileCond(n)
 	default:
-		return func(env Env) (Value, error) { return e.Eval(env) }, false
+		return func(Env) (Value, error) {
+			return Value{}, fmt.Errorf("expr: unsupported node %T", e)
+		}, false
 	}
 }
 
@@ -112,8 +122,7 @@ func compileUnary(n *Unary) (Code, bool) {
 	default:
 		op := n.Op
 		code = func(env Env) (Value, error) {
-			// Match Eval: the operand is evaluated before the operator is
-			// rejected.
+			// The operand is evaluated before the operator is rejected.
 			if _, err := x(env); err != nil {
 				return Value{}, err
 			}
@@ -261,8 +270,8 @@ func isConst(e Expr) bool {
 	return ok
 }
 
-// CompileBool builds the closure form of a Boolean expression, asserting
-// the result kind exactly as EvalBool does.
+// CompileBool builds the closure form of a Boolean expression; a
+// non-Boolean result is an error.
 func CompileBool(e Expr) BoolCode {
 	code, cst := compile(e)
 	if cst {
@@ -283,9 +292,13 @@ func CompileBool(e Expr) BoolCode {
 	}
 }
 
-// CompileAffine builds the closure form of a timed numeric expression,
-// mirroring EvalAffine node for node. A subtree that reads no timed
-// variable compiles through Compile, so it keeps value semantics.
+// CompileAffine builds the closure form of a timed numeric expression: its
+// value as an affine function of the delay d, given current values and
+// rates. A subtree that reads no timed variable compiles through Compile,
+// so it keeps value semantics (see Timed). The program fails if the
+// expression is non-linear in d (the SLIM subset forbids such dynamics) or
+// not numeric. A Cond must have a delay-constant condition here, which
+// TimedLinear enforces statically.
 func CompileAffine(e Expr, timed Timed) AffineCode {
 	if !readsTimed(e, timed) {
 		code, cst := compile(e)
@@ -350,12 +363,21 @@ func CompileAffine(e Expr, timed Timed) AffineCode {
 			return elseC(env)
 		}
 	default:
-		return func(env RateEnv) (Affine, error) { return EvalAffine(e, env, timed) }
+		return func(RateEnv) (Affine, error) {
+			return Affine{}, fmt.Errorf("expr: unsupported node %T in timed context", e)
+		}
 	}
 }
 
-// CompileWindow builds the closure form of a guard, mirroring Window node
-// for node. A subtree that reads no timed variable compiles to one
+// CompileWindow builds the closure form of a guard: its program computes
+// the set of delays d ∈ (-inf, +inf) at which the guard holds, assuming
+// variables evolve with the rates of the environment. The caller
+// intersects the result with [0, maxDelay].
+//
+// Comparisons over timed variables reduce to sign conditions on affine
+// functions; Boolean connectives map to set algebra, and and/or stop at an
+// empty/full left window just as evaluation stops at a false/true left
+// operand. A subtree that reads no timed variable compiles to one
 // CompileBool program whose result selects the shared full or the zero
 // empty set, and the set algebra short-circuits on both, so guards that do
 // not depend on the delay compute their window without allocating.
@@ -394,10 +416,16 @@ func CompileWindow(e Expr, timed Timed) WindowCode {
 	case *Cond:
 		return compileWindowCond(n, timed)
 	default:
-		return func(env RateEnv) (intervals.Set, error) { return Window(e, env, timed) }
+		return func(RateEnv) (intervals.Set, error) {
+			return intervals.Set{}, fmt.Errorf("expr: unsupported node %T in guard", e)
+		}
 	}
 }
 
+// compileWindowCond compiles a Cond used as a guard. A delay-constant
+// condition selects one branch, as evaluation does; a timed one gives
+// (W_if ∩ W_then) ∪ (¬W_if ∩ W_else), which is exact even for
+// time-dependent conditions.
 func compileWindowCond(n *Cond, timed Timed) WindowCode {
 	thenC := CompileWindow(n.Then, timed)
 	elseC := CompileWindow(n.Else, timed)
@@ -468,7 +496,7 @@ func compileWindowBinary(n *Binary, timed Timed) WindowCode {
 		}
 		return func(env RateEnv) (intervals.Set, error) {
 			if lVal != nil {
-				if s, ok, err := tryBoolComparisonCode(op, lVal, rVal, env); err != nil {
+				if s, ok, err := tryBoolComparison(op, lVal, rVal, env); err != nil {
 					return intervals.Set{}, err
 				} else if ok {
 					return s, nil
@@ -492,8 +520,9 @@ func compileWindowBinary(n *Binary, timed Timed) WindowCode {
 	}
 }
 
-// tryBoolComparisonCode is tryBoolComparison over compiled operands.
-func tryBoolComparisonCode(op Op, l, r Code, env Env) (intervals.Set, bool, error) {
+// tryBoolComparison handles = and != over Boolean operands, which are
+// constant during a delay. ok is false when the operands are numeric.
+func tryBoolComparison(op Op, l, r Code, env Env) (intervals.Set, bool, error) {
 	lv, lerr := l(env)
 	rv, rerr := r(env)
 	if lerr != nil || rerr != nil {

@@ -10,7 +10,7 @@ import (
 
 // exprGen builds random expression trees over a small variable pool for
 // equivalence testing. Trees may be ill-typed or divide by zero — exactly
-// the cases where compiled and interpreted evaluation must also agree on
+// the cases where compiled and reference evaluation must also agree on
 // the error.
 func exprGen(r *rng.Source, depth int) Expr {
 	if depth == 0 || r.IntN(4) == 0 {
@@ -64,35 +64,35 @@ func sameErr(a, b error) bool {
 }
 
 // TestCompileAgreesWithEval fuzzes random (expression, environment) pairs
-// through every compiled form and its interpreted reference: identical
-// values, identical Affine coefficients, identical window sets and
-// identical error messages.
+// through every compiled form and its tree-walking reference
+// (reference_test.go): identical values, identical Affine coefficients,
+// identical window sets and identical error messages.
 func TestCompileAgreesWithEval(t *testing.T) {
 	r := rng.New(7)
 	for trial := 0; trial < 3000; trial++ {
 		e := exprGen(r, 1+r.IntN(4))
 		env := genEnv(r)
 
-		wantV, wantErr := e.Eval(env)
+		wantV, wantErr := refEval(e, env)
 		gotV, gotErr := Compile(e)(env)
 		if !sameErr(wantErr, gotErr) || (wantErr == nil && !valueEqBits(wantV, gotV)) {
 			t.Fatalf("Compile disagrees on %s:\n eval (%v, %v)\n code (%v, %v)", e, wantV, wantErr, gotV, gotErr)
 		}
 
-		wantB, wantErr := EvalBool(e, env)
+		wantB, wantErr := refEvalBool(e, env)
 		gotB, gotErr := CompileBool(e)(env)
 		if !sameErr(wantErr, gotErr) || wantB != gotB {
 			t.Fatalf("CompileBool disagrees on %s:\n eval (%v, %v)\n code (%v, %v)", e, wantB, wantErr, gotB, gotErr)
 		}
 
-		wantA, wantErr := EvalAffine(e, env, env.timed)
+		wantA, wantErr := refAffine(e, env, env.timed)
 		gotA, gotErr := CompileAffine(e, env.timed)(env)
 		if !sameErr(wantErr, gotErr) || (wantErr == nil && (math.Float64bits(wantA.A) != math.Float64bits(gotA.A) ||
 			math.Float64bits(wantA.B) != math.Float64bits(gotA.B))) {
 			t.Fatalf("CompileAffine disagrees on %s:\n eval (%v, %v)\n code (%v, %v)", e, wantA, wantErr, gotA, gotErr)
 		}
 
-		wantW, wantErr := Window(e, env, env.timed)
+		wantW, wantErr := refWindow(e, env, env.timed)
 		gotW, gotErr := CompileWindow(e, env.timed)(env)
 		if !sameErr(wantErr, gotErr) || (wantErr == nil && !wantW.Equal(gotW)) {
 			t.Fatalf("CompileWindow disagrees on %s:\n eval (%v, %v)\n code (%v, %v)", e, wantW, wantErr, gotW, gotErr)
@@ -136,10 +136,10 @@ func TestCompileFoldsConstants(t *testing.T) {
 	if _, err := Compile(div)(env); !errors.Is(err, ErrDivisionByZero) {
 		t.Fatalf("lazy constant error = %v, want ErrDivisionByZero", err)
 	}
-	// and (1/0 = 1) or true: Eval short-circuits only left-to-right, so
-	// the error must surface exactly as the interpreter orders it.
+	// (1/0 = 1) or true: evaluation short-circuits only left-to-right, so
+	// the error must surface exactly as the reference walk orders it.
 	leftErr := Bin(OpOr, Bin(OpEq, div, Literal(IntVal(1))), True())
-	_, wantErr := leftErr.Eval(env)
+	_, wantErr := refEval(leftErr, env)
 	_, gotErr := Compile(leftErr)(env)
 	if !sameErr(wantErr, gotErr) {
 		t.Fatalf("error ordering: eval %v, code %v", wantErr, gotErr)
@@ -188,7 +188,7 @@ func BenchmarkCompiledEval(b *testing.B) {
 	b.Run("interp", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := EvalBool(benchGuard, benchEnv); err != nil {
+			if _, err := refEvalBool(benchGuard, benchEnv); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -206,7 +206,7 @@ func BenchmarkCompiledEval(b *testing.B) {
 	b.Run("interp-window", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Window(benchGuard, benchEnv, benchEnv.timed); err != nil {
+			if _, err := refWindow(benchGuard, benchEnv, benchEnv.timed); err != nil {
 				b.Fatal(err)
 			}
 		}

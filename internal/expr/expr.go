@@ -80,10 +80,9 @@ func (o Op) String() string {
 	}
 }
 
-// Expr is a node of the expression AST.
+// Expr is a node of the expression AST. Evaluate it through its compiled
+// forms (Compile, CompileBool, CompileAffine, CompileWindow).
 type Expr interface {
-	// Eval computes the expression's value in env.
-	Eval(env Env) (Value, error)
 	// String renders the expression in SLIM-like syntax.
 	String() string
 	// walk calls fn on this node and every descendant.
@@ -104,9 +103,6 @@ func True() *Lit { return &Lit{Val: BoolVal(true)} }
 // False is the Boolean literal false.
 func False() *Lit { return &Lit{Val: BoolVal(false)} }
 
-// Eval implements Expr.
-func (l *Lit) Eval(Env) (Value, error) { return l.Val, nil }
-
 // String implements Expr.
 func (l *Lit) String() string { return l.Val.String() }
 
@@ -121,14 +117,6 @@ type Ref struct {
 
 // Var returns a resolved reference to id, labeled name.
 func Var(name string, id VarID) *Ref { return &Ref{Name: name, ID: id} }
-
-// Eval implements Expr.
-func (r *Ref) Eval(env Env) (Value, error) {
-	if r.ID == NoVar {
-		return Value{}, fmt.Errorf("expr: unresolved reference %q", r.Name)
-	}
-	return env.VarValue(r.ID), nil
-}
 
 // String implements Expr.
 func (r *Ref) String() string { return r.Name }
@@ -146,32 +134,6 @@ func Not(x Expr) *Unary { return &Unary{Op: OpNot, X: x} }
 
 // Neg returns the arithmetic negation of x.
 func Neg(x Expr) *Unary { return &Unary{Op: OpNeg, X: x} }
-
-// Eval implements Expr.
-func (u *Unary) Eval(env Env) (Value, error) {
-	x, err := u.X.Eval(env)
-	if err != nil {
-		return Value{}, err
-	}
-	switch u.Op {
-	case OpNot:
-		if x.Kind() != KindBool {
-			return Value{}, fmt.Errorf("expr: not applied to %s", x.Kind())
-		}
-		return BoolVal(!x.Bool()), nil
-	case OpNeg:
-		switch x.Kind() {
-		case KindInt:
-			return IntVal(-x.Int()), nil
-		case KindReal:
-			return RealVal(-x.Real()), nil
-		default:
-			return Value{}, fmt.Errorf("expr: negation applied to %s", x.Kind())
-		}
-	default:
-		return Value{}, fmt.Errorf("expr: invalid unary operator %v", u.Op)
-	}
-}
 
 // String implements Expr.
 func (u *Unary) String() string {
@@ -222,70 +184,6 @@ func fold(op Op, xs []Expr, empty Expr) Expr {
 // ErrDivisionByZero is returned when a division or modulo has a zero
 // divisor.
 var ErrDivisionByZero = errors.New("expr: division by zero")
-
-// Eval implements Expr.
-func (b *Binary) Eval(env Env) (Value, error) {
-	// Short-circuit Boolean connectives.
-	switch b.Op {
-	case OpAnd, OpOr:
-		l, err := b.L.Eval(env)
-		if err != nil {
-			return Value{}, err
-		}
-		if l.Kind() != KindBool {
-			return Value{}, fmt.Errorf("expr: %v applied to %s", b.Op, l.Kind())
-		}
-		if b.Op == OpAnd && !l.Bool() {
-			return BoolVal(false), nil
-		}
-		if b.Op == OpOr && l.Bool() {
-			return BoolVal(true), nil
-		}
-		r, err := b.R.Eval(env)
-		if err != nil {
-			return Value{}, err
-		}
-		if r.Kind() != KindBool {
-			return Value{}, fmt.Errorf("expr: %v applied to %s", b.Op, r.Kind())
-		}
-		return r, nil
-	}
-
-	l, err := b.L.Eval(env)
-	if err != nil {
-		return Value{}, err
-	}
-	r, err := b.R.Eval(env)
-	if err != nil {
-		return Value{}, err
-	}
-
-	switch b.Op {
-	case OpEq:
-		return BoolVal(l.Equal(r)), nil
-	case OpNe:
-		return BoolVal(!l.Equal(r)), nil
-	case OpLt, OpLe, OpGt, OpGe:
-		if !l.IsNumeric() || !r.IsNumeric() {
-			return Value{}, fmt.Errorf("expr: %v applied to %s and %s", b.Op, l.Kind(), r.Kind())
-		}
-		lf, rf := l.AsFloat(), r.AsFloat()
-		switch b.Op {
-		case OpLt:
-			return BoolVal(lf < rf), nil
-		case OpLe:
-			return BoolVal(lf <= rf), nil
-		case OpGt:
-			return BoolVal(lf > rf), nil
-		default:
-			return BoolVal(lf >= rf), nil
-		}
-	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
-		return evalArith(b.Op, l, r)
-	default:
-		return Value{}, fmt.Errorf("expr: invalid binary operator %v", b.Op)
-	}
-}
 
 func evalArith(op Op, l, r Value) (Value, error) {
 	if !l.IsNumeric() || !r.IsNumeric() {
@@ -358,18 +256,6 @@ func Refs(e Expr) map[VarID]struct{} {
 		}
 	})
 	return out
-}
-
-// EvalBool evaluates e and asserts a Boolean result.
-func EvalBool(e Expr, env Env) (bool, error) {
-	v, err := e.Eval(env)
-	if err != nil {
-		return false, err
-	}
-	if v.Kind() != KindBool {
-		return false, fmt.Errorf("expr: expected bool, got %s in %s", v.Kind(), e)
-	}
-	return v.Bool(), nil
 }
 
 // Resolve rewrites every unresolved Ref in place using lookup, which maps a

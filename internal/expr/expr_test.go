@@ -94,12 +94,12 @@ func TestEvalArithmetic(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := tt.e.Eval(env)
+			got, err := Compile(tt.e)(env)
 			if err != nil {
-				t.Fatalf("Eval: %v", err)
+				t.Fatalf("Compile: %v", err)
 			}
 			if !got.Equal(tt.want) || got.Kind() != tt.want.Kind() {
-				t.Errorf("Eval = %v (%v), want %v (%v)", got, got.Kind(), tt.want, tt.want.Kind())
+				t.Errorf("Compile = %v (%v), want %v (%v)", got, got.Kind(), tt.want, tt.want.Kind())
 			}
 		})
 	}
@@ -125,12 +125,12 @@ func TestEvalComparisonsAndLogic(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := EvalBool(tt.e, env)
+			got, err := CompileBool(tt.e)(env)
 			if err != nil {
-				t.Fatalf("EvalBool: %v", err)
+				t.Fatalf("CompileBool: %v", err)
 			}
 			if got != tt.want {
-				t.Errorf("EvalBool = %v, want %v", got, tt.want)
+				t.Errorf("CompileBool = %v, want %v", got, tt.want)
 			}
 		})
 	}
@@ -141,7 +141,7 @@ func TestShortCircuitAvoidsError(t *testing.T) {
 	x := Var("x", 0)
 	// x != 0 and (1/x > 0): the division by zero must not be reached.
 	e := Bin(OpAnd, Bin(OpNe, x, Literal(IntVal(0))), Bin(OpGt, Bin(OpDiv, Literal(IntVal(1)), x), Literal(IntVal(0))))
-	got, err := EvalBool(e, env)
+	got, err := CompileBool(e)(env)
 	if err != nil {
 		t.Fatalf("short-circuit failed: %v", err)
 	}
@@ -152,11 +152,11 @@ func TestShortCircuitAvoidsError(t *testing.T) {
 
 func TestDivisionByZero(t *testing.T) {
 	env := &mapEnv{vals: map[VarID]Value{}}
-	_, err := Bin(OpDiv, Literal(IntVal(1)), Literal(IntVal(0))).Eval(env)
+	_, err := Compile(Bin(OpDiv, Literal(IntVal(1)), Literal(IntVal(0))))(env)
 	if !errors.Is(err, ErrDivisionByZero) {
 		t.Errorf("got %v, want ErrDivisionByZero", err)
 	}
-	_, err = Bin(OpMod, Literal(RealVal(1)), Literal(RealVal(0))).Eval(env)
+	_, err = Compile(Bin(OpMod, Literal(RealVal(1)), Literal(RealVal(0))))(env)
 	if !errors.Is(err, ErrDivisionByZero) {
 		t.Errorf("real mod: got %v, want ErrDivisionByZero", err)
 	}
@@ -171,7 +171,7 @@ func TestEvalTypeErrors(t *testing.T) {
 		Not(Literal(IntVal(1))),
 		Neg(b),
 	} {
-		if _, err := e.Eval(env); err == nil {
+		if _, err := Compile(e)(env); err == nil {
 			t.Errorf("expected type error for %s", e)
 		}
 	}
@@ -179,7 +179,7 @@ func TestEvalTypeErrors(t *testing.T) {
 
 func TestUnresolvedRef(t *testing.T) {
 	env := &mapEnv{}
-	if _, err := (&Ref{Name: "ghost", ID: NoVar}).Eval(env); err == nil {
+	if _, err := Compile(&Ref{Name: "ghost", ID: NoVar})(env); err == nil {
 		t.Error("expected error for unresolved reference")
 	}
 }
@@ -216,16 +216,16 @@ func TestResolveReportsMissing(t *testing.T) {
 
 func TestAndOrHelpers(t *testing.T) {
 	env := &mapEnv{}
-	if got, _ := EvalBool(And(), env); !got {
+	if got, _ := CompileBool(And())(env); !got {
 		t.Error("empty And should be true")
 	}
-	if got, _ := EvalBool(Or(), env); got {
+	if got, _ := CompileBool(Or())(env); got {
 		t.Error("empty Or should be false")
 	}
-	if got, _ := EvalBool(And(True(), True(), False()), env); got {
+	if got, _ := CompileBool(And(True(), True(), False()))(env); got {
 		t.Error("And(t,t,f) should be false")
 	}
-	if got, _ := EvalBool(Or(False(), True()), env); !got {
+	if got, _ := CompileBool(Or(False(), True()))(env); !got {
 		t.Error("Or(f,t) should be true")
 	}
 }

@@ -10,9 +10,10 @@ import (
 // evaluation. Each input seeds a random expression over four variables, a
 // mask naming the timed ones, and an environment in which only timed
 // variables have a rate. Every subtree that reads no timed variable must
-// window to exactly its Boolean value — CompileWindow(sub) and Window(sub)
-// equal the full/empty set of CompileBool(sub), with identical errors — and the
-// compiled window of the whole tree must equal the interpreted one.
+// window to exactly its Boolean value — CompileWindow(sub) and the reference
+// refWindow(sub) equal the full/empty set of CompileBool(sub), with identical
+// errors — and the compiled window of the whole tree must equal the
+// reference one.
 func FuzzWindowTimeInvariant(f *testing.F) {
 	for seed := uint64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(seed))
@@ -36,12 +37,12 @@ func FuzzWindowTimeInvariant(f *testing.F) {
 			if !sameErr(wantErr, gotErr) || (wantErr == nil && !want.Equal(got)) {
 				t.Fatalf("time-invariant %s: window (%v, %v), Boolean (%v, %v)", sub, got, gotErr, want, wantErr)
 			}
-			got, gotErr = Window(sub, env, timed)
+			got, gotErr = refWindow(sub, env, timed)
 			if !sameErr(wantErr, gotErr) || (wantErr == nil && !want.Equal(got)) {
-				t.Fatalf("time-invariant %s: interpreted window (%v, %v), Boolean (%v, %v)", sub, got, gotErr, want, wantErr)
+				t.Fatalf("time-invariant %s: reference window (%v, %v), Boolean (%v, %v)", sub, got, gotErr, want, wantErr)
 			}
 		})
-		want, wantErr := Window(e, env, timed)
+		want, wantErr := refWindow(e, env, timed)
 		got, gotErr := CompileWindow(e, timed)(env)
 		if !sameErr(wantErr, gotErr) || (wantErr == nil && !want.Equal(got)) {
 			t.Fatalf("CompileWindow disagrees on %s:\n eval (%v, %v)\n code (%v, %v)", e, want, wantErr, got, gotErr)

@@ -365,7 +365,7 @@ func checkInitialTimelocks(b *model.Built, rt *network.Runtime, rep *Reporter) {
 		if !stableRefs(b, loc.Invariant, assigned) {
 			continue
 		}
-		w, err := expr.Window(loc.Invariant, env, rt.Timed)
+		w, err := expr.CompileWindow(loc.Invariant, rt.Timed)(env)
 		if err != nil {
 			continue
 		}
@@ -398,7 +398,7 @@ func checkInitialTimelocks(b *model.Built, rt *network.Runtime, rep *Reporter) {
 				escape = true // cannot reason; assume enabled
 				break
 			}
-			gw, err := expr.Window(tr.Guard, env, rt.Timed)
+			gw, err := expr.CompileWindow(tr.Guard, rt.Timed)(env)
 			if err != nil {
 				escape = true
 				break

@@ -115,7 +115,7 @@ func TestErrorPropagationSynchronizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	okv, err := expr.EvalBool(pred, sc.Env(&st3))
+	okv, err := expr.CompileBool(pred)(sc.Env(&st3))
 	if err != nil || !okv {
 		t.Errorf("b.@err should be infected: (%v, %v)", okv, err)
 	}

@@ -131,7 +131,7 @@ func TestInstantiateGPS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CompileExpr: %v", err)
 	}
-	ok, err := expr.EvalBool(goal, sc.Env(&st3))
+	ok, err := expr.CompileBool(goal)(sc.Env(&st3))
 	if err != nil || !ok {
 		t.Errorf("goal after activation = (%v, %v), want true", ok, err)
 	}
@@ -392,7 +392,7 @@ func TestModelExtension(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CompileExpr: %v", err)
 	}
-	okv, err := expr.EvalBool(goal, sc.Env(&st2))
+	okv, err := expr.CompileBool(goal)(sc.Env(&st2))
 	if err != nil || !okv {
 		t.Errorf("predicate in transient = (%v,%v), want true", okv, err)
 	}

@@ -1,9 +1,9 @@
 // Compiled evaluation programs: at construction the runtime compiles every
 // flow, invariant, guard and effect expression of the network into expr
 // closures (see expr.Compile), so the per-step hot path of the simulator
-// never walks an AST. The compiled forms replicate interpreted evaluation
-// exactly — same values, same short-circuiting, same error messages — which
-// keeps optimized traces bit-identical to the interpreter's.
+// never walks an AST. The compiled programs are the only expression
+// evaluator; they match the tree-walking reference the expr tests keep
+// exactly — same values, same short-circuiting, same error messages.
 package network
 
 import (

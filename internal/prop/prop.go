@@ -6,9 +6,10 @@
 // A property is evaluated along a simulated path. Because SLIM states
 // evolve continuously between discrete events, a predicate over clocks or
 // continuous variables can change truth value in the middle of a delay; the
-// evaluator therefore inspects delays through expr.Window rather than just
-// sampling endpoints, so e.g. ◇[0,10] (energy ≤ 0) is detected even when
-// the simulator takes a single 50-time-unit timed step.
+// evaluator therefore inspects delays through compiled windows
+// (expr.CompileWindow) rather than just sampling endpoints, so e.g.
+// ◇[0,10] (energy ≤ 0) is detected even when the simulator takes a single
+// 50-time-unit timed step.
 package prop
 
 import (

@@ -228,13 +228,13 @@ func TestCanonicalizeIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 		st = next
-		before, err := expr.EvalBool(goal, sc.Env(&st))
+		before, err := expr.CompileBool(goal)(sc.Env(&st))
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.Canon(&st)
 		once := st.Key()
-		after, err := expr.EvalBool(goal, sc.Env(&st))
+		after, err := expr.CompileBool(goal)(sc.Env(&st))
 		if err != nil {
 			t.Fatal(err)
 		}

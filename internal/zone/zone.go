@@ -146,7 +146,7 @@ func Analyze(rt *network.Runtime, goal expr.Expr, bound float64, maxStates int) 
 	a := &analyzer{
 		rt:        rt,
 		sc:        rt.NewScratch(),
-		goal:      goal,
+		goal:      expr.CompileBool(goal),
 		bound:     bound,
 		maxStates: maxStates,
 		clockID:   -1,
@@ -231,7 +231,7 @@ type massState struct {
 type analyzer struct {
 	rt        *network.Runtime
 	sc        *network.Scratch
-	goal      expr.Expr
+	goal      expr.BoolCode
 	bound     float64
 	maxStates int
 	clockID   expr.VarID // -1 when the model has no clock
@@ -365,7 +365,7 @@ func (a *analyzer) settleState(st *network.State, mass float64, out map[string]*
 	if depth > maxCascade {
 		return fmt.Errorf("zone: immediate-transition cascade exceeds %d steps (cycle of immediate transitions?)", maxCascade)
 	}
-	g, err := expr.EvalBool(a.goal, a.sc.Env(st))
+	g, err := a.goal(a.sc.Env(st))
 	if err != nil {
 		return fmt.Errorf("zone: evaluating goal: %w", err)
 	}
@@ -551,7 +551,7 @@ func (a *analyzer) resolveJump(c *closure, resolved map[string][]share, st *netw
 	if depth > maxCascade {
 		return nil, fmt.Errorf("zone: immediate-transition cascade exceeds %d steps", maxCascade)
 	}
-	g, err := expr.EvalBool(a.goal, a.sc.Env(st))
+	g, err := a.goal(a.sc.Env(st))
 	if err != nil {
 		return nil, fmt.Errorf("zone: evaluating goal: %w", err)
 	}
