@@ -117,8 +117,10 @@ ci: verify vet staticcheck vulncheck fmtcheck race lint difftest serve-smoke ben
 # and two workers, move-set composition, compiled
 # expression evaluation, pooled splitting clones, explicit and quotient
 # CTMC construction, lumping, and the single-clock zone analyzer)
-# and their AllocsPerRun regression gates.
-BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/expr/ ./internal/splitting/ ./internal/ctmc/ ./internal/symmetry/ ./internal/bisim/ ./internal/zone/
+# and their AllocsPerRun regression gates, plus the packages whose only
+# gates are allocation checks of the step's window work: interval arenas,
+# strategy decisions and property checks during a delay.
+BENCH_PKGS = ./internal/sim/ ./internal/network/ ./internal/expr/ ./internal/splitting/ ./internal/ctmc/ ./internal/symmetry/ ./internal/bisim/ ./internal/zone/ ./internal/intervals/ ./internal/strategy/ ./internal/prop/
 
 # bench runs the micro-benchmarks at a publishable benchtime.
 bench:

@@ -127,8 +127,8 @@ func stopsConnective(op Op, l intervals.Set) bool {
 	return l.Full()
 }
 
-// solveSign returns the set of d where f(d) OP 0 holds.
-func solveSign(f Affine, op Op) intervals.Set {
+// solveSign returns the set of d where f(d) OP 0 holds, built in a.
+func solveSign(f Affine, op Op, a *intervals.Arena) intervals.Set {
 	if f.B == 0 {
 		holds := false
 		switch op {
@@ -151,29 +151,29 @@ func solveSign(f Affine, op Op) intervals.Set {
 	increasing := f.B > 0
 	switch op {
 	case OpEq:
-		return intervals.FromInterval(intervals.Point(root))
+		return a.Of(intervals.Point(root))
 	case OpNe:
-		return intervals.FromInterval(intervals.Point(root)).Complement()
+		return a.Complement(a.Of(intervals.Point(root)))
 	case OpLt:
 		if increasing {
-			return intervals.FromInterval(intervals.LessThan(root))
+			return a.Of(intervals.LessThan(root))
 		}
-		return intervals.FromInterval(intervals.GreaterThan(root))
+		return a.Of(intervals.GreaterThan(root))
 	case OpLe:
 		if increasing {
-			return intervals.FromInterval(intervals.AtMost(root))
+			return a.Of(intervals.AtMost(root))
 		}
-		return intervals.FromInterval(intervals.AtLeast(root))
+		return a.Of(intervals.AtLeast(root))
 	case OpGt:
 		if increasing {
-			return intervals.FromInterval(intervals.GreaterThan(root))
+			return a.Of(intervals.GreaterThan(root))
 		}
-		return intervals.FromInterval(intervals.LessThan(root))
+		return a.Of(intervals.LessThan(root))
 	case OpGe:
 		if increasing {
-			return intervals.FromInterval(intervals.AtLeast(root))
+			return a.Of(intervals.AtLeast(root))
 		}
-		return intervals.FromInterval(intervals.AtMost(root))
+		return a.Of(intervals.AtMost(root))
 	default:
 		return intervals.EmptySet()
 	}

@@ -99,7 +99,7 @@ func TestWindowComparisons(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			set, err := CompileWindow(tt.e, env.timed)(env)
+			set, err := CompileWindow(tt.e, env.timed)(env, nil)
 			if err != nil {
 				t.Fatalf("CompileWindow: %v", err)
 			}
@@ -120,14 +120,14 @@ func TestWindowComparisons(t *testing.T) {
 func TestWindowBooleanConstants(t *testing.T) {
 	env := affEnv()
 	b := Var("b", 3)
-	set, err := CompileWindow(b, env.timed)(env)
+	set, err := CompileWindow(b, env.timed)(env, nil)
 	if err != nil {
 		t.Fatalf("CompileWindow: %v", err)
 	}
 	if !set.Equal(intervals.FullSet()) {
 		t.Errorf("window of true bool var = %v, want full set", set)
 	}
-	set, err = CompileWindow(Not(b), env.timed)(env)
+	set, err = CompileWindow(Not(b), env.timed)(env, nil)
 	if err != nil {
 		t.Fatalf("CompileWindow: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestWindowBooleanConstants(t *testing.T) {
 		t.Errorf("window of negated true bool = %v, want empty", set)
 	}
 	// Boolean equality with a literal.
-	set, err = CompileWindow(Bin(OpEq, b, False()), env.timed)(env)
+	set, err = CompileWindow(Bin(OpEq, b, False()), env.timed)(env, nil)
 	if err != nil {
 		t.Fatalf("CompileWindow: %v", err)
 	}
@@ -147,14 +147,14 @@ func TestWindowBooleanConstants(t *testing.T) {
 func TestWindowConstantComparison(t *testing.T) {
 	env := affEnv()
 	n := Var("n", 2) // constant 3
-	set, err := CompileWindow(Bin(OpLt, n, Literal(IntVal(5))), env.timed)(env)
+	set, err := CompileWindow(Bin(OpLt, n, Literal(IntVal(5))), env.timed)(env, nil)
 	if err != nil {
 		t.Fatalf("CompileWindow: %v", err)
 	}
 	if !set.Equal(intervals.FullSet()) {
 		t.Errorf("constant-true comparison window = %v, want full", set)
 	}
-	set, err = CompileWindow(Bin(OpGt, n, Literal(IntVal(5))), env.timed)(env)
+	set, err = CompileWindow(Bin(OpGt, n, Literal(IntVal(5))), env.timed)(env, nil)
 	if err != nil {
 		t.Fatalf("CompileWindow: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestQuickWindowAgreesWithPointEval(t *testing.T) {
 			},
 		}
 		e := exprs[r.Intn(len(exprs))]
-		set, err := CompileWindow(e, env.timed)(env)
+		set, err := CompileWindow(e, env.timed)(env, nil)
 		if err != nil {
 			return false
 		}
@@ -263,7 +263,7 @@ func TestWindowValueSemantics(t *testing.T) {
 			if err != nil || !got.Equal(tt.want) {
 				t.Errorf("refWindow = (%v, %v), want %v", got, err, tt.want)
 			}
-			got, err = CompileWindow(tt.e, env.timed)(env)
+			got, err = CompileWindow(tt.e, env.timed)(env, nil)
 			if err != nil || !got.Equal(tt.want) {
 				t.Errorf("CompileWindow = (%v, %v), want %v", got, err, tt.want)
 			}

@@ -39,8 +39,9 @@ type BoolCode func(env Env) (bool, error)
 type AffineCode func(env RateEnv) (Affine, error)
 
 // WindowCode is a compiled timed guard: it returns the set of delays at
-// which the guard holds.
-type WindowCode func(env RateEnv) (intervals.Set, error)
+// which the guard holds. It builds that set, and the sets it combines, in
+// a (see intervals.Arena); a nil arena allocates them.
+type WindowCode func(env RateEnv, a *intervals.Arena) (intervals.Set, error)
 
 // Compile builds the closure form of e. The result is immutable and safe
 // for concurrent use (assuming e is not mutated).
@@ -380,16 +381,17 @@ func CompileAffine(e Expr, timed Timed) AffineCode {
 // operand. A subtree that reads no timed variable compiles to one
 // CompileBool program whose result selects the shared full or the zero
 // empty set, and the set algebra short-circuits on both, so guards that do
-// not depend on the delay compute their window without allocating.
+// not depend on the delay compute their window without allocating. Timed
+// guards build their sets in the arena the program is called with.
 func CompileWindow(e Expr, timed Timed) WindowCode {
 	if !readsTimed(e, timed) {
 		b := CompileBool(e)
-		return func(env RateEnv) (intervals.Set, error) { return boolWindow(b(env)) }
+		return func(env RateEnv, _ *intervals.Arena) (intervals.Set, error) { return boolWindow(b(env)) }
 	}
 	switch n := e.(type) {
 	case *Ref:
 		id, name := n.ID, n.Name
-		return func(env RateEnv) (intervals.Set, error) {
+		return func(env RateEnv, _ *intervals.Arena) (intervals.Set, error) {
 			v := env.VarValue(id)
 			if v.Kind() != KindBool {
 				return intervals.Set{}, fmt.Errorf("expr: non-Boolean variable %s used as guard", name)
@@ -399,24 +401,24 @@ func CompileWindow(e Expr, timed Timed) WindowCode {
 	case *Unary:
 		if n.Op != OpNot {
 			op := n.Op
-			return func(RateEnv) (intervals.Set, error) {
+			return func(RateEnv, *intervals.Arena) (intervals.Set, error) {
 				return intervals.Set{}, fmt.Errorf("expr: operator %v used as guard", op)
 			}
 		}
 		x := CompileWindow(n.X, timed)
-		return func(env RateEnv) (intervals.Set, error) {
-			inner, err := x(env)
+		return func(env RateEnv, a *intervals.Arena) (intervals.Set, error) {
+			inner, err := x(env, a)
 			if err != nil {
 				return intervals.Set{}, err
 			}
-			return inner.Complement(), nil
+			return a.Complement(inner), nil
 		}
 	case *Binary:
 		return compileWindowBinary(n, timed)
 	case *Cond:
 		return compileWindowCond(n, timed)
 	default:
-		return func(RateEnv) (intervals.Set, error) {
+		return func(RateEnv, *intervals.Arena) (intervals.Set, error) {
 			return intervals.Set{}, fmt.Errorf("expr: unsupported node %T in guard", e)
 		}
 	}
@@ -431,32 +433,32 @@ func compileWindowCond(n *Cond, timed Timed) WindowCode {
 	elseC := CompileWindow(n.Else, timed)
 	if !readsTimed(n.If, timed) {
 		ifC := CompileBool(n.If)
-		return func(env RateEnv) (intervals.Set, error) {
+		return func(env RateEnv, a *intervals.Arena) (intervals.Set, error) {
 			b, err := ifC(env)
 			if err != nil {
 				return intervals.Set{}, err
 			}
 			if b {
-				return thenC(env)
+				return thenC(env, a)
 			}
-			return elseC(env)
+			return elseC(env, a)
 		}
 	}
 	ifC := CompileWindow(n.If, timed)
-	return func(env RateEnv) (intervals.Set, error) {
-		wIf, err := ifC(env)
+	return func(env RateEnv, a *intervals.Arena) (intervals.Set, error) {
+		wIf, err := ifC(env, a)
 		if err != nil {
 			return intervals.Set{}, err
 		}
-		wThen, err := thenC(env)
+		wThen, err := thenC(env, a)
 		if err != nil {
 			return intervals.Set{}, err
 		}
-		wElse, err := elseC(env)
+		wElse, err := elseC(env, a)
 		if err != nil {
 			return intervals.Set{}, err
 		}
-		return wIf.Intersect(wThen).Union(wIf.Complement().Intersect(wElse)), nil
+		return a.Union(a.Intersect(wIf, wThen), a.Intersect(a.Complement(wIf), wElse)), nil
 	}
 }
 
@@ -467,22 +469,22 @@ func compileWindowBinary(n *Binary, timed Timed) WindowCode {
 		l := CompileWindow(n.L, timed)
 		r := CompileWindow(n.R, timed)
 		isAnd := op == OpAnd
-		return func(env RateEnv) (intervals.Set, error) {
-			lv, err := l(env)
+		return func(env RateEnv, a *intervals.Arena) (intervals.Set, error) {
+			lv, err := l(env, a)
 			if err != nil {
 				return intervals.Set{}, err
 			}
 			if stopsConnective(op, lv) {
 				return lv, nil
 			}
-			rv, err := r(env)
+			rv, err := r(env, a)
 			if err != nil {
 				return intervals.Set{}, err
 			}
 			if isAnd {
-				return lv.Intersect(rv), nil
+				return a.Intersect(lv, rv), nil
 			}
-			return lv.Union(rv), nil
+			return a.Union(lv, rv), nil
 		}
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 		lAff := CompileAffine(n.L, timed)
@@ -494,7 +496,7 @@ func compileWindowBinary(n *Binary, timed Timed) WindowCode {
 			lVal = Compile(n.L)
 			rVal = Compile(n.R)
 		}
-		return func(env RateEnv) (intervals.Set, error) {
+		return func(env RateEnv, a *intervals.Arena) (intervals.Set, error) {
 			if lVal != nil {
 				if s, ok, err := tryBoolComparison(op, lVal, rVal, env); err != nil {
 					return intervals.Set{}, err
@@ -511,10 +513,10 @@ func compileWindowBinary(n *Binary, timed Timed) WindowCode {
 				return intervals.Set{}, err
 			}
 			diff := Affine{A: lv.A - rv.A, B: lv.B - rv.B}
-			return solveSign(diff, op), nil
+			return solveSign(diff, op, a), nil
 		}
 	default:
-		return func(RateEnv) (intervals.Set, error) {
+		return func(RateEnv, *intervals.Arena) (intervals.Set, error) {
 			return intervals.Set{}, fmt.Errorf("expr: operator %v used as guard", op)
 		}
 	}

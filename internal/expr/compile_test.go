@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"slimsim/internal/intervals"
 	"slimsim/internal/rng"
 )
 
@@ -66,9 +67,11 @@ func sameErr(a, b error) bool {
 // TestCompileAgreesWithEval fuzzes random (expression, environment) pairs
 // through every compiled form and its tree-walking reference
 // (reference_test.go): identical values, identical Affine coefficients,
-// identical window sets and identical error messages.
+// identical window sets and identical error messages. Windows are computed
+// both with fresh sets and through one arena reused across trials.
 func TestCompileAgreesWithEval(t *testing.T) {
 	r := rng.New(7)
+	var arena intervals.Arena
 	for trial := 0; trial < 3000; trial++ {
 		e := exprGen(r, 1+r.IntN(4))
 		env := genEnv(r)
@@ -93,9 +96,15 @@ func TestCompileAgreesWithEval(t *testing.T) {
 		}
 
 		wantW, wantErr := refWindow(e, env, env.timed)
-		gotW, gotErr := CompileWindow(e, env.timed)(env)
+		code := CompileWindow(e, env.timed)
+		gotW, gotErr := code(env, nil)
 		if !sameErr(wantErr, gotErr) || (wantErr == nil && !wantW.Equal(gotW)) {
 			t.Fatalf("CompileWindow disagrees on %s:\n eval (%v, %v)\n code (%v, %v)", e, wantW, wantErr, gotW, gotErr)
+		}
+		arena.Reset()
+		gotW, gotErr = code(env, &arena)
+		if !sameErr(wantErr, gotErr) || (wantErr == nil && !wantW.Equal(gotW)) {
+			t.Fatalf("CompileWindow in an arena disagrees on %s:\n eval (%v, %v)\n code (%v, %v)", e, wantW, wantErr, gotW, gotErr)
 		}
 	}
 }
@@ -160,11 +169,11 @@ func TestCompiledConstGuardWindowAllocs(t *testing.T) {
 		rates: map[VarID]float64{},
 	}
 	code := CompileWindow(g, env.timed)
-	if w, err := code(env); err != nil || !w.Full() {
+	if w, err := code(env, nil); err != nil || !w.Full() {
 		t.Fatalf("window = (%v, %v), want full set", w, err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := code(env); err != nil {
+		if _, err := code(env, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -216,7 +225,7 @@ func BenchmarkCompiledEval(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := code(benchEnv); err != nil {
+			if _, err := code(benchEnv, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

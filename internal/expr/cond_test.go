@@ -61,7 +61,7 @@ func TestCondWindow(t *testing.T) {
 	env := affEnv() // x(d)=1+d
 	x, b := Var("x", 0), Var("b", 3)
 	// if b then x >= 3 else false  ⇔  d >= 2 (b is true)
-	w, err := CompileWindow(Ite(b, Bin(OpGe, x, Literal(RealVal(3))), False()), env.timed)(env)
+	w, err := CompileWindow(Ite(b, Bin(OpGe, x, Literal(RealVal(3))), False()), env.timed)(env, nil)
 	if err != nil {
 		t.Fatalf("CompileWindow: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestCondWindow(t *testing.T) {
 	// ⇔ (d>=2 and d>=4) or (d<2 and d>=0) ⇔ d>=4 or 0<=d<2.
 	w, err = CompileWindow(Ite(Bin(OpGe, x, Literal(RealVal(3))),
 		Bin(OpGe, x, Literal(RealVal(5))),
-		Bin(OpGe, x, Literal(RealVal(1)))), env.timed)(env)
+		Bin(OpGe, x, Literal(RealVal(1)))), env.timed)(env, nil)
 	if err != nil {
 		t.Fatalf("CompileWindow: %v", err)
 	}

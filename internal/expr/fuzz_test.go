@@ -3,6 +3,7 @@ package expr
 import (
 	"testing"
 
+	"slimsim/internal/intervals"
 	"slimsim/internal/rng"
 )
 
@@ -13,11 +14,13 @@ import (
 // window to exactly its Boolean value — CompileWindow(sub) and the reference
 // refWindow(sub) equal the full/empty set of CompileBool(sub), with identical
 // errors — and the compiled window of the whole tree must equal the
-// reference one.
+// reference one, computed both with fresh sets and through one arena reused
+// across inputs.
 func FuzzWindowTimeInvariant(f *testing.F) {
 	for seed := uint64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(seed))
 	}
+	var arena intervals.Arena
 	f.Fuzz(func(t *testing.T, seed uint64, mask uint8) {
 		timed := func(id VarID) bool { return mask>>(id&7)&1 == 1 }
 		r := rng.New(seed)
@@ -33,7 +36,7 @@ func FuzzWindowTimeInvariant(f *testing.F) {
 				return
 			}
 			want, wantErr := boolWindow(CompileBool(sub)(env))
-			got, gotErr := CompileWindow(sub, timed)(env)
+			got, gotErr := CompileWindow(sub, timed)(env, nil)
 			if !sameErr(wantErr, gotErr) || (wantErr == nil && !want.Equal(got)) {
 				t.Fatalf("time-invariant %s: window (%v, %v), Boolean (%v, %v)", sub, got, gotErr, want, wantErr)
 			}
@@ -43,9 +46,15 @@ func FuzzWindowTimeInvariant(f *testing.F) {
 			}
 		})
 		want, wantErr := refWindow(e, env, timed)
-		got, gotErr := CompileWindow(e, timed)(env)
+		code := CompileWindow(e, timed)
+		got, gotErr := code(env, nil)
 		if !sameErr(wantErr, gotErr) || (wantErr == nil && !want.Equal(got)) {
 			t.Fatalf("CompileWindow disagrees on %s:\n eval (%v, %v)\n code (%v, %v)", e, want, wantErr, got, gotErr)
+		}
+		arena.Reset()
+		got, gotErr = code(env, &arena)
+		if !sameErr(wantErr, gotErr) || (wantErr == nil && !want.Equal(got)) {
+			t.Fatalf("CompileWindow in an arena disagrees on %s:\n eval (%v, %v)\n code (%v, %v)", e, want, wantErr, got, gotErr)
 		}
 	})
 }

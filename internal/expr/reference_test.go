@@ -255,7 +255,7 @@ func refWindowBinary(n *Binary, env RateEnv, timed Timed) (intervals.Set, error)
 		if err != nil {
 			return intervals.Set{}, err
 		}
-		return solveSign(Affine{A: l.A - r.A, B: l.B - r.B}, n.Op), nil
+		return solveSign(Affine{A: l.A - r.A, B: l.B - r.B}, n.Op, nil), nil
 	default:
 		return intervals.Set{}, fmt.Errorf("expr: operator %v used as guard", n.Op)
 	}

@@ -179,17 +179,6 @@ func FromInterval(iv Interval) Set {
 	return Set{ivs: []Interval{iv}}
 }
 
-// FromIntervalIn returns the set containing exactly iv, stored in buf,
-// which must have length at least 1. The set aliases buf: it stays valid
-// only while the caller leaves buf alone.
-func FromIntervalIn(buf []Interval, iv Interval) Set {
-	if iv.Empty() {
-		return Set{}
-	}
-	buf[0] = iv
-	return Set{ivs: buf[:1:1]}
-}
-
 // EmptySet returns the empty set.
 func EmptySet() Set { return Set{} }
 
@@ -299,36 +288,31 @@ func (s Set) MinIn(lo, hi float64) (float64, bool) {
 	return 0, false
 }
 
-// Union returns the union of two sets.
-func (s Set) Union(other Set) Set {
-	if s.Empty() || other.Full() {
-		return other
+// MinOutside returns the infimum of [lo, hi] \ s without materializing the
+// difference, and whether that difference is non-empty. It is the
+// allocation-free equivalent of FromInterval(Closed(lo, hi)).Minus(s).Inf():
+// lo itself unless a component of s holds it, else that component's upper
+// end, since components are disjoint and never adjacent.
+func (s Set) MinOutside(lo, hi float64) (float64, bool) {
+	if Closed(lo, hi).Empty() {
+		return 0, false
 	}
-	if other.Empty() || s.Full() {
-		return s
-	}
-	merged := make([]Interval, 0, len(s.ivs)+len(other.ivs))
-	i, j := 0, 0
-	for i < len(s.ivs) || j < len(other.ivs) {
-		var next Interval
-		switch {
-		case i == len(s.ivs):
-			next, j = other.ivs[j], j+1
-		case j == len(other.ivs):
-			next, i = s.ivs[i], i+1
-		case lessStart(s.ivs[i], other.ivs[j]):
-			next, i = s.ivs[i], i+1
-		default:
-			next, j = other.ivs[j], j+1
+	for _, iv := range s.ivs {
+		if iv.Contains(lo) {
+			if iv.Hi > hi || (iv.Hi == hi && (!iv.HiOpen || math.IsInf(hi, 1))) {
+				return 0, false
+			}
+			return iv.Hi, true
 		}
-		if n := len(merged); n > 0 && touchesOrOverlaps(merged[n-1], next) {
-			merged[n-1] = join(merged[n-1], next)
-		} else {
-			merged = append(merged, next)
+		if iv.Lo > lo {
+			break
 		}
 	}
-	return Set{ivs: merged}
+	return lo, true
 }
+
+// Union returns the union of two sets.
+func (s Set) Union(other Set) Set { return (*Arena)(nil).Union(s, other) }
 
 // lessStart reports whether a starts strictly before b (taking openness
 // into account: a closed endpoint precedes an open one at the same value).
@@ -350,29 +334,7 @@ func join(a, b Interval) Interval {
 }
 
 // Intersect returns the intersection of two sets.
-func (s Set) Intersect(other Set) Set {
-	if s.Empty() || other.Full() {
-		return s
-	}
-	if other.Empty() || s.Full() {
-		return other
-	}
-	var out []Interval
-	i, j := 0, 0
-	for i < len(s.ivs) && j < len(other.ivs) {
-		iv := s.ivs[i].Intersect(other.ivs[j])
-		if !iv.Empty() {
-			out = append(out, iv)
-		}
-		// Advance whichever interval ends first.
-		if endsBefore(s.ivs[i], other.ivs[j]) {
-			i++
-		} else {
-			j++
-		}
-	}
-	return Set{ivs: out}
-}
+func (s Set) Intersect(other Set) Set { return (*Arena)(nil).Intersect(s, other) }
 
 // endsBefore reports whether a's upper endpoint precedes b's.
 func endsBefore(a, b Interval) bool {
@@ -384,29 +346,7 @@ func endsBefore(a, b Interval) bool {
 
 // Complement returns the complement of the set with respect to the real
 // line.
-func (s Set) Complement() Set {
-	if s.Empty() {
-		return FullSet()
-	}
-	if s.Full() {
-		return Set{}
-	}
-	out := make([]Interval, 0, len(s.ivs)+1)
-	cursorLo := math.Inf(-1)
-	cursorOpen := true // infinite endpoints are open
-	for _, iv := range s.ivs {
-		gap := Interval{Lo: cursorLo, LoOpen: cursorOpen, Hi: iv.Lo, HiOpen: !iv.LoOpen}
-		if !gap.Empty() {
-			out = append(out, gap)
-		}
-		cursorLo, cursorOpen = iv.Hi, !iv.HiOpen
-	}
-	tail := Interval{Lo: cursorLo, LoOpen: cursorOpen, Hi: math.Inf(1), HiOpen: true}
-	if !tail.Empty() {
-		out = append(out, tail)
-	}
-	return Set{ivs: out}
-}
+func (s Set) Complement() Set { return (*Arena)(nil).Complement(s) }
 
 // Minus returns the set difference s \ other.
 func (s Set) Minus(other Set) Set {

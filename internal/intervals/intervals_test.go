@@ -303,28 +303,136 @@ func TestQuickIdempotence(t *testing.T) {
 	}
 }
 
-// TestSharedAndBackedSets: NonNegative and FromIntervalIn equal the
-// allocating FromInterval, allocate nothing, and a set built in a buffer
-// survives an operation that returns a new set.
+// TestSharedAndBackedSets: NonNegative and Arena.Of equal the allocating
+// FromInterval, allocate nothing once the arena has backing, and a set
+// built in an arena survives an operation that returns a new set.
 func TestSharedAndBackedSets(t *testing.T) {
 	if !NonNegative().Equal(FromInterval(AtLeast(0))) {
 		t.Errorf("NonNegative() = %v", NonNegative())
 	}
-	var buf [1]Interval
+	var a Arena
 	for _, iv := range []Interval{Closed(0, 2), ClosedOpen(0, 2), ClosedOpen(0, 0)} {
-		if got := FromIntervalIn(buf[:], iv); !got.Equal(FromInterval(iv)) {
-			t.Errorf("FromIntervalIn(%v) = %v", iv, got)
+		if got := a.Of(iv); !got.Equal(FromInterval(iv)) {
+			t.Errorf("Of(%v) = %v", iv, got)
 		}
 	}
-	s := FromIntervalIn(buf[:], Closed(0, 2))
-	if u := s.Union(FromInterval(Closed(3, 4))); !u.Equal(NewSet(Closed(0, 2), Closed(3, 4))) || !s.Equal(FromInterval(Closed(0, 2))) {
-		t.Errorf("union %v changed its receiver %v", u, s)
+	s := a.Of(Closed(0, 2))
+	if u := a.Union(s, a.Of(Closed(3, 4))); !u.Equal(NewSet(Closed(0, 2), Closed(3, 4))) || !s.Equal(FromInterval(Closed(0, 2))) {
+		t.Errorf("union %v changed its operand %v", u, s)
 	}
 	if n := testing.AllocsPerRun(100, func() {
+		a.Reset()
 		_ = NonNegative()
-		_ = FromIntervalIn(buf[:], Closed(0, 1))
+		_ = a.Of(Closed(0, 1))
 	}); n != 0 {
 		t.Errorf("%.1f allocations, want 0", n)
+	}
+}
+
+// randomUnboundedSet is randomSet, complemented a third of the time so
+// unbounded components and the full set occur too.
+func randomUnboundedSet(r *rand.Rand) Set {
+	s := randomSet(r)
+	if r.Intn(3) == 0 {
+		s = s.Complement()
+	}
+	return s
+}
+
+// TestArenaMatchesAllocating: every arena operation, on random sets and on
+// sets it built itself, equals the allocating one and returns a
+// capacity-limited set. Sets built before the arena moved to new backing,
+// or before later operations, keep their contents until Reset, and results
+// after a Reset are right again.
+func TestArenaMatchesAllocating(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var a Arena
+	type kept struct{ got, want Set }
+	var live []kept
+	moves := 0
+	check := func(op string, got, want Set) {
+		t.Helper()
+		if !got.Equal(want) {
+			t.Fatalf("arena %s = %v, want %v", op, got, want)
+		}
+		if cap(got.ivs) != len(got.ivs) {
+			t.Fatalf("arena %s returned %d intervals with capacity %d", op, len(got.ivs), cap(got.ivs))
+		}
+		live = append(live, kept{got, want})
+	}
+	for trial := 0; trial < 2000; trial++ {
+		if trial%50 == 0 {
+			a.Reset()
+			live = live[:0]
+		}
+		before := a.Cap()
+		s, u := randomUnboundedSet(r), randomUnboundedSet(r)
+		lo := float64(r.Intn(10))
+		iv := Interval{Lo: lo, Hi: lo + float64(r.Intn(5)), LoOpen: r.Intn(2) == 0, HiOpen: r.Intn(2) == 0}
+		check("Of", a.Of(iv), FromInterval(iv))
+		check("Union", a.Union(s, u), s.Union(u))
+		check("Intersect", a.Intersect(s, u), s.Intersect(u))
+		check("Complement", a.Complement(s), s.Complement())
+		// Chain through sets the arena built.
+		as, au := a.Union(s, a.Of(iv)), a.Complement(u)
+		check("chained Intersect", a.Intersect(as, au), s.Union(FromInterval(iv)).Intersect(u.Complement()))
+		check("chained Union", a.Union(au, as), u.Complement().Union(s.Union(FromInterval(iv))))
+		if a.Cap() != before {
+			moves++
+		}
+		for _, k := range live {
+			if !k.got.Equal(k.want) {
+				t.Fatalf("trial %d: a set built earlier changed to %v, want %v", trial, k.got, k.want)
+			}
+		}
+	}
+	if moves == 0 {
+		t.Error("the arena never moved to new backing; the test does not cover growth")
+	}
+}
+
+// TestArenaAllocs: once its backing is large enough, an arena that is reset
+// between rounds builds every set without allocating.
+func TestArenaAllocs(t *testing.T) {
+	s := NewSet(Closed(0, 2), Open(3, 5), AtLeast(7))
+	u := NewSet(LessThan(1), Closed(4, 8))
+	var a Arena
+	round := func() {
+		a.Reset()
+		x := a.Union(s, a.Of(Closed(2, 3)))
+		y := a.Complement(a.Intersect(x, u))
+		_ = a.Intersect(y, a.Union(u, s))
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("a warm arena allocates %.1f objects per round, want 0", n)
+	}
+}
+
+// TestMinOutside: MinOutside agrees with the difference it stands for on
+// random sets, over windows that start inside, at the edge of and outside
+// their components, end at their endpoints, and are empty, degenerate or
+// unbounded.
+func TestMinOutside(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 5000; trial++ {
+		s := randomUnboundedSet(r)
+		lo := float64(r.Intn(12)) - 1
+		var hi float64
+		switch r.Intn(4) {
+		case 0:
+			hi = math.Inf(1)
+		case 1:
+			hi = lo
+		default:
+			hi = float64(r.Intn(14)) - 1
+		}
+		diff := FromInterval(Closed(lo, hi)).Minus(s)
+		want, _ := diff.Inf()
+		got, ok := s.MinOutside(lo, hi)
+		if ok != !diff.Empty() || (ok && got != want) {
+			t.Fatalf("%v.MinOutside(%g, %g) = (%g, %v); [lo, hi] \\ s = %v", s, lo, hi, got, ok, diff)
+		}
 	}
 }
 

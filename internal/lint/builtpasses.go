@@ -365,7 +365,7 @@ func checkInitialTimelocks(b *model.Built, rt *network.Runtime, rep *Reporter) {
 		if !stableRefs(b, loc.Invariant, assigned) {
 			continue
 		}
-		w, err := expr.CompileWindow(loc.Invariant, rt.Timed)(env)
+		w, err := expr.CompileWindow(loc.Invariant, rt.Timed)(env, nil)
 		if err != nil {
 			continue
 		}
@@ -398,7 +398,7 @@ func checkInitialTimelocks(b *model.Built, rt *network.Runtime, rep *Reporter) {
 				escape = true // cannot reason; assume enabled
 				break
 			}
-			gw, err := expr.CompileWindow(tr.Guard, rt.Timed)(env)
+			gw, err := expr.CompileWindow(tr.Guard, rt.Timed)(env, nil)
 			if err != nil {
 				escape = true
 				break

@@ -374,12 +374,13 @@ func (c *GuardCache) fill(e *env, tp *transProg) (bool, error) {
 }
 
 // Scratch is a reusable per-worker evaluation arena: it owns one expression
-// environment, letting a path run perform O(1) allocations after warm-up. A
-// Scratch must only be used by one goroutine at a time; the runtime it
-// wraps stays shared and immutable.
+// environment and one interval arena, letting a path run perform O(1)
+// allocations after warm-up. A Scratch must only be used by one goroutine
+// at a time; the runtime it wraps stays shared and immutable.
 type Scratch struct {
-	rt  *Runtime
-	env env
+	rt    *Runtime
+	env   env
+	arena intervals.Arena
 }
 
 // NewScratch returns a fresh evaluation arena for rt.
@@ -395,6 +396,12 @@ func (rt *Runtime) NewState() State {
 		Vals: make([]expr.Value, len(rt.net.Vars)),
 	}
 }
+
+// Arena returns the interval arena in which MaxDelay and Window build their
+// window sets. The scratch never resets it: the caller that owns those sets'
+// lifetime, such as a simulation step, calls Reset once it reads none of
+// them any more, and may build sets of its own in it.
+func (s *Scratch) Arena() *intervals.Arena { return &s.arena }
 
 // Env returns an expression environment reading from st. The environment is
 // owned by the scratch and is invalidated by the next Scratch call; callers
@@ -437,10 +444,11 @@ func (rt *Runtime) buildInitial() (*State, error) {
 // from st: the supremum D of {d ≥ 0 : every invariant holds throughout
 // [0, d]}. attained reports whether delaying exactly D is allowed (the
 // bound is closed); D may be +inf. If an invariant is already violated at
-// d = 0, MaxDelay returns (0, false, false).
+// d = 0, MaxDelay returns (0, false, false). The invariant windows it reads
+// are built in the scratch's arena.
 func (s *Scratch) MaxDelay(st *State) (d float64, attained, nowOK bool, err error) {
 	s.env.st = st
-	return s.rt.maxDelayEnv(&s.env)
+	return s.rt.maxDelayEnv(&s.env, &s.arena)
 }
 
 // Window returns the set of delays d (within the whole real line; callers
@@ -452,10 +460,10 @@ func (s *Scratch) MaxDelay(st *State) (d float64, attained, nowOK bool, err erro
 // contributes the full or empty set; interval arithmetic is used only where
 // a timed variable is read. A non-nil c answers time-invariant guards from
 // the values it holds for st's path (see GuardCache); nil evaluates every
-// guard.
+// guard. The set lives in the scratch's arena until its next Reset.
 func (s *Scratch) Window(st *State, m *Move, c *GuardCache) (intervals.Set, error) {
 	s.env.st = st
-	return s.rt.windowEnv(&s.env, m, c)
+	return s.rt.windowEnv(&s.env, &s.arena, m, c)
 }
 
 // EnabledAt reports whether the move's guards all hold right now (delay 0).
@@ -489,8 +497,8 @@ func (s *Scratch) ApplyInto(out, src *State, m *Move) error {
 }
 
 // maxDelayEnv is Scratch.MaxDelay evaluated through a caller-owned
-// environment.
-func (rt *Runtime) maxDelayEnv(e *env) (d float64, attained, nowOK bool, err error) {
+// environment, with the invariant windows built in a.
+func (rt *Runtime) maxDelayEnv(e *env, a *intervals.Arena) (d float64, attained, nowOK bool, err error) {
 	bound := math.Inf(1)
 	boundAttained := true
 	for _, pi := range rt.bounding {
@@ -504,7 +512,7 @@ func (rt *Runtime) maxDelayEnv(e *env) (d float64, attained, nowOK bool, err err
 		if code == nil {
 			continue
 		}
-		w, werr := code(e)
+		w, werr := code(e, a)
 		if werr != nil {
 			return 0, false, false, Internal(fmt.Errorf("network: invariant of %s.%s: %w", p.Name, loc.Name, werr))
 		}
@@ -522,8 +530,9 @@ func (rt *Runtime) maxDelayEnv(e *env) (d float64, attained, nowOK bool, err err
 	return bound, boundAttained && !math.IsInf(bound, 1), true, nil
 }
 
-// windowEnv is Scratch.Window evaluated through a caller-owned environment.
-func (rt *Runtime) windowEnv(e *env, m *Move, c *GuardCache) (intervals.Set, error) {
+// windowEnv is Scratch.Window evaluated through a caller-owned environment,
+// with the guard windows and their intersection built in a.
+func (rt *Runtime) windowEnv(e *env, a *intervals.Arena, m *Move, c *GuardCache) (intervals.Set, error) {
 	if m.Markovian() {
 		return intervals.FullSet(), nil
 	}
@@ -554,12 +563,12 @@ func (rt *Runtime) windowEnv(e *env, m *Move, c *GuardCache) (intervals.Set, err
 				continue
 			}
 		} else {
-			gw, err = tp.guardWin(e)
+			gw, err = tp.guardWin(e, a)
 		}
 		if err != nil {
 			return intervals.Set{}, rt.guardError(part, err)
 		}
-		w = w.Intersect(gw)
+		w = a.Intersect(w, gw)
 		if w.Empty() {
 			break
 		}

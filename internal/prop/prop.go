@@ -242,8 +242,9 @@ func (ev *Evaluator) AtState(env expr.Env, t float64) (Verdict, error) {
 // DuringDelay evaluates the property over a timed step of length d starting
 // at time t, given the pre-delay environment env (whose rates describe the
 // trajectory). If the verdict is decided mid-delay, at is the absolute time
-// of the decision; otherwise at is t+d.
-func (ev *Evaluator) DuringDelay(env expr.RateEnv, t, d float64) (verdict Verdict, at float64, err error) {
+// of the decision; otherwise at is t+d. The goal and constraint windows are
+// built in a (nil allocates them); the evaluator keeps none of them.
+func (ev *Evaluator) DuringDelay(env expr.RateEnv, a *intervals.Arena, t, d float64) (verdict Verdict, at float64, err error) {
 	if d < 0 {
 		return 0, 0, fmt.Errorf("prop: negative delay %g", d)
 	}
@@ -251,14 +252,14 @@ func (ev *Evaluator) DuringDelay(env expr.RateEnv, t, d float64) (verdict Verdic
 	// means the bound already expired: the inspection window is empty.
 	horizon := math.Min(d, ev.prop.Bound-t)
 
-	goalW, err := ev.goalWin(env)
+	goalW, err := ev.goalWin(env, a)
 	if err != nil {
 		return 0, 0, fmt.Errorf("prop: goal window: %w", err)
 	}
 
-	// The full/empty goal windows of delay-constant goals take the
-	// MinIn/Full fast paths below, which never materialize intersection
-	// sets — the delay-constant property check is allocation-free.
+	// The windows are only read below: MinIn and MinOutside find the
+	// first instant in [0, horizon] inside and outside a window without
+	// building the intersection or difference.
 	switch ev.prop.Kind {
 	case Reachability:
 		if horizon >= 0 {
@@ -271,11 +272,8 @@ func (ev *Evaluator) DuringDelay(env expr.RateEnv, t, d float64) (verdict Verdic
 		}
 		return Undecided, t + d, nil
 	case Invariance:
-		if horizon >= 0 && !goalW.Full() {
-			window := intervals.FromInterval(intervals.Closed(0, horizon))
-			badW := goalW.Intersect(window).Complement().Intersect(window)
-			if !badW.Empty() {
-				hit, _ := badW.Inf()
+		if horizon >= 0 {
+			if hit, ok := goalW.MinOutside(0, horizon); ok {
 				return Violated, t + hit, nil
 			}
 		}
@@ -284,7 +282,7 @@ func (ev *Evaluator) DuringDelay(env expr.RateEnv, t, d float64) (verdict Verdic
 		}
 		return Undecided, t + d, nil
 	case Until:
-		consW, cerr := ev.consWin(env)
+		consW, cerr := ev.consWin(env, a)
 		if cerr != nil {
 			return 0, 0, fmt.Errorf("prop: constraint window: %w", cerr)
 		}
@@ -295,11 +293,9 @@ func (ev *Evaluator) DuringDelay(env expr.RateEnv, t, d float64) (verdict Verdic
 			}
 		}
 		badT := math.Inf(1)
-		if horizon >= 0 && !consW.Full() {
-			window := intervals.FromInterval(intervals.Closed(0, horizon))
-			badW := consW.Complement().Intersect(window)
-			if !badW.Empty() {
-				badT, _ = badW.Inf()
+		if horizon >= 0 {
+			if hit, ok := consW.MinOutside(0, horizon); ok {
+				badT = hit
 			}
 		}
 		switch {

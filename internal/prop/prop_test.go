@@ -2,9 +2,11 @@ package prop
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"slimsim/internal/expr"
+	"slimsim/internal/intervals"
 )
 
 // testEnv provides one clock-like variable x with configurable value and
@@ -126,7 +128,7 @@ func TestDuringDelayReachability(t *testing.T) {
 	// Goal x >= 5 with x starting at 0, rate 1: reached at delay 5.
 	ev := NewEvaluator(Reach(10, geX(5)), xTimed)
 	env := &testEnv{x: 0, rate: 1}
-	v, at, err := ev.DuringDelay(env, 0, 8)
+	v, at, err := ev.DuringDelay(env, nil, 0, 8)
 	if err != nil {
 		t.Fatalf("DuringDelay: %v", err)
 	}
@@ -135,21 +137,21 @@ func TestDuringDelayReachability(t *testing.T) {
 	}
 
 	// Delay too short to reach the goal: undecided.
-	v, at, _ = ev.DuringDelay(env, 0, 3)
+	v, at, _ = ev.DuringDelay(env, nil, 0, 3)
 	if v != Undecided || at != 3 {
 		t.Errorf("short delay = (%v,%v), want (undecided,3)", v, at)
 	}
 
 	// The goal is reached only after the bound: violated at the bound.
 	evTight := NewEvaluator(Reach(4, geX(5)), xTimed)
-	v, at, _ = evTight.DuringDelay(env, 0, 8)
+	v, at, _ = evTight.DuringDelay(env, nil, 0, 8)
 	if v != Violated || at != 4 {
 		t.Errorf("goal past bound = (%v,%v), want (violated,4)", v, at)
 	}
 
 	// Starting mid-path: t=3, delay 4, goal at absolute time 3+2=5.
 	env2 := &testEnv{x: 3, rate: 1}
-	v, at, _ = ev.DuringDelay(env2, 3, 4)
+	v, at, _ = ev.DuringDelay(env2, nil, 3, 4)
 	if v != Satisfied || math.Abs(at-5) > 1e-12 {
 		t.Errorf("mid-path = (%v,%v), want (satisfied,5)", v, at)
 	}
@@ -159,7 +161,7 @@ func TestDuringDelayInvariance(t *testing.T) {
 	// Invariant x < 5 with x rising from 0 at rate 1: breaks at 5.
 	ev := NewEvaluator(Always(10, ltX(5)), xTimed)
 	env := &testEnv{x: 0, rate: 1}
-	v, at, err := ev.DuringDelay(env, 0, 8)
+	v, at, err := ev.DuringDelay(env, nil, 0, 8)
 	if err != nil {
 		t.Fatalf("DuringDelay: %v", err)
 	}
@@ -168,14 +170,14 @@ func TestDuringDelayInvariance(t *testing.T) {
 	}
 
 	// Short delay keeps the invariant: undecided.
-	v, _, _ = ev.DuringDelay(env, 0, 2)
+	v, _, _ = ev.DuringDelay(env, nil, 0, 2)
 	if v != Undecided {
 		t.Errorf("short delay = %v, want undecided", v)
 	}
 
 	// Surviving past the bound satisfies.
 	evShort := NewEvaluator(Always(3, ltX(5)), xTimed)
-	v, at, _ = evShort.DuringDelay(env, 0, 4)
+	v, at, _ = evShort.DuringDelay(env, nil, 0, 4)
 	if v != Satisfied || at != 3 {
 		t.Errorf("past bound = (%v,%v), want (satisfied,3)", v, at)
 	}
@@ -186,7 +188,7 @@ func TestDuringDelayUntil(t *testing.T) {
 	// Goal at delay 3 precedes constraint violation at 5: satisfied.
 	ev := NewEvaluator(UntilWithin(10, ltX(5), geX(3)), xTimed)
 	env := &testEnv{x: 0, rate: 1}
-	v, at, err := ev.DuringDelay(env, 0, 8)
+	v, at, err := ev.DuringDelay(env, nil, 0, 8)
 	if err != nil {
 		t.Fatalf("DuringDelay: %v", err)
 	}
@@ -196,20 +198,20 @@ func TestDuringDelayUntil(t *testing.T) {
 
 	// Constraint x < 2 breaks before goal x >= 3: violated at 2.
 	ev2 := NewEvaluator(UntilWithin(10, ltX(2), geX(3)), xTimed)
-	v, at, _ = ev2.DuringDelay(env, 0, 8)
+	v, at, _ = ev2.DuringDelay(env, nil, 0, 8)
 	if v != Violated || math.Abs(at-2) > 1e-12 {
 		t.Errorf("= (%v,%v), want (violated,2)", v, at)
 	}
 
 	// Neither in a short delay: undecided.
-	v, _, _ = ev.DuringDelay(env, 0, 1)
+	v, _, _ = ev.DuringDelay(env, nil, 0, 1)
 	if v != Undecided {
 		t.Errorf("short = %v, want undecided", v)
 	}
 
 	// Bound exceeded without goal: violated.
 	ev3 := NewEvaluator(UntilWithin(2, ltX(50), geX(30)), xTimed)
-	v, at, _ = ev3.DuringDelay(env, 0, 8)
+	v, at, _ = ev3.DuringDelay(env, nil, 0, 8)
 	if v != Violated || at != 2 {
 		t.Errorf("= (%v,%v), want (violated,2)", v, at)
 	}
@@ -234,7 +236,7 @@ func TestAtPathEnd(t *testing.T) {
 
 func TestNegativeDelayRejected(t *testing.T) {
 	ev := NewEvaluator(Reach(10, bRef), xTimed)
-	if _, _, err := ev.DuringDelay(&testEnv{}, 0, -1); err == nil {
+	if _, _, err := ev.DuringDelay(&testEnv{}, nil, 0, -1); err == nil {
 		t.Error("expected error for negative delay")
 	}
 }
@@ -249,5 +251,148 @@ func TestStringRendering(t *testing.T) {
 	}
 	if got := UntilWithin(5, bRef, bRef).String(); got != "P(b U [0,5] b)" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// setAlgebraDuringDelay is DuringDelay's invariance and until check as it
+// was written with set algebra: the first bad instant is the infimum of
+// [0, horizon] minus the window, built with Closed, Complement and
+// Intersect. It is the reference TestDuringDelayMatchesSetAlgebra holds the
+// in-place reads to.
+func setAlgebraDuringDelay(ev *Evaluator, env expr.RateEnv, t, d float64) (Verdict, float64, error) {
+	horizon := math.Min(d, ev.prop.Bound-t)
+	goalW, err := ev.goalWin(env, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	switch ev.prop.Kind {
+	case Invariance:
+		if horizon >= 0 && !goalW.Full() {
+			window := intervals.FromInterval(intervals.Closed(0, horizon))
+			badW := goalW.Intersect(window).Complement().Intersect(window)
+			if !badW.Empty() {
+				hit, _ := badW.Inf()
+				return Violated, t + hit, nil
+			}
+		}
+		if t+d > ev.prop.Bound {
+			return Satisfied, ev.prop.Bound, nil
+		}
+		return Undecided, t + d, nil
+	default: // Until
+		consW, err := ev.consWin(env, nil)
+		if err != nil {
+			return 0, 0, err
+		}
+		goalT := math.Inf(1)
+		if horizon >= 0 {
+			if hit, ok := goalW.MinIn(0, horizon); ok {
+				goalT = hit
+			}
+		}
+		badT := math.Inf(1)
+		if horizon >= 0 && !consW.Full() {
+			window := intervals.FromInterval(intervals.Closed(0, horizon))
+			badW := consW.Complement().Intersect(window)
+			if !badW.Empty() {
+				badT, _ = badW.Inf()
+			}
+		}
+		switch {
+		case goalT <= badT && !math.IsInf(goalT, 1):
+			return Satisfied, t + goalT, nil
+		case badT < goalT && !math.IsInf(badT, 1):
+			return Violated, t + badT, nil
+		case t+d > ev.prop.Bound:
+			return Violated, ev.prop.Bound, nil
+		default:
+			return Undecided, t + d, nil
+		}
+	}
+}
+
+// randomWindowExpr returns a random condition on x whose window is a union
+// of up to three intervals with random open or closed ends, half-lines,
+// punctured lines, the full or the empty set, or a complement of those.
+// Endpoints are small integers, so they often meet 0, the horizon and each
+// other.
+func randomWindowExpr(r *rand.Rand) expr.Expr {
+	c := func() expr.Expr { return expr.Literal(expr.RealVal(float64(r.Intn(9)))) }
+	lower := func() expr.Expr {
+		return expr.Bin([]expr.Op{expr.OpGt, expr.OpGe}[r.Intn(2)], xRef, c())
+	}
+	upper := func() expr.Expr {
+		return expr.Bin([]expr.Op{expr.OpLt, expr.OpLe}[r.Intn(2)], xRef, c())
+	}
+	var e expr.Expr = expr.False()
+	for n := r.Intn(4); n > 0; n-- {
+		var term expr.Expr
+		switch r.Intn(5) {
+		case 0:
+			term = lower()
+		case 1:
+			term = upper()
+		case 2:
+			term = expr.Bin(expr.OpNe, xRef, c())
+		case 3:
+			term = expr.True()
+		default:
+			term = expr.Bin(expr.OpAnd, lower(), upper())
+		}
+		e = expr.Bin(expr.OpOr, e, term)
+	}
+	if r.Intn(3) == 0 {
+		e = expr.Not(e)
+	}
+	return e
+}
+
+// TestDuringDelayMatchesSetAlgebra: on random timed goals and constraints,
+// random trajectories, delays and bounds (zero, finite and infinite),
+// invariance and until decide exactly as the set-algebra formula does.
+func TestDuringDelayMatchesSetAlgebra(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	pick := func(xs ...float64) float64 { return xs[r.Intn(len(xs))] }
+	inf := math.Inf(1)
+	var arena intervals.Arena
+	for trial := 0; trial < 20000; trial++ {
+		bound := pick(0, 2, 5, 10, inf)
+		var p Property
+		if r.Intn(2) == 0 {
+			p = Always(bound, randomWindowExpr(r))
+		} else {
+			p = UntilWithin(bound, randomWindowExpr(r), randomWindowExpr(r))
+		}
+		ev := NewEvaluator(p, xTimed)
+		env := &testEnv{x: pick(0, 1, 2, 3, 4.5), rate: pick(1, 2, 0.5, -1, 0)}
+		now, d := pick(0, 1, 2.5), pick(0, 0.5, 1, 3, 8, inf)
+		wantV, wantAt, wantErr := setAlgebraDuringDelay(ev, env, now, d)
+		arena.Reset()
+		gotV, gotAt, gotErr := ev.DuringDelay(env, &arena, now, d)
+		if (wantErr != nil) != (gotErr != nil) || gotV != wantV || math.Float64bits(gotAt) != math.Float64bits(wantAt) {
+			t.Fatalf("%s from x=%g rate %g, t=%g, d=%g: DuringDelay = (%v, %g, %v), set algebra (%v, %g, %v)",
+				p, env.x, env.rate, now, d, gotV, gotAt, gotErr, wantV, wantAt, wantErr)
+		}
+	}
+}
+
+// TestDuringDelayAllocs: with a warm arena that is reset between delays, a
+// delay under a timed invariance or until property allocates nothing.
+func TestDuringDelayAllocs(t *testing.T) {
+	band := expr.Bin(expr.OpOr, ltX(2), geX(3))
+	for _, p := range []Property{Always(10, band), UntilWithin(10, band, geX(7))} {
+		ev := NewEvaluator(p, xTimed)
+		env := &testEnv{x: 0, rate: 1}
+		var arena intervals.Arena
+		delay := func() {
+			arena.Reset()
+			if _, _, err := ev.DuringDelay(env, &arena, 0, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		delay()
+		if n := testing.AllocsPerRun(100, delay); n != 0 {
+			t.Errorf("%s: a delay allocates %.1f objects, want 0", p, n)
+		}
 	}
 }

@@ -125,13 +125,10 @@ func BenchmarkSamplePath(b *testing.B) {
 	}
 }
 
-// stepAllocBudget is the per-step allocation gate, ~30% over the measured
-// 4 (Go 1.24, linux/amd64). The residual allocations are the interval sets
-// materialized for clock guard windows; everything else (states, move sets,
-// contexts, environments, the delay clip) is pooled or shared, and labels
-// are read only with an observer.
-const stepAllocBudget = 5
-
+// TestStepAllocs: a warm step of the clock cycle allocates nothing. States,
+// move sets, contexts and environments are pooled, the clock guard windows
+// and the delay clip live in the scratch's interval arena, and labels are
+// read only with an observer.
 func TestStepAllocs(t *testing.T) {
 	eng, ps := benchEngine(t, 1e18)
 	cur, nxt := &ps.stA, &ps.stB
@@ -159,8 +156,8 @@ func TestStepAllocs(t *testing.T) {
 			cur, nxt = newCur, cur
 		}
 	})
-	if avg > stepAllocBudget {
-		t.Errorf("engine step allocates %.1f objects per step, budget %d", avg, stepAllocBudget)
+	if avg != 0 {
+		t.Errorf("engine step allocates %.2f objects per step, want 0", avg)
 	}
 }
 
@@ -391,20 +388,13 @@ func TestNoObserverRendersNoLabels(t *testing.T) {
 	}
 }
 
-// launcherStepAllocBudget gates the allocations of a warm recoverable
-// launcher step, averaged over the four strategies. Measured 9.75 (Go 1.24,
-// linux/amd64: 9 under asap, local and maxtime, 12 under progressive); the
-// budget leaves ~30% headroom. What remains are the interval sets of clock
-// guard windows and their intersections.
-const launcherStepAllocBudget = 12.5
-
 // TestLauncherStepAllocs gates the timed step path: on the launcher every
 // delay moves two continuous variables and most steps evaluate clock guard
-// windows and an invariant bound. Once the arena has warmed up, steps run
-// under each Fig. 5 strategy, and a path that ends restarts from the
-// initial state, as samplePath would.
+// windows and an invariant bound, whose sets, intersections and strategy
+// unions all live in the scratch's interval arena. Once the arena has
+// warmed up, steps run under each Fig. 5 strategy without allocating, and
+// a path that ends restarts from the initial state, as samplePath would.
 func TestLauncherStepAllocs(t *testing.T) {
-	total := 0.0
 	for _, name := range []string{"asap", "progressive", "local", "maxtime"} {
 		strat, err := strategy.ByName(name)
 		if err != nil {
@@ -441,12 +431,54 @@ func TestLauncherStepAllocs(t *testing.T) {
 		for i := 0; i < 256; i++ {
 			step()
 		}
-		avg := testing.AllocsPerRun(1000, step)
-		t.Logf("%s: %.3f allocs per step", name, avg)
-		total += avg
+		if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+			t.Errorf("%s: a warm launcher step allocates %.3f objects, want 0", name, avg)
+		}
 	}
-	if avg := total / 4; avg > launcherStepAllocBudget {
-		t.Errorf("a warm launcher step allocates %.2f objects on average over the strategies, budget %.1f", avg, launcherStepAllocBudget)
+}
+
+// TestLauncherArenaBounded: the step resets the interval arena, so over a
+// 10k-step launcher walk its backing stops growing once it has warmed up:
+// it needs room for one step's sets, a few dozen intervals, and reaches
+// that size within the first half of the walk under every strategy.
+func TestLauncherArenaBounded(t *testing.T) {
+	for _, name := range []string{"asap", "progressive", "local", "maxtime"} {
+		strat, err := strategy.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, cfg := launcherConfig(t, strat)
+		eng, err := NewEngine(rt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := eng.newScratch()
+		cur, nxt := &ps.stA, &ps.stB
+		src := rng.New(7)
+		var res PathResult
+		warm := 0
+		for i := 0; i < 10000; i++ {
+			if i == 0 || res.Termination != 0 {
+				if err := ps.net.InitialStateInto(cur); err != nil {
+					t.Fatal(err)
+				}
+				ps.guards.Reset()
+				res = PathResult{}
+			}
+			_, newCur, err := eng.step(ps, cur, nxt, src, &res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if newCur != cur {
+				cur, nxt = newCur, cur
+			}
+			if i == 4999 {
+				warm = ps.net.Arena().Cap()
+			}
+		}
+		if got := ps.net.Arena().Cap(); got != warm {
+			t.Errorf("%s: arena capacity %d after 10k steps, %d after 5k", name, got, warm)
+		}
 	}
 }
 

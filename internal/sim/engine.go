@@ -162,14 +162,14 @@ type engineStats struct {
 
 // pathScratch is the per-path working set: a network evaluation arena, the
 // current state's move set and guard cache, two states the step loop
-// ping-pongs between, the backing of a finite delay clip and the reused
-// strategy context, whose Windows slice backs the step's windows.
+// ping-pongs between and the reused strategy context, whose Windows slice
+// backs the step's windows. Every interval set a step builds lives in the
+// network scratch's arena, which the step resets first.
 type pathScratch struct {
 	net      *network.Scratch
 	moves    network.MoveSet
 	guards   *network.GuardCache
 	stA, stB network.State
-	clip     [1]intervals.Interval
 	ctx      strategy.Context
 }
 
@@ -348,6 +348,10 @@ func (e *Engine) apply(ps *pathScratch, out, src *network.State, m *network.Move
 // verdict (possibly still undecided) together with a pointer to whichever
 // of the two states now holds the successor.
 func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source, res *PathResult) (prop.Verdict, *network.State, error) {
+	// No set built in the previous step is read any more: neither the
+	// strategy's Choice nor the observer keeps one.
+	arena := ps.net.Arena()
+	arena.Reset()
 	maxD, attained, nowOK, err := ps.net.MaxDelay(cur)
 	if err != nil {
 		return 0, nil, err
@@ -366,7 +370,7 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 
 	// Enabling windows of guarded moves, clipped to the allowed delays.
 	// Time-invariant guards are answered by the path's guard cache.
-	clip := delayClip(ps, maxD, attained)
+	clip := delayClip(arena, maxD, attained)
 	if cap(ps.ctx.Windows) < len(guarded) {
 		ps.ctx.Windows = make([]intervals.Set, len(guarded))
 	}
@@ -377,7 +381,7 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 		if werr != nil {
 			return 0, nil, werr
 		}
-		windows[i] = w.Intersect(clip)
+		windows[i] = arena.Intersect(w, clip)
 		open = open || !windows[i].Empty()
 	}
 
@@ -400,6 +404,7 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 	ps.ctx.MaxAttained = attained
 	ps.ctx.Horizon = math.Max(0, e.cfg.Property.Bound-cur.Time)
 	ps.ctx.Windows = windows
+	ps.ctx.Arena = arena
 	ps.ctx.Labels = cm
 	ps.ctx.Rng = src
 	choice := strategy.Choice{Delay: ps.ctx.Cap(), Timelocked: true}
@@ -480,7 +485,7 @@ func (e *Engine) wait(ps *pathScratch, cur, nxt *network.State, d float64, lock 
 	v, at := prop.Undecided, 0.0
 	if d > 0 {
 		var err error
-		if v, at, err = e.eval.DuringDelay(ps.net.Env(cur), cur.Time, d); err != nil {
+		if v, at, err = e.eval.DuringDelay(ps.net.Env(cur), ps.net.Arena(), cur.Time, d); err != nil {
 			return 0, err
 		}
 	}
@@ -513,17 +518,13 @@ func (e *Engine) wait(ps *pathScratch, cur, nxt *network.State, d float64, lock 
 }
 
 // delayClip returns the delay set the invariants allow: [0, maxD] when the
-// bound is attainable, [0, maxD) otherwise. Neither allocates: [0, ∞) has a
-// shared backing, and a finite clip is stored in ps.clip, which the next
-// step overwrites. That is safe because no window outlives its step: the
-// windows a clip may back are recomputed every step, and neither the
-// strategy's Choice nor the observer keeps one.
-func delayClip(ps *pathScratch, maxD float64, attained bool) intervals.Set {
+// bound is attainable, [0, maxD) otherwise, built in a; [0, ∞) is shared.
+func delayClip(a *intervals.Arena, maxD float64, attained bool) intervals.Set {
 	if math.IsInf(maxD, 1) {
 		return intervals.NonNegative()
 	}
 	if attained {
-		return intervals.FromIntervalIn(ps.clip[:], intervals.Closed(0, maxD))
+		return a.Of(intervals.Closed(0, maxD))
 	}
-	return intervals.FromIntervalIn(ps.clip[:], intervals.ClosedOpen(0, maxD))
+	return a.Of(intervals.ClosedOpen(0, maxD))
 }

@@ -57,8 +57,14 @@ type Context struct {
 	// bound is +Inf.
 	Horizon float64
 	// Windows holds, per candidate guarded move, the delay set at which
-	// the move is enabled.
+	// the move is enabled. The engine builds the windows in Arena and
+	// reuses both for the next step, so they are valid only during this
+	// decision: a strategy, an Input's Ask callback included, must not
+	// keep them.
 	Windows []intervals.Set
+	// Arena holds the sets a strategy builds from Windows; they live as
+	// long as the windows do. Nil allocates them.
+	Arena *intervals.Arena
 	// Labels describes each candidate move for interactive display,
 	// indexed like Windows and rendered only when asked. It may be nil.
 	Labels Labeler
@@ -129,11 +135,12 @@ func errUnbounded(name string) error {
 	return fmt.Errorf("strategy: %s needs a bounded wait, but the property bound is +Inf and no invariant bounds the delay", name)
 }
 
-// unionWindows returns the union of all enabling windows.
-func unionWindows(windows []intervals.Set) intervals.Set {
+// unionWindows returns the union of all enabling windows, built in the
+// context's arena.
+func (c *Context) unionWindows() intervals.Set {
 	u := intervals.EmptySet()
-	for _, w := range windows {
-		u = u.Union(w)
+	for _, w := range c.Windows {
+		u = c.Arena.Union(u, w)
 	}
 	return u
 }
@@ -150,7 +157,7 @@ func (ASAP) Name() string { return "asap" }
 
 // Choose implements Strategy.
 func (ASAP) Choose(ctx *Context) (Choice, error) {
-	inf, attained := unionWindows(ctx.Windows).Inf()
+	inf, attained := ctx.unionWindows().Inf()
 	d := inf
 	if !attained {
 		d = inf + epsNudge
@@ -201,8 +208,8 @@ func (Progressive) Name() string { return "progressive" }
 func (Progressive) Choose(ctx *Context) (Choice, error) {
 	// Clip unbounded enabling sets to the horizon so the uniform
 	// distribution exists.
-	clip := intervals.FromInterval(intervals.Closed(0, ctx.Cap()))
-	clipped := unionWindows(ctx.Windows).Intersect(clip)
+	clip := ctx.Arena.Of(intervals.Closed(0, ctx.Cap()))
+	clipped := ctx.Arena.Intersect(ctx.unionWindows(), clip)
 	if clipped.Empty() {
 		return Choice{Delay: ctx.Cap(), Timelocked: true}, nil
 	}
@@ -282,7 +289,8 @@ func (s Input) Choose(ctx *Context) (Choice, error) {
 		if !ctx.Windows[move].Contains(d) {
 			return Choice{}, fmt.Errorf("strategy: input callback chose move %d which is not enabled after %g", move, d)
 		}
-		return Choice{Delay: d, Enabled: []int{move}}, nil
+		ctx.EnabledBuf = append(ctx.EnabledBuf[:0], move)
+		return Choice{Delay: d, Enabled: ctx.EnabledBuf}, nil
 	}
 	return Choice{Delay: d, Enabled: ctx.enabledAt(d)}, nil
 }

@@ -205,6 +205,66 @@ func TestInputStrategy(t *testing.T) {
 	}
 }
 
+// TestInputRefusesMoveOutsideWindow: a move the callback picks is written
+// into the context's reusable buffer, and a move whose window does not
+// hold the chosen delay is refused, also after an accepted pick has left
+// its index in that buffer.
+func TestInputRefusesMoveOutsideWindow(t *testing.T) {
+	ctx := gpsCtx(1)
+	ctx.Windows = append(ctx.Windows, intervals.FromInterval(intervals.Closed(0, 100)))
+	pick := func(d float64, move int) Input {
+		return Input{Ask: func(*Context) (float64, int, error) { return d, move, nil }}
+	}
+	c, err := pick(250, 0).Choose(ctx)
+	if err != nil || len(c.Enabled) != 1 || c.Enabled[0] != 0 || &c.Enabled[0] != &ctx.EnabledBuf[0] {
+		t.Fatalf("move 0 at 250 = (%+v, %v), want [0] in the context's buffer", c, err)
+	}
+	for _, bad := range []struct {
+		d    float64
+		move int
+	}{{250, 1}, {150, 0}, {150, 1}, {100.5, 1}} {
+		if c, err := pick(bad.d, bad.move).Choose(ctx); err == nil {
+			t.Errorf("move %d at %g, outside its window, was accepted: %+v", bad.move, bad.d, c)
+		}
+	}
+	if c, err := pick(100, 1).Choose(ctx); err != nil || len(c.Enabled) != 1 || c.Enabled[0] != 1 {
+		t.Errorf("move 1 at 100 = (%+v, %v), want [1]", c, err)
+	}
+}
+
+// TestChooseAllocs: with the engine's reuse (one context whose arena is
+// reset before each decision and whose EnabledBuf is warm), no strategy
+// allocates to decide, Input's own pick included.
+func TestChooseAllocs(t *testing.T) {
+	var arena intervals.Arena
+	ctx := &Context{
+		MaxDelay:    100,
+		MaxAttained: true,
+		Horizon:     1000,
+		Windows: []intervals.Set{
+			intervals.NewSet(intervals.Closed(3, 10), intervals.Open(20, 30)),
+			intervals.NewSet(intervals.Closed(5, 7), intervals.AtLeast(25)),
+			intervals.FromInterval(intervals.Closed(8, 40)),
+		},
+		Arena: &arena,
+		Rng:   rng.New(3),
+	}
+	strategies := []Strategy{ASAP{}, Progressive{}, Local{}, MaxTime{},
+		Input{Ask: func(*Context) (float64, int, error) { return 9, 2, nil }}}
+	for _, s := range strategies {
+		choose := func() {
+			arena.Reset()
+			if _, err := s.Choose(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		choose()
+		if n := testing.AllocsPerRun(100, choose); n != 0 {
+			t.Errorf("%s allocates %.1f objects per decision, want 0", s.Name(), n)
+		}
+	}
+}
+
 func TestByName(t *testing.T) {
 	for _, name := range []string{"asap", "progressive", "local", "maxtime"} {
 		s, err := ByName(name)

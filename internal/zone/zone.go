@@ -265,15 +265,16 @@ func fireableNow(w intervals.Set) (fire bool) {
 	return fire
 }
 
-// delayClip mirrors sim's invariant clip: the delays the invariants allow.
-func delayClip(maxD float64, attained bool) intervals.Set {
+// delayClip mirrors sim's invariant clip: the delays the invariants allow,
+// built in a.
+func delayClip(a *intervals.Arena, maxD float64, attained bool) intervals.Set {
 	if math.IsInf(maxD, 1) {
-		return intervals.FromInterval(intervals.AtLeast(0))
+		return intervals.NonNegative()
 	}
 	if attained {
-		return intervals.FromInterval(intervals.Closed(0, maxD))
+		return a.Of(intervals.Closed(0, maxD))
 	}
-	return intervals.FromInterval(intervals.ClosedOpen(0, maxD))
+	return a.Of(intervals.ClosedOpen(0, maxD))
 }
 
 // movesAt returns the move set of cascade depth d, allocating it on first
@@ -290,8 +291,11 @@ func (a *analyzer) movesAt(d int) *network.MoveSet {
 // cascade depth depth, so they stay valid while deeper cascades run.
 // Windows are clipped by the invariants first, exactly like the engine's
 // step: an open-at-zero window under an expired invariant (maxD = 0) is a
-// timelock, not a firing.
+// timelock, not a firing. The windows live in the scratch's arena, which
+// fireable resets first: none outlives the call.
 func (a *analyzer) fireable(st *network.State, depth int) ([]*network.Move, float64, error) {
+	arena := a.sc.Arena()
+	arena.Reset()
 	d, att, nowOK, err := a.sc.MaxDelay(st)
 	if err != nil {
 		return nil, 0, err
@@ -299,7 +303,7 @@ func (a *analyzer) fireable(st *network.State, depth int) ([]*network.Move, floa
 	if !nowOK {
 		return nil, 0, fmt.Errorf("zone: invariant violated at t=%g", st.Time)
 	}
-	clip := delayClip(d, att)
+	clip := delayClip(arena, d, att)
 	ms := a.movesAt(depth)
 	a.sc.Moves(ms, st)
 	var out []*network.Move
@@ -308,7 +312,7 @@ func (a *analyzer) fireable(st *network.State, depth int) ([]*network.Move, floa
 		if err != nil {
 			return nil, 0, err
 		}
-		if fireableNow(w.Intersect(clip)) {
+		if fireableNow(arena.Intersect(w, clip)) {
 			out = append(out, m)
 		}
 	}
@@ -504,7 +508,8 @@ func (a *analyzer) buildClosure(support []*massState) (*closure, error) {
 }
 
 // intern adds a tangible snapshot state to the closure, registering its
-// deadline and window-endpoint boundary candidates.
+// deadline and window-endpoint boundary candidates. It resets the scratch's
+// arena before reading windows: none outlives the call.
 func (a *analyzer) intern(c *closure, st *network.State) (int, error) {
 	key := st.Key()
 	if idx, ok := c.index[key]; ok {
@@ -513,6 +518,7 @@ func (a *analyzer) intern(c *closure, st *network.State) (int, error) {
 	if len(c.states) >= a.maxStates {
 		return 0, fmt.Errorf("zone: segment closure exceeds %d states", a.maxStates)
 	}
+	a.sc.Arena().Reset()
 	d, _, nowOK, err := a.sc.MaxDelay(st)
 	if err != nil {
 		return 0, err
