@@ -457,7 +457,14 @@ func TestRejectsHugeHorizons(t *testing.T) {
 // and bound.
 func singleClock(tb testing.TB, seed uint64) (*network.Runtime, expr.Expr, float64) {
 	tb.Helper()
-	g, err := modelgen.Generate(modelgen.SingleClockTimed, seed)
+	return generated(tb, modelgen.SingleClockTimed, seed)
+}
+
+// generated builds the modelgen model of class and seed with its goal and
+// bound.
+func generated(tb testing.TB, class modelgen.Class, seed uint64) (*network.Runtime, expr.Expr, float64) {
+	tb.Helper()
+	g, err := modelgen.Generate(class, seed)
 	if err != nil {
 		tb.Fatal(err)
 	}
