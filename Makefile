@@ -135,16 +135,21 @@ bench-smoke:
 
 # bench-json regenerates the machine-readable perf trajectory: one
 # BENCH_<experiment>.json per case-study experiment, in the report schema
-# of docs/OBSERVABILITY.md (see EXPERIMENTS.md for the workflow).
+# of docs/OBSERVABILITY.md (see EXPERIMENTS.md for the workflow). Every
+# committed artifact was written at -workers 1: estimates and path counts
+# depend on the worker count, and slimbench's default (one worker per
+# CPU) would rewrite every pinned value on a machine of another size. The
+# bench-* targets below pin it the same way.
 bench-json: build bench-fig5 bench-table1
-	$(GO) run ./cmd/slimbench -experiment generators -report BENCH_generators.json
-	$(GO) run ./cmd/slimbench -experiment rare-events -report BENCH_rare-events.json
+	$(GO) run ./cmd/slimbench -experiment generators -workers 1 -report BENCH_generators.json
+	$(GO) run ./cmd/slimbench -experiment rare-events -workers 1 -report BENCH_rare-events.json
 
 # bench-table1 regenerates the Table I artifact at the defaults: the
 # counter-abstracted quotient flow to N=14, the explicit flow and
-# simulator to N=8 (see docs/SYMMETRY.md for the quotient semantics).
+# simulator to N=8 (see docs/SYMMETRY.md for the quotient semantics), at
+# the one worker the committed artifact was written with.
 bench-table1: build
-	$(GO) run ./cmd/slimbench -experiment table1 -report BENCH_table1.json
+	$(GO) run ./cmd/slimbench -experiment table1 -workers 1 -report BENCH_table1.json
 
 # bench-table1-smoke is the CI form: small sizes, a tiny explicit window
 # and loose simulator accuracy prove all three table1 flows — including
@@ -157,10 +162,11 @@ bench-table1-smoke: build
 # sweep per strategy (docs/SWEEPS.md) plus, with -baseline, the per-bound
 # loop it replaced — the JSON carries per-cell rows ("u=.../strategy=...")
 # and per-strategy timing rows ("strategy=..." with sweepMs, baselineMs,
-# speedup, sharedPaths, baselinePaths).
+# speedup, sharedPaths, baselinePaths). One worker, as the committed
+# artifacts were written: estimates depend on the worker count.
 bench-fig5: build
-	$(GO) run ./cmd/slimbench -experiment fig5-permanent -baseline -report BENCH_fig5-permanent.json
-	$(GO) run ./cmd/slimbench -experiment fig5-recoverable -baseline -report BENCH_fig5-recoverable.json
+	$(GO) run ./cmd/slimbench -experiment fig5-permanent -baseline -workers 1 -report BENCH_fig5-permanent.json
+	$(GO) run ./cmd/slimbench -experiment fig5-recoverable -baseline -workers 1 -report BENCH_fig5-recoverable.json
 
 # bench-fig5-smoke is the CI form: a tiny sweep (2 bounds, loose
 # accuracy) with the baseline comparison enabled, proving the shared-path
@@ -171,9 +177,10 @@ bench-fig5-smoke: build
 
 # bench-rare regenerates the rare-events artifact alone: the Chernoff
 # degradation sweep plus the plain-MC vs importance-splitting comparison
-# on the pinned modelgen rare-event model (see docs/SPLITTING.md).
+# on the pinned modelgen rare-event model (see docs/SPLITTING.md), at the
+# one worker the committed artifact was written with.
 bench-rare: build
-	$(GO) run ./cmd/slimbench -experiment rare-events -report BENCH_rare-events.json
+	$(GO) run ./cmd/slimbench -experiment rare-events -workers 1 -report BENCH_rare-events.json
 
 # bench-rare-smoke is the CI form: loose accuracy and a small splitting
 # effort prove the plain-MC vs splitting flow end to end in seconds

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"slimsim"
+	"slimsim/internal/cli"
 	"slimsim/internal/telemetry"
 )
 
@@ -59,7 +60,7 @@ func run(args []string) error {
 		return fmt.Errorf("-model, -goal and a positive, finite -bound are required")
 	}
 
-	m, err := loadModel(*modelPath, *noLint)
+	m, err := cli.LoadModel(*modelPath, *noLint, os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -182,43 +183,5 @@ func runZone(m *slimsim.Model, modelPath, goal string, bound float64, maxStates 
 	fmt.Printf("dead mass: %.10f\n", rep.Dead)
 	fmt.Printf("segments: %d, peak %d tangible states\n", rep.Segments, rep.PeakStates)
 	fmt.Printf("time: solve %s\n", rep.SolveTime)
-	return nil
-}
-
-// loadModel loads the model file and, unless noLint, refuses it when the
-// loaded model has error-severity diagnostics. A file that does not load
-// is linted only for the refusal's text.
-func loadModel(path string, noLint bool) (*slimsim.Model, error) {
-	m, err := slimsim.LoadModelFile(path)
-	if noLint {
-		return m, err
-	}
-	if err != nil {
-		if diags, lerr := slimsim.LintFile(path); lerr == nil {
-			if gerr := lintGate(path, diags); gerr != nil {
-				return nil, gerr
-			}
-		}
-		return nil, err
-	}
-	if err := lintGate(path, m.Lint()); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// lintGate fails when diags has error-severity diagnostics, printing them
-// to stderr.
-func lintGate(path string, diags []slimsim.Diagnostic) error {
-	errs := 0
-	for _, d := range diags {
-		if d.Severity == slimsim.SeverityError {
-			fmt.Fprintln(os.Stderr, d.Render(path))
-			errs++
-		}
-	}
-	if errs > 0 {
-		return fmt.Errorf("model has %d lint error(s); use -no-lint to override", errs)
-	}
 	return nil
 }

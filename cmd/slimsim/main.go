@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"slimsim"
+	"slimsim/internal/cli"
 	"slimsim/internal/telemetry"
 )
 
@@ -98,7 +99,7 @@ func run(args []string) error {
 		return fmt.Errorf("-splitting cannot be combined with -bounds")
 	}
 
-	m, err := loadModel(*modelPath, *noLint)
+	m, err := cli.LoadModel(*modelPath, *noLint, os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -277,44 +278,6 @@ func parseBounds(s string) ([]float64, error) {
 		bounds = append(bounds, u)
 	}
 	return bounds, nil
-}
-
-// loadModel loads the model file and, unless noLint, refuses it when the
-// loaded model has error-severity diagnostics. A file that does not load
-// is linted only for the refusal's text.
-func loadModel(path string, noLint bool) (*slimsim.Model, error) {
-	m, err := slimsim.LoadModelFile(path)
-	if noLint {
-		return m, err
-	}
-	if err != nil {
-		if diags, lerr := slimsim.LintFile(path); lerr == nil {
-			if gerr := lintGate(path, diags); gerr != nil {
-				return nil, gerr
-			}
-		}
-		return nil, err
-	}
-	if err := lintGate(path, m.Lint()); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// lintGate fails when diags has error-severity diagnostics, printing them
-// to stderr.
-func lintGate(path string, diags []slimsim.Diagnostic) error {
-	errs := 0
-	for _, d := range diags {
-		if d.Severity == slimsim.SeverityError {
-			fmt.Fprintln(os.Stderr, d.Render(path))
-			errs++
-		}
-	}
-	if errs > 0 {
-		return fmt.Errorf("model has %d lint error(s); use -no-lint to override", errs)
-	}
-	return nil
 }
 
 func verdictWord(sat bool) string {

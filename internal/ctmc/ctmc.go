@@ -35,7 +35,12 @@ type CTMC struct {
 func (c *CTMC) NumStates() int { return len(c.Edges) }
 
 // Validate checks structural consistency.
-func (c *CTMC) Validate() error {
+func (c *CTMC) Validate() error { return c.validate(true) }
+
+// validate checks the vector lengths, the initial probabilities, and that
+// every edge has an in-range target and a positive rate; with unitMass it
+// also requires the initial distribution to sum to 1.
+func (c *CTMC) validate(unitMass bool) error {
 	n := len(c.Edges)
 	if len(c.Initial) != n || len(c.Goal) != n {
 		return fmt.Errorf("ctmc: inconsistent vector lengths (%d edges, %d initial, %d goal)",
@@ -48,7 +53,7 @@ func (c *CTMC) Validate() error {
 		}
 		mass += p
 	}
-	if math.Abs(mass-1) > 1e-9 {
+	if unitMass && math.Abs(mass-1) > 1e-9 {
 		return fmt.Errorf("ctmc: initial distribution sums to %g", mass)
 	}
 	for s, edges := range c.Edges {
@@ -79,11 +84,11 @@ func (c *CTMC) ExitRate(s int) float64 {
 // λ·t up to about 9.98e7.
 const MaxUniformizationSteps = 100_000_000
 
-// UniformizationSteps returns the truncation point of the Poisson(λ·t)
+// uniformizationSteps returns the truncation point of the Poisson(λ·t)
 // weights a transient solve by uniformization sums: λ·t plus a margin of
 // twenty standard deviations. It fails when lt is not a finite
 // non-negative number or the point exceeds MaxUniformizationSteps.
-func UniformizationSteps(lt float64) (int, error) {
+func uniformizationSteps(lt float64) (int, error) {
 	steps := lt + 20*math.Sqrt(lt+1) + 100
 	if !(lt >= 0) || !(steps <= MaxUniformizationSteps) {
 		return 0, fmt.Errorf("ctmc: uniformization of λ·t = %g needs more than the %d-step cap", lt, MaxUniformizationSteps)
@@ -98,16 +103,64 @@ func (c *CTMC) ReachWithin(t float64, tail float64) (float64, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
+	var result float64
+	if _, _, err := c.uniformize(t, tail, func(w float64, pi []float64) {
+		var hit float64
+		for s, g := range c.Goal {
+			if g {
+				hit += pi[s]
+			}
+		}
+		result += w * hit
+	}); err != nil {
+		return 0, err
+	}
+	// Remaining tail: the goal mass can only grow, so result is a lower
+	// bound with error ≤ tail.
+	return result, nil
+}
+
+// Transient returns the expected distribution at time t of the chain
+// started from Initial, goal states absorbing, by uniformization. Initial
+// may be sub-stochastic; the result carries the same mass, because the
+// Poisson tail beyond the truncation point (at most tail) is folded into
+// the last iterate.
+func (c *CTMC) Transient(t float64, tail float64) ([]float64, error) {
+	if err := c.validate(false); err != nil {
+		return nil, err
+	}
+	out := make([]float64, c.NumStates())
+	last, cum, err := c.uniformize(t, tail, func(w float64, pi []float64) {
+		for s := range out {
+			out[s] += w * pi[s]
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if rem := 1 - cum; rem > 0 {
+		for s := range out {
+			out[s] += rem * last[s]
+		}
+	}
+	return out, nil
+}
+
+// uniformize steps the uniformized DTMC of c (goal states absorbing) from
+// Initial and calls visit with the Poisson(λ·t) weight and the iterate of
+// each step k = 0, 1, …, until the weights sum past 1 - tail (tail <= 0
+// selects 1e-10). It returns the last iterate and the weight sum. λ is the
+// largest exit rate of a non-goal state; when λ·t is 0 the only step is
+// k = 0, of weight 1. The weights are computed in log space, so a large
+// λ·t does not overflow.
+func (c *CTMC) uniformize(t, tail float64, visit func(w float64, pi []float64)) ([]float64, float64, error) {
 	if !(t >= 0) || math.IsInf(t, 1) {
-		return 0, fmt.Errorf("ctmc: time bound must be finite and non-negative, got %g", t)
+		return nil, 0, fmt.Errorf("ctmc: time bound must be finite and non-negative, got %g", t)
 	}
 	if tail <= 0 {
 		tail = 1e-10
 	}
 	n := c.NumStates()
-
-	// Uniformization rate: the maximum exit rate among non-goal states
-	// (goal states are absorbing).
 	var lambda float64
 	for s := 0; s < n; s++ {
 		if c.Goal[s] {
@@ -117,85 +170,67 @@ func (c *CTMC) ReachWithin(t float64, tail float64) (float64, error) {
 			lambda = r
 		}
 	}
-	// Initial goal mass is already a hit.
-	if lambda == 0 || t == 0 {
-		var p float64
-		for s := 0; s < n; s++ {
-			if c.Goal[s] {
-				p += c.Initial[s]
-			}
-		}
-		return p, nil
+	pi := append([]float64(nil), c.Initial...)
+	lt := lambda * t
+	if lt == 0 {
+		visit(1, pi)
+		return pi, 1, nil
+	}
+	maxIter, err := uniformizationSteps(lt)
+	if err != nil {
+		return nil, 0, err
 	}
 
-	// DTMC of the uniformized chain (goal states absorbing).
+	// DTMC of the uniformized chain, row s in dtmc[rows[s]:rows[s+1]]: a
+	// goal state stays put, any other jumps with probability rate/λ and
+	// stays with the rest.
 	type pEdge struct {
 		to int
 		p  float64
 	}
-	probs := make([][]pEdge, n)
+	size := n // a stay edge per state at most
+	for _, edges := range c.Edges {
+		size += len(edges)
+	}
+	rows := make([]int, n+1)
+	dtmc := make([]pEdge, 0, size)
 	for s := 0; s < n; s++ {
+		rows[s] = len(dtmc)
 		if c.Goal[s] {
-			probs[s] = []pEdge{{to: s, p: 1}}
+			dtmc = append(dtmc, pEdge{to: s, p: 1})
 			continue
 		}
-		var stay float64 = 1
-		var out []pEdge
+		stay := 1.0
 		for _, e := range c.Edges[s] {
 			p := e.Rate / lambda
-			out = append(out, pEdge{to: e.To, p: p})
+			dtmc = append(dtmc, pEdge{to: e.To, p: p})
 			stay -= p
 		}
 		if stay > 1e-15 {
-			out = append(out, pEdge{to: s, p: stay})
+			dtmc = append(dtmc, pEdge{to: s, p: stay})
 		}
-		probs[s] = out
 	}
+	rows[n] = len(dtmc)
 
-	// Transient distribution via Poisson-weighted powers.
-	pi := make([]float64, n)
-	copy(pi, c.Initial)
 	next := make([]float64, n)
-
-	lt := lambda * t
-	maxIter, err := UniformizationSteps(lt)
-	if err != nil {
-		return 0, err
-	}
-	// Poisson(k; λt) computed iteratively in log space to avoid
-	// overflow for large λt.
 	logW := -lt // log weight at k = 0
-	var result, cum float64
-	addTerm := func() {
-		w := math.Exp(logW)
-		cum += w
-		var hit float64
-		for s := 0; s < n; s++ {
-			if c.Goal[s] {
-				hit += pi[s]
-			}
-		}
-		result += w * hit
-	}
-	addTerm()
-	// Iterate until the remaining Poisson tail is below the target.
+	cum := math.Exp(logW)
+	visit(cum, pi)
 	for k := 1; k <= maxIter && 1-cum > tail; k++ {
-		for s := range next {
-			next[s] = 0
-		}
-		for s := 0; s < n; s++ {
-			if pi[s] == 0 {
+		clear(next)
+		for s, m := range pi {
+			if m == 0 {
 				continue
 			}
-			for _, e := range probs[s] {
-				next[e.to] += pi[s] * e.p
+			for _, e := range dtmc[rows[s]:rows[s+1]] {
+				next[e.to] += m * e.p
 			}
 		}
 		pi, next = next, pi
 		logW += math.Log(lt / float64(k))
-		addTerm()
+		w := math.Exp(logW)
+		cum += w
+		visit(w, pi)
 	}
-	// Remaining tail: the goal mass can only grow, so result is a lower
-	// bound with error ≤ tail.
-	return result, nil
+	return pi, cum, nil
 }

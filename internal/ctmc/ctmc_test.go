@@ -142,13 +142,13 @@ func TestUniformizationSteps(t *testing.T) {
 		lt   float64
 		want int
 	}{{0, 120}, {3, 143}, {1e6, 1020100}} {
-		if got, err := UniformizationSteps(tc.lt); err != nil || got != tc.want {
-			t.Errorf("UniformizationSteps(%v) = %d, %v; want %d", tc.lt, got, err, tc.want)
+		if got, err := uniformizationSteps(tc.lt); err != nil || got != tc.want {
+			t.Errorf("uniformizationSteps(%v) = %d, %v; want %d", tc.lt, got, err, tc.want)
 		}
 	}
 	for _, lt := range []float64{-1, math.NaN(), math.Inf(1), 1e8, 1e19} {
-		if got, err := UniformizationSteps(lt); err == nil {
-			t.Errorf("UniformizationSteps(%v) = %d, want an error", lt, got)
+		if got, err := uniformizationSteps(lt); err == nil {
+			t.Errorf("uniformizationSteps(%v) = %d, want an error", lt, got)
 		}
 	}
 }

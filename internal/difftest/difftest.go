@@ -64,6 +64,7 @@ import (
 	"slimsim"
 	"slimsim/internal/bisim"
 	"slimsim/internal/ctmc"
+	"slimsim/internal/expr"
 	"slimsim/internal/lint"
 	"slimsim/internal/model"
 	"slimsim/internal/modelgen"
@@ -379,21 +380,9 @@ func checkExact(g *modelgen.Generated, m *slimsim.Model, fail failf) *Discrepanc
 	}
 	// Rebuild the chain through the internal pipeline to compare the
 	// unlumped and lumped answers independently of CheckCTMC.
-	parsed, err := slim.Parse(g.Source)
-	if err != nil {
-		return fail("exact", "reparse: %v", err)
-	}
-	built, err := model.Instantiate(parsed)
-	if err != nil {
-		return fail("exact", "instantiate: %v", err)
-	}
-	rt, err := network.New(built.Net)
-	if err != nil {
-		return fail("exact", "network: %v", err)
-	}
-	goal, err := built.CompileExpr(g.Goal)
-	if err != nil {
-		return fail("exact", "goal %q: %v", g.Goal, err)
+	rt, goal, d := rebuild(g, "exact", fail)
+	if d != nil {
+		return d
 	}
 	br, err := ctmc.Build(rt, goal, maxStates)
 	if err != nil {
@@ -489,21 +478,9 @@ func checkZone(g *modelgen.Generated, m *slimsim.Model, fail failf) *Discrepancy
 	if d := checkEngine(g, m, fail); d != nil {
 		return d
 	}
-	parsed, err := slim.Parse(g.Source)
-	if err != nil {
-		return fail("zone", "reparse: %v", err)
-	}
-	built, err := model.Instantiate(parsed)
-	if err != nil {
-		return fail("zone", "instantiate: %v", err)
-	}
-	rt, err := network.New(built.Net)
-	if err != nil {
-		return fail("zone", "network: %v", err)
-	}
-	goal, err := built.CompileExpr(g.Goal)
-	if err != nil {
-		return fail("zone", "goal %q: %v", g.Goal, err)
+	rt, goal, d := rebuild(g, "zone", fail)
+	if d != nil {
+		return d
 	}
 	exact, err := zone.Analyze(rt, goal, g.Bound, maxStates)
 	if err != nil {
@@ -654,21 +631,9 @@ func checkRare(g *modelgen.Generated, m *slimsim.Model, fail failf) *Discrepancy
 // produce the same probability with the fast path engaged and disabled.
 // The standard Monte Carlo band then ties the exact answer to sampling.
 func checkSymmetric(g *modelgen.Generated, m *slimsim.Model, fail failf) *Discrepancy {
-	parsed, err := slim.Parse(g.Source)
-	if err != nil {
-		return fail("symmetry", "reparse: %v", err)
-	}
-	built, err := model.Instantiate(parsed)
-	if err != nil {
-		return fail("symmetry", "instantiate: %v", err)
-	}
-	rt, err := network.New(built.Net)
-	if err != nil {
-		return fail("symmetry", "network: %v", err)
-	}
-	goal, err := built.CompileExpr(g.Goal)
-	if err != nil {
-		return fail("symmetry", "goal %q: %v", g.Goal, err)
+	rt, goal, d := rebuild(g, "symmetry", fail)
+	if d != nil {
+		return d
 	}
 	red := symmetry.Detect(rt)
 	if red == nil {
@@ -767,6 +732,29 @@ func checkEngine(g *modelgen.Generated, m *slimsim.Model, fail failf) *Discrepan
 }
 
 type failf func(oracle, format string, args ...any) *Discrepancy
+
+// rebuild instantiates g's source into a runtime and compiled goal through
+// the internal pipeline, independently of the public Model. A failure is
+// filed under oracle, so a shrunk reproducer keeps failing the same check.
+func rebuild(g *modelgen.Generated, oracle string, fail failf) (*network.Runtime, expr.Expr, *Discrepancy) {
+	parsed, err := slim.Parse(g.Source)
+	if err != nil {
+		return nil, nil, fail(oracle, "reparse: %v", err)
+	}
+	built, err := model.Instantiate(parsed)
+	if err != nil {
+		return nil, nil, fail(oracle, "instantiate: %v", err)
+	}
+	rt, err := network.New(built.Net)
+	if err != nil {
+		return nil, nil, fail(oracle, "network: %v", err)
+	}
+	goal, err := built.CompileExpr(g.Goal)
+	if err != nil {
+		return nil, nil, fail(oracle, "goal %q: %v", g.Goal, err)
+	}
+	return rt, goal, nil
+}
 
 // engineOr classifies err: engine-internal failures surface under the
 // dedicated "engine" oracle regardless of which check hit them.

@@ -296,3 +296,16 @@ func prefixBound(w intervals.Set) (d float64, attained, ok bool) {
 	})
 	return d, attained, ok
 }
+
+// DelayClip returns the delay set the invariants allow, given the bound
+// MaxDelay reports: [0, maxD] when the bound is attained, [0, maxD)
+// otherwise, built in a; [0, ∞) is shared.
+func DelayClip(a *intervals.Arena, maxD float64, attained bool) intervals.Set {
+	if math.IsInf(maxD, 1) {
+		return intervals.NonNegative()
+	}
+	if attained {
+		return a.Of(intervals.Closed(0, maxD))
+	}
+	return a.Of(intervals.ClosedOpen(0, maxD))
+}

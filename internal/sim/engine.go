@@ -370,7 +370,7 @@ func (e *Engine) step(ps *pathScratch, cur, nxt *network.State, src *rng.Source,
 
 	// Enabling windows of guarded moves, clipped to the allowed delays.
 	// Time-invariant guards are answered by the path's guard cache.
-	clip := delayClip(arena, maxD, attained)
+	clip := network.DelayClip(arena, maxD, attained)
 	if cap(ps.ctx.Windows) < len(guarded) {
 		ps.ctx.Windows = make([]intervals.Set, len(guarded))
 	}
@@ -515,16 +515,4 @@ func (e *Engine) wait(ps *pathScratch, cur, nxt *network.State, d float64, lock 
 		res.DecidedAt = nxt.Time
 	}
 	return v, nil
-}
-
-// delayClip returns the delay set the invariants allow: [0, maxD] when the
-// bound is attainable, [0, maxD) otherwise, built in a; [0, ∞) is shared.
-func delayClip(a *intervals.Arena, maxD float64, attained bool) intervals.Set {
-	if math.IsInf(maxD, 1) {
-		return intervals.NonNegative()
-	}
-	if attained {
-		return a.Of(intervals.Closed(0, maxD))
-	}
-	return a.Of(intervals.ClosedOpen(0, maxD))
 }

@@ -164,7 +164,6 @@ func Analyze(rt *network.Runtime, goal expr.Expr, bound float64, maxStates int) 
 	}
 	cur := []massState{{st: init, mass: 1}}
 	tau := 0.0
-	res := &Result{}
 	for {
 		// Boundary processing: fire deterministic moves, absorb goal and
 		// dead mass, merge the rest into the segment's support.
@@ -181,11 +180,7 @@ func Analyze(rt *network.Runtime, goal expr.Expr, bound float64, maxStates int) 
 				return nil, fmt.Errorf("zone: mass leak: reached %g + dead %g + alive %g = %g",
 					a.reached, a.dead, alive, total)
 			}
-			res.Probability = a.reached
-			res.Dead = a.dead
-			res.Segments = a.segments
-			res.PeakStates = a.peak
-			return res, nil
+			return &Result{Probability: a.reached, Dead: a.dead, Segments: a.segments, PeakStates: a.peak}, nil
 		}
 
 		c, err := a.buildClosure(support)
@@ -222,10 +217,16 @@ func Analyze(rt *network.Runtime, goal expr.Expr, bound float64, maxStates int) 
 	}
 }
 
-// massState is a probability-weighted network state.
+// massState is a probability-weighted network state. A tangible state
+// settle keeps also carries its key and what fireable found for it: its
+// invariant deadline and the earliest window endpoint after now, the
+// boundary candidates interning it registers.
 type massState struct {
-	st   network.State
-	mass float64
+	st       network.State
+	mass     float64
+	key      string
+	deadline float64
+	nextEdge float64
 }
 
 type analyzer struct {
@@ -237,10 +238,8 @@ type analyzer struct {
 	clockID   expr.VarID // -1 when the model has no clock
 
 	// cascade holds one move set per immediate-cascade depth, for the
-	// fireable moves settleState and resolveJump fire at that depth;
-	// windows serves candWindows, which keeps no move.
+	// fireable moves settleState and resolveJump fire at that depth.
 	cascade []*network.MoveSet
-	windows network.MoveSet
 
 	reached  float64
 	dead     float64
@@ -265,18 +264,6 @@ func fireableNow(w intervals.Set) (fire bool) {
 	return fire
 }
 
-// delayClip mirrors sim's invariant clip: the delays the invariants allow,
-// built in a.
-func delayClip(a *intervals.Arena, maxD float64, attained bool) intervals.Set {
-	if math.IsInf(maxD, 1) {
-		return intervals.NonNegative()
-	}
-	if attained {
-		return a.Of(intervals.Closed(0, maxD))
-	}
-	return a.Of(intervals.ClosedOpen(0, maxD))
-}
-
 // movesAt returns the move set of cascade depth d, allocating it on first
 // use.
 func (a *analyzer) movesAt(d int) *network.MoveSet {
@@ -287,36 +274,42 @@ func (a *analyzer) movesAt(d int) *network.MoveSet {
 }
 
 // fireable collects the guarded moves of st that are fireable now, along
-// with the invariant deadline. The moves are composed into the move set of
-// cascade depth depth, so they stay valid while deeper cascades run.
-// Windows are clipped by the invariants first, exactly like the engine's
-// step: an open-at-zero window under an expired invariant (maxD = 0) is a
-// timelock, not a firing. The windows live in the scratch's arena, which
-// fireable resets first: none outlives the call.
-func (a *analyzer) fireable(st *network.State, depth int) ([]*network.Move, float64, error) {
+// with the invariant deadline and the earliest finite endpoint after now of
+// any guarded move's window (+Inf if none): within a segment the fireable
+// set must not change, so each endpoint subdivides time. The moves are
+// composed into the move set of cascade depth depth, so they stay valid
+// while deeper cascades run. Windows are clipped by the invariants first,
+// exactly like the engine's step: an open-at-zero window under an expired
+// invariant (maxD = 0) is a timelock, not a firing. The windows live in the
+// scratch's arena, which fireable resets first: none outlives the call.
+func (a *analyzer) fireable(st *network.State, depth int) (en []*network.Move, deadline, nextEdge float64, err error) {
 	arena := a.sc.Arena()
 	arena.Reset()
-	d, att, nowOK, err := a.sc.MaxDelay(st)
+	deadline, att, nowOK, err := a.sc.MaxDelay(st)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	if !nowOK {
-		return nil, 0, fmt.Errorf("zone: invariant violated at t=%g", st.Time)
+		return nil, 0, 0, fmt.Errorf("zone: invariant violated at t=%g", st.Time)
 	}
-	clip := delayClip(arena, d, att)
+	clip := network.DelayClip(arena, deadline, att)
 	ms := a.movesAt(depth)
 	a.sc.Moves(ms, st)
-	var out []*network.Move
+	nextEdge = math.Inf(1)
 	for _, m := range ms.Guarded {
 		w, err := a.sc.Window(st, m, nil)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
+		w.Each(func(iv intervals.Interval) bool {
+			nextEdge = earlier(earlier(nextEdge, iv.Lo), iv.Hi)
+			return true
+		})
 		if fireableNow(arena.Intersect(w, clip)) {
-			out = append(out, m)
+			en = append(en, m)
 		}
 	}
-	return out, d, nil
+	return en, deadline, nextEdge, nil
 }
 
 // assignsClock reports whether firing m writes the clock variable.
@@ -377,7 +370,7 @@ func (a *analyzer) settleState(st *network.State, mass float64, out map[string]*
 		a.reached += mass
 		return nil
 	}
-	en, d, err := a.fireable(st, depth)
+	en, d, next, err := a.fireable(st, depth)
 	if err != nil {
 		return err
 	}
@@ -390,7 +383,7 @@ func (a *analyzer) settleState(st *network.State, mass float64, out map[string]*
 		if ms, ok := out[key]; ok {
 			ms.mass += mass
 		} else {
-			out[key] = &massState{st: st.Clone(), mass: mass}
+			out[key] = &massState{st: st.Clone(), mass: mass, key: key, deadline: d, nextEdge: next}
 		}
 		return nil
 	}
@@ -407,7 +400,8 @@ func (a *analyzer) settleState(st *network.State, mass float64, out map[string]*
 	return nil
 }
 
-// Sentinel targets of a segment edge resolution.
+// Sentinel targets of a segment edge resolution. transient maps them to
+// states n and n+1 of an n-state closure.
 const (
 	toGoal = -1
 	toDead = -2
@@ -424,41 +418,28 @@ type share struct {
 // through Markovian jumps (with vanishing intermediates eliminated), their
 // resolved rate edges, and the earliest future boundary.
 type closure struct {
-	states  []network.State
-	index   map[string]int
-	exit    []float64 // total Markovian exit rate per state
-	edges   [][]share // resolved rate edges per state (p holds the rate)
-	support []share   // initial distribution (p holds the mass)
+	states []network.State
+	index  map[string]int
+	// edges holds the resolved rate edges per state; a jump absorbed by
+	// the goal or a timelock targets toGoal or toDead.
+	edges   [][]ctmc.Edge
+	support []share // initial distribution (p holds the mass)
 	// minCand is the earliest boundary candidate strictly after now:
 	// window endpoints and invariant deadlines of every state touched.
 	minCand float64
 }
 
-// addCand registers a relative boundary candidate.
-func (c *closure) addCand(t float64) {
-	if t > timeEps && !math.IsInf(t, 1) && t < c.minCand {
-		c.minCand = t
+// earlier returns t if it is a boundary candidate before min: finite and
+// strictly after now, beyond the ε-snap. Otherwise it returns min.
+func earlier(min, t float64) float64 {
+	if t > timeEps && !math.IsInf(t, 1) && t < min {
+		return t
 	}
+	return min
 }
 
-// candWindows registers every finite endpoint of every guarded move window
-// of st: within a segment the fireable set must not change, so each
-// endpoint subdivides time.
-func (a *analyzer) candWindows(c *closure, st *network.State) error {
-	a.sc.Moves(&a.windows, st)
-	for _, m := range a.windows.Guarded {
-		w, err := a.sc.Window(st, m, nil)
-		if err != nil {
-			return err
-		}
-		w.Each(func(iv intervals.Interval) bool {
-			c.addCand(iv.Lo)
-			c.addCand(iv.Hi)
-			return true
-		})
-	}
-	return nil
-}
+// addCand registers a relative boundary candidate.
+func (c *closure) addCand(t float64) { c.minCand = earlier(c.minCand, t) }
 
 // buildClosure explores the segment's CTMC from the settled support:
 // tangible states are interned and expanded through their Markovian moves,
@@ -473,7 +454,7 @@ func (a *analyzer) buildClosure(support []*massState) (*closure, error) {
 	resolved := make(map[string][]share)
 	var cm network.MoveSet
 	for _, ms := range support {
-		idx, err := a.intern(c, &ms.st)
+		idx, err := a.intern(c, ms.key, &ms.st, ms.deadline, ms.nextEdge)
 		if err != nil {
 			return nil, err
 		}
@@ -499,41 +480,28 @@ func (a *analyzer) buildClosure(support []*massState) (*closure, error) {
 			// c.states, invalidating st.
 			st = &c.states[head]
 			for _, w := range dist {
-				c.edges[head] = append(c.edges[head], share{to: w.to, p: m.Rate * w.p})
-				c.exit[head] += m.Rate * w.p
+				c.edges[head] = append(c.edges[head], ctmc.Edge{To: w.to, Rate: m.Rate * w.p})
 			}
 		}
 	}
 	return c, nil
 }
 
-// intern adds a tangible snapshot state to the closure, registering its
-// deadline and window-endpoint boundary candidates. It resets the scratch's
-// arena before reading windows: none outlives the call.
-func (a *analyzer) intern(c *closure, st *network.State) (int, error) {
-	key := st.Key()
+// intern adds a tangible snapshot state of the given key to the closure,
+// registering its invariant deadline and earliest window endpoint, as
+// fireable found them, as boundary candidates.
+func (a *analyzer) intern(c *closure, key string, st *network.State, deadline, nextEdge float64) (int, error) {
 	if idx, ok := c.index[key]; ok {
 		return idx, nil
 	}
 	if len(c.states) >= a.maxStates {
 		return 0, fmt.Errorf("zone: segment closure exceeds %d states", a.maxStates)
 	}
-	a.sc.Arena().Reset()
-	d, _, nowOK, err := a.sc.MaxDelay(st)
-	if err != nil {
-		return 0, err
-	}
-	if !nowOK {
-		return 0, fmt.Errorf("zone: invariant violated at t=%g", st.Time)
-	}
-	c.addCand(d)
-	if err := a.candWindows(c, st); err != nil {
-		return 0, err
-	}
+	c.addCand(deadline)
+	c.addCand(nextEdge)
 	idx := len(c.states)
 	c.states = append(c.states, st.Clone())
 	c.index[key] = idx
-	c.exit = append(c.exit, 0)
 	c.edges = append(c.edges, nil)
 	return idx, nil
 }
@@ -566,7 +534,7 @@ func (a *analyzer) resolveJump(c *closure, resolved map[string][]share, st *netw
 		resolved[key] = out
 		return out, nil
 	}
-	en, d, err := a.fireable(st, depth)
+	en, d, next, err := a.fireable(st, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -576,7 +544,7 @@ func (a *analyzer) resolveJump(c *closure, resolved map[string][]share, st *netw
 			resolved[key] = out
 			return out, nil
 		}
-		idx, err := a.intern(c, st)
+		idx, err := a.intern(c, key, st, d, next)
 		if err != nil {
 			return nil, err
 		}
@@ -586,9 +554,7 @@ func (a *analyzer) resolveJump(c *closure, resolved map[string][]share, st *netw
 	}
 	// Vanishing: its window shape still subdivides the segment (the
 	// fireable set at interior jump times must match the snapshot's).
-	if err := a.candWindows(c, st); err != nil {
-		return nil, err
-	}
+	c.addCand(next)
 	onPath[key] = true
 	defer delete(onPath, key)
 	acc := make(map[int]float64)
@@ -622,102 +588,33 @@ func (a *analyzer) resolveJump(c *closure, resolved map[string][]share, st *netw
 }
 
 // transient pushes the support distribution across delta time units of the
-// segment CTMC by uniformization, accumulating goal and dead absorption
-// into the analyzer and returning the per-state survivor masses at the
-// segment's end.
+// segment CTMC, accumulating goal and dead absorption into the analyzer and
+// returning the per-state survivor masses at the segment's end. The goal
+// and dead sentinels become the chain's last two states, without edges;
+// the closure's edges are retargeted to them in place.
 func (a *analyzer) transient(c *closure, delta float64) ([]float64, error) {
 	n := len(c.states)
-	goalIdx, deadIdx := n, n+1
-	at := func(to int) int {
-		switch to {
-		case toGoal:
-			return goalIdx
-		case toDead:
-			return deadIdx
-		default:
-			return to
+	for _, row := range c.edges {
+		for i := range row {
+			if row[i].To < 0 {
+				row[i].To = n - 1 - row[i].To // toGoal → n, toDead → n+1
+			}
 		}
 	}
-
-	pi := make([]float64, n+2)
+	chain := ctmc.CTMC{
+		Edges:   append(c.edges, nil, nil),
+		Initial: make([]float64, n+2),
+		Goal:    make([]bool, n+2),
+	}
+	chain.Goal[n] = true
 	for _, s := range c.support {
-		pi[s.to] += s.p
+		chain.Initial[s.to] += s.p
 	}
-
-	var lambda float64
-	for s := 0; s < n; s++ {
-		if c.exit[s] > lambda {
-			lambda = c.exit[s]
-		}
-	}
-	lt := lambda * delta
-	if lt == 0 {
-		a.reached += pi[goalIdx]
-		a.dead += pi[deadIdx]
-		return pi[:n], nil
-	}
-	maxIter, err := ctmc.UniformizationSteps(lt)
+	out, err := chain.Transient(delta, segTail)
 	if err != nil {
 		return nil, fmt.Errorf("zone: %w", err)
 	}
-
-	// DTMC of the uniformized chain; the two sentinel rows are absorbing.
-	probs := make([][]share, n+2)
-	for s := 0; s < n; s++ {
-		stay := 1.0
-		var row []share
-		for _, e := range c.edges[s] {
-			p := e.p / lambda
-			row = append(row, share{to: at(e.to), p: p})
-			stay -= p
-		}
-		if stay > 1e-15 {
-			row = append(row, share{to: s, p: stay})
-		}
-		probs[s] = row
-	}
-	probs[goalIdx] = []share{{to: goalIdx, p: 1}}
-	probs[deadIdx] = []share{{to: deadIdx, p: 1}}
-
-	// Expected distribution at time delta: sum of Poisson-weighted DTMC
-	// iterates, computed in log space (cf. ctmc.ReachWithin). The
-	// truncated tail is folded into the last iterate so mass is conserved
-	// exactly.
-	out := make([]float64, n+2)
-	next := make([]float64, n+2)
-	logW := -lt
-	var cum float64
-	add := func() {
-		w := math.Exp(logW)
-		cum += w
-		for s := range out {
-			out[s] += w * pi[s]
-		}
-	}
-	add()
-	for k := 1; k <= maxIter && 1-cum > segTail; k++ {
-		for s := range next {
-			next[s] = 0
-		}
-		for s := 0; s < n+2; s++ {
-			if pi[s] == 0 {
-				continue
-			}
-			for _, e := range probs[s] {
-				next[e.to] += pi[s] * e.p
-			}
-		}
-		pi, next = next, pi
-		logW += math.Log(lt / float64(k))
-		add()
-	}
-	if rem := 1 - cum; rem > 0 {
-		for s := range out {
-			out[s] += rem * pi[s]
-		}
-	}
-
-	a.reached += out[goalIdx]
-	a.dead += out[deadIdx]
+	a.reached += out[n]
+	a.dead += out[n+1]
 	return out[:n], nil
 }
